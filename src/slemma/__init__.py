@@ -13,10 +13,6 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
-    evaluate,
-    homogeneity_degree,
-    parity,
-    project_to_sphere,
     sphere_samples,
     theta_grid,
 )
@@ -80,10 +76,6 @@ __all__ = [
     "Dilation",
     "GeneralizedPolynomial",
     "Parity",
-    "evaluate",
-    "homogeneity_degree",
-    "parity",
-    "project_to_sphere",
     "sphere_samples",
     "theta_grid",
     "DegenerateImageError",

@@ -177,6 +177,19 @@ def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _positive(kind):
+    """argparse type for a strictly positive `kind` (a zero sample count or
+    grid step would otherwise divide by zero deep inside a command)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _multiplier_exit(res) -> int:
     if isinstance(res, MultiplierFailure):
         return 3 if res.reason is ReasonCode.VERIFICATION_FAILED else 1
@@ -457,13 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("problem", help="problem file (JSON)")
-    common.add_argument("--samples", type=int, default=None,
+    common.add_argument("--samples", type=_positive(int), default=None,
                         help="sphere sample count (default per dimension)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="RNG seed for sampling")
     common.add_argument("--threshold", type=float, default=None,
                         help="decision threshold override")
-    common.add_argument("--grid-step", type=float, default=None, dest="grid_step",
+    common.add_argument("--grid-step", type=_positive(float), default=None, dest="grid_step",
                         help="simplex grid step (combo-scan)")
     common.add_argument("--out-dir", default=".", dest="out_dir",
                         help="artifact output directory")

@@ -22,8 +22,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 # Fixed default so every report and certificate is reproducible run to run.
 DEFAULT_SEED = 170453
@@ -435,25 +433,6 @@ class GeneralizedPolynomial:
         return " + ".join(bits)
 
 
-# ----------------------------------------------------------------- wrappers
-
-
-def evaluate(p: GeneralizedPolynomial, x) -> np.ndarray:
-    return p.evaluate(x)
-
-
-def parity(p: GeneralizedPolynomial) -> Parity:
-    return p.parity()
-
-
-def homogeneity_degree(p: GeneralizedPolynomial, d: Dilation) -> float | None:
-    return p.homogeneity_degree(d)
-
-
-def project_to_sphere(x, d: Dilation) -> np.ndarray:
-    return d.project(x)
-
-
 # ------------------------------------------------------------------ spheres
 
 
@@ -512,6 +491,11 @@ def sphere_samples(
         step = TWO_PI / count
         theta = theta_grid(count) + (offset % 1.0) * step
         return theta_points(theta, d)
+    # SciPy costs about a second to import and only this branch needs it,
+    # so runs that stay at n <= 2 never load it.
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     engine = qmc.Halton(d=n, scramble=True, seed=seed)
     u = engine.random(count)
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))

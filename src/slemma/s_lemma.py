@@ -61,7 +61,6 @@ class ReasonCode(Enum):
     NHS_ITEM_1 = "NHS_ITEM_1"
     NHS_ITEM_2 = "NHS_ITEM_2"
     NHS_ITEM_3 = "NHS_ITEM_3"
-    NHS_ITEM_4 = "NHS_ITEM_4"
     VERIFICATION_FAILED = "VERIFICATION_FAILED"
 
 

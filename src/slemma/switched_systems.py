@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,6 +331,8 @@ def scan_combinations(
 
     workers = _thread_count()
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             maxima = np.concatenate(list(pool.map(worst, blocks)))
     else:

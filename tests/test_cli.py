@@ -2,6 +2,8 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -267,6 +269,21 @@ def test_no_arguments_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def test_sample_count_must_be_positive(tmp_path, problems_dir):
+    for value in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "shs-xi", str(problems_dir / "switch_sextic.json"),
+                "--samples", value)
+        assert exc.value.code == 2
+
+
+def test_grid_step_must_be_positive(tmp_path, problems_dir):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "combo-scan", str(problems_dir / "switch_sextic.json"),
+            "--grid-step", "0")
+    assert exc.value.code == 2
+
+
 def test_verification_failures_map_to_exit_3():
     from slemma.cli import _multiplier_exit
     from slemma.s_lemma import MultiplierFailure, ReasonCode
@@ -292,3 +309,33 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, problems_dir):
                  "image_sector_sextic_wide.json",
                  "image_sector_sextic_wide.csv"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# ------------------------------------------------------------ import graph
+
+# sha256 of sphere_samples(Dilation.standard(3), 4096, DEFAULT_SEED).tobytes()
+# with SciPy 1.17: the n >= 3 samples are SciPy's scrambled Halton points.
+HALTON_3D_SHA256 = "b4eb0a6577f7c41dad2b40fa4059dcc1b33e114a48bcc14898df8880dad4bc86"
+
+IMPORT_GRAPH_SCRIPT = """
+import hashlib, sys
+from slemma.cli import main
+assert main(["shs-xi", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+lazy = ("scipy.stats", "scipy.special", "concurrent.futures")
+print(",".join(m for m in lazy if m in sys.modules))
+from slemma.homog_core import DEFAULT_SEED, Dilation, sphere_samples
+X = sphere_samples(Dilation.standard(3), 4096, DEFAULT_SEED)
+print(hashlib.sha256(X.tobytes()).hexdigest())
+"""
+
+
+def test_n2_run_loads_no_scipy_and_halton_bytes_hold(tmp_path, problems_dir):
+    # A fresh interpreter: the test process itself may have loaded SciPy.
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT,
+         str(problems_dir / "switch_sextic.json"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    eager, digest = proc.stdout.splitlines()[-2:]
+    assert eager == ""
+    assert digest == HALTON_3D_SHA256
