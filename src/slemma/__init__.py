@@ -17,9 +17,11 @@ from .homog_core import (
     theta_grid,
 )
 from .image_analysis import (
+    CopositivityReport,
     DegenerateImageError,
     ImageClass,
     ImageSummary,
+    ShsConditionReport,
     ZeroMargin,
     convexity_probe,
     mixing_curve,
@@ -28,11 +30,9 @@ from .image_analysis import (
 )
 from .problems import Problem, ProblemError, load_problem
 from .s_lemma import (
-    CopositivityReport,
     MultiplierCertificate,
     MultiplierFailure,
     ReasonCode,
-    ShsConditionReport,
     VerificationError,
     find_nhs_multiplier,
     find_nonstrict_multiplier,

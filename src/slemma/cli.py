@@ -22,9 +22,8 @@ import numpy as np
 from .homog_core import DEFAULT_SEED, TWO_PI
 from .image_analysis import (
     DegenerateImageError,
-    convexity_probe,
+    SampledPair,
     mixing_curve,
-    sample_image,
     zero_margin,
 )
 from .problems import Problem, ProblemError, load_problem
@@ -208,16 +207,15 @@ def _candidate(problem: Problem):
 
 def cmd_image(args, problem: Problem) -> int:
     f, g = problem.pair()
+    pair = SampledPair.draw(f, g, problem.dilation, count=args.samples, seed=args.seed)
     try:
-        summary = sample_image(f, g, problem.dilation,
-                               count=args.samples, seed=args.seed)
+        summary = pair.image()
     except DegenerateImageError as e:
         _write_json(_out_path(args, "", "json"),
                     _payload(args, problem, {"degenerate": str(e)}))
         print(f"image: degenerate ({e})")
         return 1
-    probe = convexity_probe(f, g, problem.dilation,
-                            count=args.samples, seed=args.seed)
+    probe = pair.convexity_probe(summary)
     result = summary.to_dict()
     result["convexity_violations"] = probe
     _write_json(_out_path(args, "", "json"), _payload(args, problem, result))

@@ -136,6 +136,8 @@ class GeneralizedPolynomial:
                 if s and p == 0:
                     raise ValueError("sign flag requires a positive exponent")
             merged[key] = merged.get(key, 0.0) + float(coeff)
+        if not all(math.isfinite(c) for c in merged.values()):
+            raise ValueError("coefficients must be finite")
         cmax = max((abs(c) for c in merged.values()), default=0.0)
         cutoff = 1e-15 * max(1.0, cmax)
         self.terms = {k: c for k, c in merged.items() if abs(c) > cutoff}

@@ -5,7 +5,10 @@ U, so everything about it is encoded in the set of directions
 atan2(g, f).  This module samples that direction set, measures the
 sector angle, classifies the image (singleton, line through the origin,
 angular sector, full plane), certifies the absence of common zeros, and
-probes midpoint convexity.
+probes midpoint convexity.  All of these, and the copositivity and SHS
+checks of the multiplier searches, are methods of a `SampledPair`, which
+evaluates f and g once on one sample set; the module-level functions
+draw a pair and run one method on it.
 
 Direction gaps are the load-bearing quantity.  A gap in the sampled set
 can be real (the pair of rays is genuinely missing) or an artifact of
@@ -30,6 +33,7 @@ from .homog_core import (
     TWO_PI,
     Dilation,
     GeneralizedPolynomial,
+    Parity,
     sphere_samples,
     theta_grid,
     theta_point_scalar,
@@ -113,8 +117,68 @@ class ZeroMargin:
         }
 
 
+@dataclass
+class CopositivityReport:
+    holds: bool
+    strict: bool
+    min_value: float | None
+    witness: np.ndarray | None
+    vacuous: bool
+    threshold: float
+    sample_count: int
+    seed: int
+
+    def __bool__(self):
+        return self.holds
+
+    def to_dict(self) -> dict:
+        return {
+            "holds": self.holds,
+            "strict": self.strict,
+            "min_value": self.min_value,
+            "witness": None if self.witness is None else list(self.witness),
+            "vacuous": self.vacuous,
+            "threshold": self.threshold,
+            "sample_count": self.sample_count,
+            "seed": self.seed,
+        }
+
+
+@dataclass
+class ShsConditionReport:
+    holds: bool
+    symmetrized_gap: float
+    witness_direction: tuple[float, float] | None
+    gap_interval: tuple[float, float] | None
+    image: ImageSummary
+    sample_count: int
+    seed: int
+
+    def __bool__(self):
+        return self.holds
+
+    def to_dict(self) -> dict:
+        return {
+            "holds": self.holds,
+            "symmetrized_gap": self.symmetrized_gap,
+            "witness_direction": self.witness_direction,
+            "gap_interval": self.gap_interval,
+            "image": self.image.to_dict(),
+            "sample_count": self.sample_count,
+            "seed": self.seed,
+        }
+
+
 def _default_count(n: int) -> int:
     return DEFAULT_COUNT_N2 if n <= 2 else DEFAULT_COUNT_HIGHD
+
+
+def _pos_threshold(scale: float) -> float:
+    return 1e-8 * max(1.0, scale)
+
+
+def _nonneg_tol(scale: float) -> float:
+    return 1e-9 * max(1.0, scale)
 
 
 def _common_degree(f: GeneralizedPolynomial, g: GeneralizedPolynomial, d: Dilation) -> float:
@@ -191,6 +255,306 @@ def _wrap_angle(a: float) -> float:
     return math.pi if w == -math.pi else w
 
 
+class SampledPair:
+    """f and g evaluated once on one sample set, shared by every check.
+
+    The hypotheses of the S-lemma variants all read the same evidence
+    about a pair: the values (f(x), g(x)) at sample points.  A pair holds
+    that evidence once, so the zero margin, copositivity, the image
+    classification, the solvability-gap condition and the convexity
+    probe of one report agree on the points they saw.  `draw` samples
+    the sphere of a homogeneous pair; the constructor takes any point
+    set (the non-homogeneous search samples a box), and then the zero
+    margin stays at sampled resolution.
+    """
+
+    def __init__(self, f, g, X, count, seed, d=None, degree=None):
+        self.f, self.g, self.d, self.degree = f, g, d, degree
+        self.X, self.count, self.seed = X, count, seed
+        self.F = f.evaluate(X)
+        self.G = g.evaluate(X)
+        self.scale_f = float(np.max(np.abs(self.F))) if len(X) else 0.0
+        self.scale_g = float(np.max(np.abs(self.G))) if len(X) else 0.0
+        self.scale = max(1.0, self.scale_f, self.scale_g)
+
+    @classmethod
+    def draw(
+        cls,
+        f: GeneralizedPolynomial,
+        g: GeneralizedPolynomial,
+        d: Dilation,
+        count: int | None = None,
+        seed: int = DEFAULT_SEED,
+    ) -> "SampledPair":
+        k = _common_degree(f, g, d)
+        if count is None:
+            count = _default_count(d.n)
+        return cls(f, g, sphere_samples(d, count, seed), count, seed, d, k)
+
+    @property
+    def joint_values(self) -> np.ndarray:
+        """The (m, 2) array of image points (f(x), g(x))."""
+        return np.column_stack([self.F, self.G])
+
+    def image(self, refine: bool = True) -> ImageSummary:
+        """Classify the direction set of the sampled image.
+
+        The sector angle is phi = 2*pi minus the largest direction gap when
+        that gap is confirmed (above 3x sample spacing, surviving adaptive
+        refinement for n = 2), else 2*pi.
+        """
+        k, n, count, seed = self.degree, self.d.n, self.count, self.seed
+        F, G = self.F, self.G
+        if abs(k) <= 1e-12:
+            u, v = float(F[0]), float(G[0])
+            dirs = np.array([math.atan2(v, u)]) if math.hypot(u, v) > 0 else np.array([])
+            return ImageSummary(
+                classification=ImageClass.SINGLETON,
+                phi=0.0,
+                largest_gap=TWO_PI,
+                directions=dirs,
+                sample_count=count,
+                seed=seed,
+                degree=k,
+                scatter=np.array([[0.0, u, v]]),
+            )
+
+        if n == 2:
+            params = theta_grid(count)
+        else:
+            params = np.arange(len(self.X), dtype=float)
+        scatter = np.column_stack([params[: len(F)], F, G])
+
+        ztol = 1e-12 * self.scale
+        nz = np.hypot(F, G) > ztol
+        if not np.any(nz):
+            raise DegenerateImageError("every sample maps to (0, 0)")
+
+        dirs = np.arctan2(G[nz], F[nz])
+        gap_tol = GAP_FACTOR * TWO_PI / count
+
+        evals, complete = 0, True
+        if refine and n == 2:
+            extras, evals, complete = _refine_directions(
+                self.f, self.g, self.d, params, F, G, gap_tol
+            )
+            if len(extras):
+                dirs = np.concatenate([dirs, extras])
+
+        dirs = np.sort(dirs)
+        gaps, starts = _gap_list(dirs)
+        largest = float(np.max(gaps))
+
+        confirmed = [
+            (float(starts[i]), float(starts[i] + gaps[i]))
+            for i in np.nonzero(gaps > gap_tol)[0]
+        ]
+        boundary = sorted({_wrap_angle(edge) for a, b in confirmed for edge in (a, b)})
+
+        if largest <= gap_tol:
+            phi = TWO_PI
+            cls = ImageClass.FULL_PLANE
+        else:
+            phi = TWO_PI - largest
+            cls = ImageClass.ANGULAR_SECTOR
+            if len(confirmed) == 2:
+                # two narrow antipodal clusters are a line through the origin
+                (a1, b1), (a2, b2) = confirmed
+                arc1 = a2 - b1
+                arc2 = TWO_PI - (b2 - a1)
+                centers = (b1 + arc1 / 2.0, b2 + arc2 / 2.0)
+                narrow = max(arc1, arc2) <= 5.0 * TWO_PI / count
+                antipodal = abs(_circ_diff(centers[0], centers[1]) - math.pi) <= 5.0 * TWO_PI / count
+                if narrow and antipodal:
+                    cls = ImageClass.LINE_THROUGH_ORIGIN
+
+        return ImageSummary(
+            classification=cls,
+            phi=float(phi),
+            largest_gap=largest,
+            directions=dirs,
+            sample_count=count,
+            seed=seed,
+            degree=float(k),
+            gaps=confirmed,
+            boundary_angles=boundary,
+            refinement_evals=evals,
+            refinement_complete=complete,
+            scatter=scatter,
+        )
+
+    def zero_margin(self, threshold: float = 1e-9) -> ZeroMargin:
+        """min over the samples of max(|f|, |g|), with optional certification.
+
+        A margin at zero scale is a finding (common zero), not an error.  When
+        the sampled margin clears the threshold on a drawn sphere sample, an
+        interval subdivision pass (n = 2) attempts to certify the bound on
+        the whole sphere; n = 1 is exact because the sphere is {+1, -1};
+        higher n stays at sampled resolution and reports refined=False.
+        """
+        vals = np.maximum(np.abs(self.F), np.abs(self.G))
+        idx = int(np.argmin(vals))
+        margin = float(vals[idx])
+
+        refined = False
+        cert = None
+        if margin > threshold and self.degree is not None:
+            k = self.degree
+            if self.d.n == 1:
+                refined, cert = True, margin
+            elif self.d.n == 2:
+                refined, cert = _certify_no_common_zero_n2(
+                    self.f, self.g, self.d, k, k, threshold
+                )
+        return ZeroMargin(
+            margin=margin,
+            refined=refined,
+            witness=self.X[idx],
+            threshold=threshold,
+            sample_count=len(self.X),
+            seed=self.seed,
+            certified_bound=cert,
+        )
+
+    def is_copositive(self, strict: bool = False) -> CopositivityReport:
+        """Test min of f over the samples where g >= 0.
+
+        The strict test keeps samples with g within noise of zero: a shared
+        boundary zero must count against strict positivity.  The non-strict
+        test drops that noisy boundary so that a pair which merely touches
+        zero along {g = 0} is not misread as a violation.
+        """
+        g_noise = 1e-12 * max(1.0, self.scale_g)
+        mask = self.G >= (-g_noise if strict else g_noise)
+        if not np.any(mask):
+            return CopositivityReport(
+                holds=True, strict=strict, min_value=None, witness=None,
+                vacuous=True, threshold=0.0, sample_count=len(self.X), seed=self.seed,
+            )
+        vals = self.F[mask]
+        pts = self.X[mask]
+        i = int(np.argmin(vals))
+        mn = float(vals[i])
+        if strict:
+            threshold = _pos_threshold(self.scale_f)
+            holds = mn > threshold
+        else:
+            threshold = _nonneg_tol(self.scale_f)
+            holds = mn >= -threshold
+        return CopositivityReport(
+            holds=holds, strict=strict, min_value=mn, witness=pts[i],
+            vacuous=False, threshold=threshold, sample_count=len(self.X), seed=self.seed,
+        )
+
+    def shs_condition(self) -> ShsConditionReport:
+        """Solvability-gap condition: the symmetrized direction set of U
+        leaves an uncovered arc, equivalently the sector angle of U is < pi.
+
+        The witness direction (a, b) points into the uncovered arc: neither
+        (f, g) = t(a, b) nor (f, g) = -t(a, b) appears attainable.
+        """
+        if self.f.parity() is not Parity.EVEN or self.g.parity() is not Parity.EVEN:
+            raise ValueError("the condition is defined for even f and g")
+        if self.degree <= 0:
+            raise ValueError("degree must be positive")
+        summary = self.image()
+
+        dirs = summary.directions
+        sym = np.sort(np.concatenate([dirs, ((dirs + math.pi + math.pi) % TWO_PI) - math.pi]))
+        gaps, starts = _gap_list(sym)
+        i = int(np.argmax(gaps))
+        largest = float(gaps[i])
+        gap_tol = 3.0 * TWO_PI / self.count
+        holds = largest > gap_tol
+        witness = None
+        interval = None
+        if holds:
+            lo = float(starts[i])
+            interval = (lo, lo + largest)
+            w = lo + largest / 2.0
+            witness = (math.cos(w), math.sin(w))
+        return ShsConditionReport(
+            holds=holds,
+            symmetrized_gap=largest,
+            witness_direction=witness,
+            gap_interval=interval,
+            image=summary,
+            sample_count=self.count,
+            seed=self.seed,
+        )
+
+    def convexity_probe(self, summary: ImageSummary, trials: int = 200) -> list[dict]:
+        """Search for midpoints of image points that leave the image.
+
+        Because U is a union of rays, a midpoint whose direction falls
+        strictly inside a confirmed direction gap of `summary` (this pair's
+        image) cannot be in U; each such pair is reported as a violation.
+        Pairs are drawn from a seeded generator plus all pairs of
+        coordinate-axis samples, which anchor the probe deterministically.
+        Before a violation is reported, a local search tries to attain the
+        midpoint direction on the sphere, which discards gaps that only
+        reflect thin direction sampling.  Quadratic form pairs, whose image
+        is convex, produce an empty list.
+        """
+        if not summary.gaps:
+            return []
+        f, g, d, seed = self.f, self.g, self.d, self.seed
+        clearance = GAP_FACTOR * TWO_PI / self.count
+
+        pts = self.joint_values
+        axis = _axis_points(d.n)
+        pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
+
+        scale = self.scale
+        ztol = 1e-12 * scale
+        keep = np.hypot(pts[:, 0], pts[:, 1]) > ztol
+        pts = pts[keep]
+        if len(pts) < 2:
+            return []
+
+        pairs = []
+        na = len(pts_axis)
+        for i in range(na):
+            for j in range(i + 1, na):
+                pairs.append((pts_axis[i], pts_axis[j]))
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            i, j = rng.integers(0, len(pts), size=2)
+            if i != j:
+                pairs.append((pts[i], pts[j]))
+
+        X_kept = self.X[keep]
+        dirs = np.arctan2(pts[:, 1], pts[:, 0])
+        attained_cache: dict = {}
+
+        violations = []
+        for u, v in pairs:
+            mid = 0.5 * (u + v)
+            if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
+                continue
+            direction = math.atan2(mid[1], mid[0])
+            hit = _inside_gap(direction, summary.gaps, clearance)
+            if hit is None:
+                continue
+            key = int(round(direction / clearance))
+            if key not in attained_cache:
+                attained_cache[key] = _direction_attained(
+                    f, g, d, X_kept, dirs, direction, clearance, seed
+                )
+            if attained_cache[key]:
+                continue
+            violations.append(
+                {
+                    "u": [float(u[0]), float(u[1])],
+                    "v": [float(v[0]), float(v[1])],
+                    "midpoint": [float(mid[0]), float(mid[1])],
+                    "direction": direction,
+                    "gap": [hit[0], hit[1]],
+                }
+            )
+        return violations
+
+
 def sample_image(
     f: GeneralizedPolynomial,
     g: GeneralizedPolynomial,
@@ -199,99 +563,9 @@ def sample_image(
     seed: int = DEFAULT_SEED,
     refine: bool = True,
 ) -> ImageSummary:
-    """Sample U on the sphere and classify its direction set.
-
-    The sector angle is phi = 2*pi minus the largest direction gap when
-    that gap is confirmed (above 3x sample spacing, surviving adaptive
-    refinement for n = 2), else 2*pi.
-    """
-    k = _common_degree(f, g, d)
-    n = d.n
-    if count is None:
-        count = _default_count(n)
-
-    if abs(k) <= 1e-12:
-        c = sphere_samples(d, max(count, 1), seed)[0]
-        u, v = float(f.evaluate(c)), float(g.evaluate(c))
-        dirs = np.array([math.atan2(v, u)]) if math.hypot(u, v) > 0 else np.array([])
-        return ImageSummary(
-            classification=ImageClass.SINGLETON,
-            phi=0.0,
-            largest_gap=TWO_PI,
-            directions=dirs,
-            sample_count=count,
-            seed=seed,
-            degree=k,
-            scatter=np.array([[0.0, u, v]]),
-        )
-
-    X = sphere_samples(d, count, seed)
-    F = f.evaluate(X)
-    G = g.evaluate(X)
-    if n == 2:
-        params = theta_grid(count)
-    else:
-        params = np.arange(len(X), dtype=float)
-    scatter = np.column_stack([params[: len(F)], F, G])
-
-    scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
-    ztol = 1e-12 * scale
-    nz = np.hypot(F, G) > ztol
-    if not np.any(nz):
-        raise DegenerateImageError("every sample maps to (0, 0)")
-
-    dirs = np.arctan2(G[nz], F[nz])
-    gap_tol = GAP_FACTOR * TWO_PI / count
-
-    evals, complete = 0, True
-    if refine and n == 2:
-        extras, evals, complete = _refine_directions(
-            f, g, d, params, F, G, gap_tol
-        )
-        if len(extras):
-            dirs = np.concatenate([dirs, extras])
-
-    dirs = np.sort(dirs)
-    gaps, starts = _gap_list(dirs)
-    largest = float(np.max(gaps))
-
-    confirmed = [
-        (float(starts[i]), float(starts[i] + gaps[i]))
-        for i in np.nonzero(gaps > gap_tol)[0]
-    ]
-    boundary = sorted({_wrap_angle(edge) for a, b in confirmed for edge in (a, b)})
-
-    if largest <= gap_tol:
-        phi = TWO_PI
-        cls = ImageClass.FULL_PLANE
-    else:
-        phi = TWO_PI - largest
-        cls = ImageClass.ANGULAR_SECTOR
-        if len(confirmed) == 2:
-            # two narrow antipodal clusters are a line through the origin
-            (a1, b1), (a2, b2) = confirmed
-            arc1 = a2 - b1
-            arc2 = TWO_PI - (b2 - a1)
-            centers = (b1 + arc1 / 2.0, b2 + arc2 / 2.0)
-            narrow = max(arc1, arc2) <= 5.0 * TWO_PI / count
-            antipodal = abs(_circ_diff(centers[0], centers[1]) - math.pi) <= 5.0 * TWO_PI / count
-            if narrow and antipodal:
-                cls = ImageClass.LINE_THROUGH_ORIGIN
-
-    return ImageSummary(
-        classification=cls,
-        phi=float(phi),
-        largest_gap=largest,
-        directions=dirs,
-        sample_count=count,
-        seed=seed,
-        degree=float(k),
-        gaps=confirmed,
-        boundary_angles=boundary,
-        refinement_evals=evals,
-        refinement_complete=complete,
-        scatter=scatter,
-    )
+    """Sample U on the sphere and classify its direction set
+    (`SampledPair.image`)."""
+    return SampledPair.draw(f, g, d, count, seed).image(refine)
 
 
 # --------------------------------------------------------------- zero margin
@@ -395,41 +669,9 @@ def zero_margin(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ZeroMargin:
-    """min over sphere samples of max(|f|, |g|), with optional certification.
-
-    A margin at zero scale is a finding (common zero), not an error.  When
-    the sampled margin clears the threshold, an interval subdivision pass
-    (n = 2) attempts to certify the bound on the whole sphere; n = 1 is
-    exact because the sphere is {+1, -1}; higher n stays at sampled
-    resolution and reports refined=False.
-    """
-    kf = _common_degree(f, g, d)
-    kg = kf
-    n = d.n
-    if count is None:
-        count = _default_count(n)
-    X = sphere_samples(d, count, seed)
-    vals = np.maximum(np.abs(f.evaluate(X)), np.abs(g.evaluate(X)))
-    idx = int(np.argmin(vals))
-    margin = float(vals[idx])
-    witness = X[idx]
-
-    refined = False
-    cert = None
-    if margin > threshold:
-        if n == 1:
-            refined, cert = True, margin
-        elif n == 2:
-            refined, cert = _certify_no_common_zero_n2(f, g, d, kf, kg, threshold)
-    return ZeroMargin(
-        margin=margin,
-        refined=refined,
-        witness=witness,
-        threshold=threshold,
-        sample_count=len(X),
-        seed=seed,
-        certified_bound=cert,
-    )
+    """min over sphere samples of max(|f|, |g|), with optional certification
+    (`SampledPair.zero_margin`)."""
+    return SampledPair.draw(f, g, d, count, seed).zero_margin(threshold)
 
 
 # -------------------------------------------------------------- mixing curve
@@ -531,74 +773,7 @@ def convexity_probe(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> list[dict]:
-    """Search for midpoints of image points that leave the image.
-
-    Because U is a union of rays, a midpoint whose direction falls
-    strictly inside a confirmed direction gap cannot be in U; each such
-    pair is reported as a violation.  Pairs are drawn from a seeded
-    generator plus all pairs of coordinate-axis samples, which anchor the
-    probe deterministically.  Before a violation is reported, a local
-    search tries to attain the midpoint direction on the sphere, which
-    discards gaps that only reflect thin direction sampling.  Quadratic
-    form pairs, whose image is convex, produce an empty list.
-    """
-    summary = sample_image(f, g, d, count=count, seed=seed)
-    if not summary.gaps:
-        return []
-    if count is None:
-        count = _default_count(d.n)
-    clearance = GAP_FACTOR * TWO_PI / count
-
-    X = sphere_samples(d, count, seed)
-    pts = np.column_stack([f.evaluate(X), g.evaluate(X)])
-    axis = _axis_points(d.n)
-    pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
-
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    ztol = 1e-12 * scale
-    keep = np.hypot(pts[:, 0], pts[:, 1]) > ztol
-    pts = pts[keep]
-    if len(pts) < 2:
-        return []
-
-    pairs = []
-    na = len(pts_axis)
-    for i in range(na):
-        for j in range(i + 1, na):
-            pairs.append((pts_axis[i], pts_axis[j]))
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        i, j = rng.integers(0, len(pts), size=2)
-        if i != j:
-            pairs.append((pts[i], pts[j]))
-
-    X_kept = X[keep]
-    dirs = np.arctan2(pts[:, 1], pts[:, 0])
-    attained_cache: dict = {}
-
-    violations = []
-    for u, v in pairs:
-        mid = 0.5 * (u + v)
-        if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
-            continue
-        direction = math.atan2(mid[1], mid[0])
-        hit = _inside_gap(direction, summary.gaps, clearance)
-        if hit is None:
-            continue
-        key = int(round(direction / clearance))
-        if key not in attained_cache:
-            attained_cache[key] = _direction_attained(
-                f, g, d, X_kept, dirs, direction, clearance, seed
-            )
-        if attained_cache[key]:
-            continue
-        violations.append(
-            {
-                "u": [float(u[0]), float(u[1])],
-                "v": [float(v[0]), float(v[1])],
-                "midpoint": [float(mid[0]), float(mid[1])],
-                "direction": direction,
-                "gap": [hit[0], hit[1]],
-            }
-        )
-    return violations
+    """Search for midpoints of image points that leave the image
+    (`SampledPair.convexity_probe`)."""
+    pair = SampledPair.draw(f, g, d, count, seed)
+    return pair.convexity_probe(pair.image(), trials)

@@ -10,11 +10,27 @@ before issuing a certificate.  The margin
 is a pointwise minimum of affine functions of xi, hence concave, so a
 log-grid scan plus golden-section refinement finds its global maximum.
 
-Failures carry machine-readable reason codes.  Hypothesis checks run in
-a fixed order with the common-zero test first: a pair with a shared
-sphere zero fails every variant for that one geometric reason, and the
-copositivity sampler cannot distinguish a boundary zero from an honest
-interior minimum.
+Each search is one chain of checks run in a fixed order; the first check
+that fails ends the search with a machine-readable reason code, and the
+outcome, certificate or failure, lists the record of every check that
+ran.  The hypothesis checks of one search read one `SampledPair`: f and
+g are sampled and evaluated once, and only the re-verification draws a
+second, independent sample set.
+
+- strict (`find_strict_multiplier`): zero_margin, strict_copositivity,
+  shs_condition, margin_maximization, fresh_verification.
+- non-strict (`find_nonstrict_multiplier`): zero_margin, copositivity,
+  image_lines, margin_maximization, fresh_verification.
+- non-homogeneous (`find_nhs_multiplier`): affine_zero_margin and
+  affine_copositivity on a box sample of the pair, top_zero_margin and
+  top_copositivity on a sphere sample of its top-degree forms, the three
+  antipodal-direction items, the non-strict chain on the homogenized
+  lift, and t1_slice_verification.
+
+The common-zero test comes first: a pair with a shared sphere zero fails
+every variant for that one geometric reason, and the copositivity
+sampler cannot distinguish a boundary zero from an honest interior
+minimum.
 """
 
 from __future__ import annotations
@@ -30,16 +46,17 @@ from .homog_core import (
     TWO_PI,
     Dilation,
     GeneralizedPolynomial,
-    Parity,
     sphere_samples,
 )
 from .image_analysis import (
-    ImageSummary,
+    CopositivityReport,
+    SampledPair,
+    ShsConditionReport,
+    ZeroMargin,
     _common_degree,
     _default_count,
-    _gap_list,
-    sample_image,
-    zero_margin,
+    _nonneg_tol,
+    _pos_threshold,
 )
 from .stp_poly import CoeffVecPolynomial, homogenize
 
@@ -66,66 +83,6 @@ class ReasonCode(Enum):
 
 class VerificationError(RuntimeError):
     """An issued certificate failed its own re-verification."""
-
-
-def _pos_threshold(scale: float) -> float:
-    return 1e-8 * max(1.0, scale)
-
-
-def _nonneg_tol(scale: float) -> float:
-    return 1e-9 * max(1.0, scale)
-
-
-@dataclass
-class CopositivityReport:
-    holds: bool
-    strict: bool
-    min_value: float | None
-    witness: np.ndarray | None
-    vacuous: bool
-    threshold: float
-    sample_count: int
-    seed: int
-
-    def __bool__(self):
-        return self.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "strict": self.strict,
-            "min_value": self.min_value,
-            "witness": None if self.witness is None else list(self.witness),
-            "vacuous": self.vacuous,
-            "threshold": self.threshold,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-
-
-@dataclass
-class ShsConditionReport:
-    holds: bool
-    symmetrized_gap: float
-    witness_direction: tuple[float, float] | None
-    gap_interval: tuple[float, float] | None
-    image: ImageSummary
-    sample_count: int
-    seed: int
-
-    def __bool__(self):
-        return self.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "symmetrized_gap": self.symmetrized_gap,
-            "witness_direction": self.witness_direction,
-            "gap_interval": self.gap_interval,
-            "image": self.image.to_dict(),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -198,7 +155,7 @@ def _fresh_samples(d: Dilation, count: int, seed: int) -> np.ndarray:
     return sphere_samples(d, count, seed + 1)
 
 
-# -------------------------------------------------------------- copositivity
+# ------------------------------------------------- copositivity, SHS condition
 
 
 def is_copositive(
@@ -209,46 +166,9 @@ def is_copositive(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> CopositivityReport:
-    """Test min of f over the sampled part of the sphere where g >= 0.
-
-    The strict test keeps samples with g within noise of zero: a shared
-    boundary zero must count against strict positivity.  The non-strict
-    test drops that noisy boundary so that a pair which merely touches
-    zero along {g = 0} is not misread as a violation.
-    """
-    _common_degree(f, g, d)
-    if count is None:
-        count = _default_count(d.n)
-    X = sphere_samples(d, count, seed)
-    F = f.evaluate(X)
-    G = g.evaluate(X)
-    scale_f = float(np.max(np.abs(F))) if len(F) else 0.0
-    scale_g = float(np.max(np.abs(G))) if len(G) else 0.0
-    g_noise = 1e-12 * max(1.0, scale_g)
-
-    mask = G >= (-g_noise if strict else g_noise)
-    if not np.any(mask):
-        return CopositivityReport(
-            holds=True, strict=strict, min_value=None, witness=None,
-            vacuous=True, threshold=0.0, sample_count=len(X), seed=seed,
-        )
-    vals = F[mask]
-    pts = X[mask]
-    i = int(np.argmin(vals))
-    mn = float(vals[i])
-    if strict:
-        threshold = _pos_threshold(scale_f)
-        holds = mn > threshold
-    else:
-        threshold = _nonneg_tol(scale_f)
-        holds = mn >= -threshold
-    return CopositivityReport(
-        holds=holds, strict=strict, min_value=mn, witness=pts[i],
-        vacuous=False, threshold=threshold, sample_count=len(X), seed=seed,
-    )
-
-
-# ------------------------------------------------------------ SHS condition
+    """Test min of f over the sampled part of the sphere where g >= 0
+    (`SampledPair.is_copositive`)."""
+    return SampledPair.draw(f, g, d, count, seed).is_copositive(strict)
 
 
 def shs_condition(
@@ -258,44 +178,9 @@ def shs_condition(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ShsConditionReport:
-    """Solvability-gap condition: the symmetrized direction set of U
-    leaves an uncovered arc, equivalently the sector angle of U is < pi.
-
-    The witness direction (a, b) points into the uncovered arc: neither
-    (f, g) = t(a, b) nor (f, g) = -t(a, b) appears attainable.
-    """
-    if f.parity() is not Parity.EVEN or g.parity() is not Parity.EVEN:
-        raise ValueError("the condition is defined for even f and g")
-    k = _common_degree(f, g, d)
-    if k <= 0:
-        raise ValueError("degree must be positive")
-    if count is None:
-        count = _default_count(d.n)
-    summary = sample_image(f, g, d, count=count, seed=seed)
-
-    dirs = summary.directions
-    sym = np.sort(np.concatenate([dirs, ((dirs + math.pi + math.pi) % TWO_PI) - math.pi]))
-    gaps, starts = _gap_list(sym)
-    i = int(np.argmax(gaps))
-    largest = float(gaps[i])
-    gap_tol = 3.0 * TWO_PI / count
-    holds = largest > gap_tol
-    witness = None
-    interval = None
-    if holds:
-        lo = float(starts[i])
-        interval = (lo, lo + largest)
-        w = lo + largest / 2.0
-        witness = (math.cos(w), math.sin(w))
-    return ShsConditionReport(
-        holds=holds,
-        symmetrized_gap=largest,
-        witness_direction=witness,
-        gap_interval=interval,
-        image=summary,
-        sample_count=count,
-        seed=seed,
-    )
+    """Solvability-gap condition: the sector angle of U is < pi
+    (`SampledPair.shs_condition`)."""
+    return SampledPair.draw(f, g, d, count, seed).shs_condition()
 
 
 # ------------------------------------------------------------ margin search
@@ -397,6 +282,68 @@ def _geometric_xi(report: ShsConditionReport, F, G):
     return best
 
 
+# ------------------------------------------------------------- check chain
+
+
+def _check(name, ok, reason, message, stage, witness=None, **data):
+    """One check's record, and the failure it decides when it does not hold."""
+    failure = None if ok else MultiplierFailure(reason, message, witness=witness, stage=stage)
+    return {"check": name, "ok": ok, **data}, failure
+
+
+def _zero_check(name, zm: ZeroMargin, message, stage, **data):
+    return _check(name, zm.margin > zm.threshold, ReasonCode.COMMON_ZERO, message, stage,
+                  witness=list(zm.witness), margin=zm.margin, **data)
+
+
+def _copositivity_check(name, cop: CopositivityReport, message, stage):
+    return _check(name, cop.holds, ReasonCode.NOT_COPOSITIVE, message, stage,
+                  witness=None if cop.witness is None else list(cop.witness),
+                  min_value=cop.min_value)
+
+
+def _collision_check(name, hits, reason, message, stage):
+    return _check(name, not hits, reason, message, stage,
+                  witness=[list(h) for h in hits[0]] if hits else None,
+                  collisions=len(hits))
+
+
+def _sphere_zero_check(pair: SampledPair):
+    zm = pair.zero_margin()
+    return _zero_check("zero_margin", zm, "f and g share a zero on the sphere",
+                       "zero_margin", refined=zm.refined)
+
+
+def _fresh_margin(pair: SampledPair, xi: float) -> float:
+    """min of f - xi*g on an independent sample set of the pair's sphere."""
+    Xv = _fresh_samples(pair.d, pair.count, pair.seed)
+    return float(np.min(pair.f.evaluate(Xv) - xi * pair.g.evaluate(Xv)))
+
+
+FRESH_FAILED = "certificate failed re-verification on an independent sample set"
+
+
+def _run_chain(chain):
+    """Run a search's checks in order and stop at the first that fails.
+
+    `chain` is a generator that yields one (record, failure) pair per
+    check and returns the certificate once every check has passed.  The
+    outcome, failure or certificate, carries the records of every check
+    that ran.
+    """
+    records = []
+    while True:
+        try:
+            record, failure = next(chain)
+        except StopIteration as done:
+            done.value.checks = records
+            return done.value
+        records.append(record)
+        if failure is not None:
+            failure.checks = records
+            return failure
+
+
 # ------------------------------------------------------- strict multiplier
 
 
@@ -413,91 +360,43 @@ def find_strict_multiplier(
     On success the refined xi is re-verified on an independent sample set
     and the certificate records both sampled margins.
     """
-    _common_degree(f, g, d)
-    if count is None:
-        count = _default_count(d.n)
-    checks = []
+    return _run_chain(_strict_chain(SampledPair.draw(f, g, d, count, seed)))
 
-    zm = zero_margin(f, g, d, count=count, seed=seed)
-    checks.append({"check": "zero_margin", "ok": zm.margin > zm.threshold,
-                   "margin": zm.margin, "refined": zm.refined})
-    if zm.margin <= zm.threshold:
-        return MultiplierFailure(
-            ReasonCode.COMMON_ZERO,
-            "f and g share a zero on the sphere",
-            witness=list(zm.witness),
-            stage="zero_margin",
-            checks=checks,
-        )
 
-    cop = is_copositive(f, g, d, strict=True, count=count, seed=seed)
-    checks.append({"check": "strict_copositivity", "ok": cop.holds,
-                   "min_value": cop.min_value})
-    if not cop.holds:
-        return MultiplierFailure(
-            ReasonCode.NOT_COPOSITIVE,
-            "f is not strictly copositive with g",
-            witness=None if cop.witness is None else list(cop.witness),
-            stage="copositivity",
-            checks=checks,
-        )
+def _strict_chain(pair: SampledPair):
+    yield _sphere_zero_check(pair)
+    yield _copositivity_check("strict_copositivity", pair.is_copositive(strict=True),
+                              "f is not strictly copositive with g", "copositivity")
+    shs = pair.shs_condition()
+    yield _check("shs_condition", shs.holds, ReasonCode.SECTOR_GE_PI,
+                 "symmetrized image directions leave no uncovered arc "
+                 "(sector angle >= pi)", "shs_condition",
+                 symmetrized_gap=shs.symmetrized_gap, phi=shs.image.phi)
 
-    shs = shs_condition(f, g, d, count=count, seed=seed)
-    checks.append({"check": "shs_condition", "ok": shs.holds,
-                   "symmetrized_gap": shs.symmetrized_gap,
-                   "phi": shs.image.phi})
-    if not shs.holds:
-        return MultiplierFailure(
-            ReasonCode.SECTOR_GE_PI,
-            "symmetrized image directions leave no uncovered arc "
-            "(sector angle >= pi)",
-            stage="shs_condition",
-            checks=checks,
-        )
+    # xi > 0 by construction: every candidate of the search is positive
+    xi_init, m_init = _geometric_xi(shs, pair.F, pair.G)
+    xi_star, m_star = _maximize_margin(pair.F, pair.G, extra_candidates=(xi_init,))
+    threshold = _pos_threshold(pair.scale_f + abs(xi_star) * pair.scale_g)
+    yield _check("margin_maximization", m_star > threshold, ReasonCode.VERIFICATION_FAILED,
+                 "no positive xi reached a positive margin despite the "
+                 "sector condition", "derivation",
+                 xi=xi_star, margin=m_star, xi_initial=xi_init, margin_initial=m_init)
 
-    X = sphere_samples(d, count, seed)
-    F = f.evaluate(X)
-    G = g.evaluate(X)
-    xi_init, m_init = _geometric_xi(shs, F, G)
-    xi_star, m_star = _maximize_margin(F, G, extra_candidates=(xi_init,))
-    scale = float(np.max(np.abs(F)) + abs(xi_star) * np.max(np.abs(G)))
-    threshold = _pos_threshold(scale)
-    checks.append({"check": "margin_maximization", "ok": m_star > threshold,
-                   "xi": xi_star, "margin": m_star,
-                   "xi_initial": xi_init, "margin_initial": m_init})
-    if not (xi_star > 0 and m_star > threshold):
-        return MultiplierFailure(
-            ReasonCode.VERIFICATION_FAILED,
-            "no positive xi reached a positive margin despite the "
-            "sector condition",
-            stage="derivation",
-            checks=checks,
-        )
-
-    Xv = _fresh_samples(d, count, seed)
-    mv = float(np.min(f.evaluate(Xv) - xi_star * g.evaluate(Xv)))
-    checks.append({"check": "fresh_verification", "ok": mv > threshold,
-                   "margin": mv})
-    if mv <= threshold:
-        return MultiplierFailure(
-            ReasonCode.VERIFICATION_FAILED,
-            "certificate failed re-verification on an independent sample set",
-            stage="verification",
-            checks=checks,
-        )
+    mv = _fresh_margin(pair, xi_star)
+    yield _check("fresh_verification", mv > threshold, ReasonCode.VERIFICATION_FAILED,
+                 FRESH_FAILED, "verification", margin=mv)
 
     return MultiplierCertificate(
         xi=float(xi_star),
         strict=True,
         margin=mv,
-        sample_count=len(X),
-        seed=seed,
-        dilation=d.to_dict(),
+        sample_count=len(pair.X),
+        seed=pair.seed,
+        dilation=pair.d.to_dict(),
         threshold=threshold,
         xi_initial=xi_init,
         margin_initial=m_init,
         margin_derivation=m_star,
-        checks=checks,
     )
 
 
@@ -616,93 +515,44 @@ def find_nonstrict_multiplier(
         raise ValueError("the non-strict search is defined for the standard dilation")
     if not (f.has_integer_powers() and g.has_integer_powers()):
         raise ValueError("the non-strict search needs integer powers")
-    k = _common_degree(f, g, d)
-    if k < 1.0 - 1e-12:
+    if _common_degree(f, g, d) < 1.0 - 1e-12:
         raise ValueError("degree must be at least 1")
-    if count is None:
-        count = _default_count(d.n)
-    checks = []
+    return _run_chain(_nonstrict_chain(SampledPair.draw(f, g, d, count, seed)))
 
-    zm = zero_margin(f, g, d, count=count, seed=seed)
-    checks.append({"check": "zero_margin", "ok": zm.margin > zm.threshold,
-                   "margin": zm.margin, "refined": zm.refined})
-    if zm.margin <= zm.threshold:
-        return MultiplierFailure(
-            ReasonCode.COMMON_ZERO,
-            "f and g share a zero on the sphere",
-            witness=list(zm.witness),
-            stage="zero_margin",
-            checks=checks,
-        )
 
-    cop = is_copositive(f, g, d, strict=False, count=count, seed=seed)
-    checks.append({"check": "copositivity", "ok": cop.holds,
-                   "min_value": cop.min_value})
-    if not cop.holds:
-        return MultiplierFailure(
-            ReasonCode.NOT_COPOSITIVE,
-            "f is not copositive with g",
-            witness=None if cop.witness is None else list(cop.witness),
-            stage="copositivity",
-            checks=checks,
-        )
+def _nonstrict_chain(pair: SampledPair):
+    yield _sphere_zero_check(pair)
+    yield _copositivity_check("copositivity", pair.is_copositive(),
+                              "f is not copositive with g", "copositivity")
+    nlines, line_angles = _count_lines(pair.joint_values)
+    yield _check("image_lines", nlines <= 1, ReasonCode.MULTIPLE_LINES,
+                 f"image contains {nlines} lines through the origin; "
+                 "at most one is allowed", "image_lines",
+                 count=nlines, angles=line_angles)
 
-    X = sphere_samples(d, count, seed)
-    F = f.evaluate(X)
-    G = g.evaluate(X)
-    P = np.column_stack([F, G])
-    nlines, line_angles = _count_lines(P)
-    checks.append({"check": "image_lines", "ok": nlines <= 1,
-                   "count": nlines, "angles": line_angles})
-    if nlines > 1:
-        return MultiplierFailure(
-            ReasonCode.MULTIPLE_LINES,
-            f"image contains {nlines} lines through the origin; "
-            "at most one is allowed",
-            stage="image_lines",
-            checks=checks,
-        )
-
-    scale_f = float(np.max(np.abs(F)))
-    tol0 = _nonneg_tol(scale_f)
-    min_f = float(np.min(F))
-    if min_f >= -tol0:
+    min_f = float(np.min(pair.F))
+    if min_f >= -_nonneg_tol(pair.scale_f):
         xi_star, m_star = 0.0, min_f
     else:
-        xi_star, m_star = _maximize_margin(F, G, allow_zero=True)
-    scale = float(np.max(np.abs(F)) + abs(xi_star) * np.max(np.abs(G)))
-    tol = _nonneg_tol(scale)
-    checks.append({"check": "margin_maximization", "ok": m_star >= -tol,
-                   "xi": xi_star, "margin": m_star})
-    if m_star < -tol:
-        return MultiplierFailure(
-            ReasonCode.VERIFICATION_FAILED,
-            "no xi >= 0 reached a nonnegative margin",
-            stage="derivation",
-            checks=checks,
-        )
+        xi_star, m_star = _maximize_margin(pair.F, pair.G, allow_zero=True)
+    tol = _nonneg_tol(pair.scale_f + abs(xi_star) * pair.scale_g)
+    yield _check("margin_maximization", m_star >= -tol, ReasonCode.VERIFICATION_FAILED,
+                 "no xi >= 0 reached a nonnegative margin", "derivation",
+                 xi=xi_star, margin=m_star)
 
-    Xv = _fresh_samples(d, count, seed)
-    mv = float(np.min(f.evaluate(Xv) - xi_star * g.evaluate(Xv)))
-    checks.append({"check": "fresh_verification", "ok": mv >= -tol, "margin": mv})
-    if mv < -tol:
-        return MultiplierFailure(
-            ReasonCode.VERIFICATION_FAILED,
-            "certificate failed re-verification on an independent sample set",
-            stage="verification",
-            checks=checks,
-        )
+    mv = _fresh_margin(pair, xi_star)
+    yield _check("fresh_verification", mv >= -tol, ReasonCode.VERIFICATION_FAILED,
+                 FRESH_FAILED, "verification", margin=mv)
 
     return MultiplierCertificate(
         xi=float(xi_star),
         strict=False,
         margin=mv,
-        sample_count=len(X),
-        seed=seed,
-        dilation=d.to_dict(),
+        sample_count=len(pair.X),
+        seed=pair.seed,
+        dilation=pair.d.to_dict(),
         threshold=tol,
         margin_derivation=m_star,
-        checks=checks,
     )
 
 
@@ -739,158 +589,69 @@ def find_nhs_multiplier(
     if f.n != g.n:
         raise ValueError("variable counts differ")
     n = f.n
-    gf = f.to_generalized()
-    gg = g.to_generalized()
     k = max(f.degree, g.degree)
     if k < 1:
         raise ValueError("degree must be at least 1")
-    checks = []
-
     if count is None:
         count = min(_default_count(n), 16384)
-    Xa = _affine_samples(n, box_radius, count, seed)
-    Fa = gf.evaluate(Xa)
-    Ga = gg.evaluate(Xa)
-    scale_a = max(1.0, float(np.max(np.abs(Fa))), float(np.max(np.abs(Ga))))
+    affine = SampledPair(f.to_generalized(), g.to_generalized(),
+                         _affine_samples(n, box_radius, count, seed), count, seed)
+    return _run_chain(_nhs_chain(f, g, k, affine, box_radius))
 
-    both = np.maximum(np.abs(Fa), np.abs(Ga))
-    i = int(np.argmin(both))
-    affine_zero_margin = float(both[i])
-    ok = affine_zero_margin > 1e-9 * scale_a
-    checks.append({"check": "affine_zero_margin", "ok": ok,
-                   "margin": affine_zero_margin})
-    if not ok:
-        return MultiplierFailure(
-            ReasonCode.COMMON_ZERO,
-            "f and g share a zero",
-            witness=list(Xa[i]),
-            stage="affine",
-            checks=checks,
-        )
 
-    g_noise = 1e-12 * max(1.0, float(np.max(np.abs(Ga))))
-    mask = Ga >= g_noise
-    tol_a = _nonneg_tol(float(np.max(np.abs(Fa))))
-    min_fa = float(np.min(Fa[mask])) if np.any(mask) else None
-    ok = min_fa is None or min_fa >= -tol_a
-    checks.append({"check": "affine_copositivity", "ok": ok, "min_value": min_fa})
-    if not ok:
-        j = int(np.nonzero(mask)[0][int(np.argmin(Fa[mask]))])
-        return MultiplierFailure(
-            ReasonCode.NOT_COPOSITIVE,
-            "f is not copositive with g",
-            witness=list(Xa[j]),
-            stage="affine",
-            checks=checks,
-        )
+def _nhs_chain(f, g, k, affine: SampledPair, box_radius: float):
+    n, seed = f.n, affine.seed
+    # zero thresholds relative to the sampled scale: box values grow like
+    # box_radius**k, so an absolute floor would mean nothing here
+    yield _zero_check("affine_zero_margin", affine.zero_margin(1e-9 * affine.scale),
+                      "f and g share a zero", "affine")
+    yield _copositivity_check("affine_copositivity", affine.is_copositive(),
+                              "f is not copositive with g", "affine")
 
-    d_top = Dilation.standard(n)
-    ft = gf.top_form(k)
-    gt = gg.top_form(k)
     count_top = _default_count(n)
-    Xt = sphere_samples(d_top, count_top, seed)
-    Ft = ft.evaluate(Xt) if not ft.is_zero else np.zeros(len(Xt))
-    Gt = gt.evaluate(Xt) if not gt.is_zero else np.zeros(len(Xt))
-    scale_t = max(1.0, float(np.max(np.abs(Ft))), float(np.max(np.abs(Gt))))
+    top = SampledPair(affine.f.top_form(k), affine.g.top_form(k),
+                      sphere_samples(Dilation.standard(n), count_top, seed),
+                      count_top, seed)
+    yield _zero_check("top_zero_margin", top.zero_margin(1e-9 * top.scale),
+                      "the top-degree forms share a sphere zero", "top_form")
+    yield _copositivity_check("top_copositivity", top.is_copositive(),
+                              "the top-degree form of f is not copositive with that of g",
+                              "top_form")
 
-    both_t = np.maximum(np.abs(Ft), np.abs(Gt))
-    it = int(np.argmin(both_t))
-    top_zero_margin = float(both_t[it])
-    ok = top_zero_margin > 1e-9 * scale_t
-    if ok and n == 2 and not ft.is_zero and not gt.is_zero:
-        zm_top = zero_margin(ft, gt, d_top, count=count_top, seed=seed)
-        ok = zm_top.margin > zm_top.threshold
-    checks.append({"check": "top_zero_margin", "ok": ok, "margin": top_zero_margin})
-    if not ok:
-        return MultiplierFailure(
-            ReasonCode.COMMON_ZERO,
-            "the top-degree forms share a sphere zero",
-            witness=list(Xt[it]),
-            stage="top_form",
-            checks=checks,
-        )
+    A, T = affine.joint_values, top.joint_values
+    yield _collision_check("item_1_top_antipodal", _direction_collisions(T, T),
+                           ReasonCode.NHS_ITEM_1,
+                           "the top-form image contains a pair of opposite directions",
+                           "item_1")
+    yield _collision_check("item_2_affine_antipodal", _direction_collisions(A, A),
+                           ReasonCode.NHS_ITEM_2,
+                           "the image of (f, g) contains collinear opposite-pointing values",
+                           "item_2")
+    yield _collision_check("item_3_4_cross_antipodal", _direction_collisions(A, T),
+                           ReasonCode.NHS_ITEM_3,
+                           "an image value of (f, g) opposes a top-form image direction",
+                           "item_3_4")
 
-    g_noise_t = 1e-12 * max(1.0, float(np.max(np.abs(Gt))))
-    mask_t = Gt >= g_noise_t
-    tol_t = _nonneg_tol(float(np.max(np.abs(Ft))))
-    min_ft = float(np.min(Ft[mask_t])) if np.any(mask_t) else None
-    ok = min_ft is None or min_ft >= -tol_t
-    checks.append({"check": "top_copositivity", "ok": ok, "min_value": min_ft})
-    if not ok:
-        jt = int(np.nonzero(mask_t)[0][int(np.argmin(Ft[mask_t]))])
-        return MultiplierFailure(
-            ReasonCode.NOT_COPOSITIVE,
-            "the top-degree form of f is not copositive with that of g",
-            witness=list(Xt[jt]),
-            stage="top_form",
-            checks=checks,
-        )
-
-    A = np.column_stack([Fa, Ga])
-    T = np.column_stack([Ft, Gt])
-
-    hits = _direction_collisions(T, T)
-    checks.append({"check": "item_1_top_antipodal", "ok": not hits,
-                   "collisions": len(hits)})
-    if hits:
-        return MultiplierFailure(
-            ReasonCode.NHS_ITEM_1,
-            "the top-form image contains a pair of opposite directions",
-            witness=[list(hits[0][0]), list(hits[0][1])],
-            stage="item_1",
-            checks=checks,
-        )
-
-    hits = _direction_collisions(A, A)
-    checks.append({"check": "item_2_affine_antipodal", "ok": not hits,
-                   "collisions": len(hits)})
-    if hits:
-        return MultiplierFailure(
-            ReasonCode.NHS_ITEM_2,
-            "the image of (f, g) contains collinear opposite-pointing values",
-            witness=[list(hits[0][0]), list(hits[0][1])],
-            stage="item_2",
-            checks=checks,
-        )
-
-    hits = _direction_collisions(A, T)
-    checks.append({"check": "item_3_4_cross_antipodal", "ok": not hits,
-                   "collisions": len(hits)})
-    if hits:
-        return MultiplierFailure(
-            ReasonCode.NHS_ITEM_3,
-            "an image value of (f, g) opposes a top-form image direction",
-            witness=[list(hits[0][0]), list(hits[0][1])],
-            stage="item_3_4",
-            checks=checks,
-        )
-
-    fh = homogenize(f, k)
-    gh = homogenize(g, k)
-    lifted = find_nonstrict_multiplier(fh, gh, Dilation.standard(n + 1), seed=seed)
-    if isinstance(lifted, MultiplierFailure):
-        lifted.checks = checks + lifted.checks
+    lifted = find_nonstrict_multiplier(homogenize(f, k), homogenize(g, k),
+                                       Dilation.standard(n + 1), seed=seed)
+    failed = isinstance(lifted, MultiplierFailure)
+    if failed:
         lifted.stage = f"homogenized:{lifted.stage}"
-        return lifted
-    checks.extend(lifted.checks)
+    *passed, last = lifted.checks
+    for record in passed:
+        yield record, None
+    yield last, lifted if failed else None
 
-    xi = lifted.xi
-    slice_vals = Fa - xi * Ga
+    slice_vals = affine.F - lifted.xi * affine.G
     m_slice = float(np.min(slice_vals))
     tol_slice = _nonneg_tol(float(np.max(np.abs(slice_vals))))
-    checks.append({"check": "t1_slice_verification", "ok": m_slice >= -tol_slice,
-                   "margin": m_slice, "box_radius": box_radius})
-    if m_slice < -tol_slice:
-        return MultiplierFailure(
-            ReasonCode.VERIFICATION_FAILED,
-            "the lifted multiplier failed on the t = 1 slice",
-            witness=list(Xa[int(np.argmin(slice_vals))]),
-            stage="t1_slice",
-            checks=checks,
-        )
+    yield _check("t1_slice_verification", m_slice >= -tol_slice, ReasonCode.VERIFICATION_FAILED,
+                 "the lifted multiplier failed on the t = 1 slice", "t1_slice",
+                 witness=list(affine.X[int(np.argmin(slice_vals))]),
+                 margin=m_slice, box_radius=box_radius)
 
     return MultiplierCertificate(
-        xi=xi,
+        xi=lifted.xi,
         strict=False,
         margin=lifted.margin,
         sample_count=lifted.sample_count,
@@ -898,7 +659,6 @@ def find_nhs_multiplier(
         dilation=lifted.dilation,
         threshold=lifted.threshold,
         margin_derivation=lifted.margin_derivation,
-        checks=checks,
         details={"t1_margin": m_slice, "box_radius": box_radius,
                  "lift_degree": k},
     )

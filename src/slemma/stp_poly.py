@@ -18,6 +18,7 @@ pads each layer with powers of an auxiliary last variable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,8 @@ class CoeffVecPolynomial:
                     raise ValueError(f"index {idx} out of range for degree {m}")
                 if c != 0.0:
                     clean[idx] = clean.get(idx, 0.0) + c
+            if not all(math.isfinite(c) for c in clean.values()):
+                raise ValueError("coefficients must be finite")
             if clean:
                 self.layers[m] = clean
 

@@ -11,7 +11,6 @@ sum(lambda_i * f_i), which is linear in lambda, is negative everywhere.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +22,12 @@ from .homog_core import (
     Parity,
     sphere_samples,
 )
-from .image_analysis import _default_count
+from .image_analysis import _default_count, _pos_threshold
 from .s_lemma import (
     MultiplierCertificate,
     MultiplierFailure,
     VerificationError,
     _fresh_samples,
-    _pos_threshold,
     find_strict_multiplier,
 )
 
@@ -38,19 +36,6 @@ STATE_NORM_LIMIT = 1e6
 
 class DivergenceError(RuntimeError):
     """A simulated trajectory left the norm ball of radius 1e6."""
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SLEMMA_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        return 1
-    if v == 0:
-        return os.cpu_count() or 1
-    return max(1, v)
 
 
 # ------------------------------------------------------------------- types
@@ -324,19 +309,8 @@ def scan_combinations(
         threshold = 1e-8 * max(1.0, float(np.max(np.abs(D))))
 
     grid = _simplex_grid(sys.count, grid_step)
-    blocks = [grid[s:s + 512] for s in range(0, len(grid), 512)]
-
-    def worst(block):
-        return np.max(block @ D, axis=1)
-
-    workers = _thread_count()
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maxima = np.concatenate(list(pool.map(worst, blocks)))
-    else:
-        maxima = np.concatenate([worst(b) for b in blocks])
+    maxima = np.concatenate([np.max(grid[s:s + 512] @ D, axis=1)
+                             for s in range(0, len(grid), 512)])
 
     mask = maxima < -threshold
     feasible = [ConvexCombination(row) for row in grid[mask]]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from slemma.cli import main
+from slemma.cli import COMMANDS, main
 from slemma.homog_core import DEFAULT_SEED
 
 
@@ -282,6 +282,27 @@ def test_grid_step_must_be_positive(tmp_path, problems_dir):
         run(tmp_path, "combo-scan", str(problems_dir / "switch_sextic.json"),
             "--grid-step", "0")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("problem, function", [
+    ("switch_sextic.json", "f"),
+    ("switch_sextic.json", "s1_1"),
+    ("affine_sextic_shift.json", "f"),
+])
+def test_non_finite_coefficients_are_usage_errors(tmp_path, problems_dir,
+                                                   problem, function, bad):
+    raw = json.loads((problems_dir / problem).read_text())
+    spec = raw["functions"][function]
+    if isinstance(spec, list):
+        spec[0]["coeff"] = bad
+    else:
+        spec["coeffs"][next(iter(spec["coeffs"]))] = bad
+    path = tmp_path / problem
+    path.write_text(json.dumps(raw))
+    for command in COMMANDS:
+        assert run(tmp_path / "out", command, str(path)) == 2, command
+    assert not (tmp_path / "out").exists()
 
 
 def test_verification_failures_map_to_exit_3():

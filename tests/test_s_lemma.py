@@ -1,5 +1,7 @@
 """Copositivity decisions and multiplier searches (strict and non-strict)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,12 @@ from slemma import (
     find_nonstrict_multiplier,
     find_strict_multiplier,
     is_copositive,
+    load_problem,
     multiplier_margin,
     shs_condition,
 )
+from slemma import homog_core
+from slemma.cli import main
 from slemma.s_lemma import _count_lines, _direction_collisions
 from slemma.stp_poly import to_coeff_vec
 
@@ -411,3 +416,46 @@ def test_top_form_direction_collision():
     res = find_nhs_multiplier(f, g)
     assert not res.ok
     assert res.reason is ReasonCode.NHS_ITEM_1
+
+
+# ------------------------------------------------------------ sample passes
+
+
+@pytest.fixture
+def sphere_calls(monkeypatch):
+    """Record every sphere_samples call, through each slemma module that
+    binds the name."""
+    real = homog_core.sphere_samples
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "slemma" and getattr(mod, "sphere_samples", None) is real:
+            monkeypatch.setattr(mod, "sphere_samples", counted)
+    return calls
+
+
+def test_each_check_chain_samples_its_pair_once(sphere_calls, problems_dir, tmp_path):
+    """Strict and non-strict: one pair plus the independent re-verification
+    set.  NHS: the affine and top-form pairs plus the two sets of the
+    lifted non-strict search.  `slemma image`: one pair shared by the
+    classification and the convexity probe."""
+    sextic = load_problem(problems_dir / "switch_sextic.json")
+    f, g = sextic.pair()
+    shifted = load_problem(problems_dir / "affine_sextic_shift.json")
+    runs = {
+        "strict": lambda: find_strict_multiplier(f, g, sextic.dilation).ok,
+        "non-strict": lambda: find_nonstrict_multiplier(f, g, sextic.dilation).ok,
+        "nhs": lambda: find_nhs_multiplier(*shifted.pair_coeff_vec()).ok,
+        "image": lambda: main(["image", str(problems_dir / "sector_sextic_wide.json"),
+                               "--out-dir", str(tmp_path)]) == 0,
+    }
+    counts = {}
+    for name, run in runs.items():
+        sphere_calls.clear()
+        assert run(), name
+        counts[name] = len(sphere_calls)
+    assert counts == {"strict": 2, "non-strict": 2, "nhs": 4, "image": 1}

@@ -189,16 +189,6 @@ def test_three_linear_scan_is_empty(linear3_system, norm_V, d2):
     assert res.best_value > 0
 
 
-def test_scan_deterministic_under_threads(sextic_system, sextic_V, d2, monkeypatch):
-    cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    base = scan_combinations(sextic_system, cand, grid_step=0.01)
-    monkeypatch.setenv("SLEMMA_THREADS", "4")
-    threaded = scan_combinations(sextic_system, cand, grid_step=0.01)
-    assert base.interval == threaded.interval
-    assert base.best_value == threaded.best_value
-    assert [c.to_list() for c in base.feasible] == [c.to_list() for c in threaded.feasible]
-
-
 # ----------------------------------------------------------------- synthesis
 
 
