@@ -1,5 +1,10 @@
 """Golden artifacts: every subcommand on every shipped problem, frozen.
 
+The shipped problems are all planar, so the sweep also covers one n = 3
+quartic pair (`fixtures/quartic3_pair.json`, f = xi0*g + p with p
+positive definite, built like the `lift` workload's generated inputs):
+its `hs-xi` run bins 65,536 image points with the per-bin cap saturated.
+
 Each run calls `slemma.cli.main` in process at the default seed and
 records its exit code and the sha256 of every artifact it writes.  The
 commands with CSV/SVG output run once with `--format csv` and once with
@@ -28,7 +33,8 @@ import pytest
 from slemma.cli import COMMANDS, CSV_COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBLEMS = sorted((ROOT / "problems").glob("*.json"))
+PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [
+    Path(__file__).with_name("fixtures") / "quartic3_pair.json"]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 
 
