@@ -403,31 +403,63 @@ def _strict_chain(pair: SampledPair):
 # --------------------------------------------------- direction collisions
 
 
-def _unit_rows(P: np.ndarray, ztol: float) -> np.ndarray:
-    norms = np.hypot(P[:, 0], P[:, 1])
-    keep = norms > ztol
-    return P[keep] / norms[keep, None]
-
-
 def _bin_occupancy(U: np.ndarray, nbins: int, cap: int = 96) -> dict[int, np.ndarray]:
+    """Rows of `np.round(U, 9)` grouped by the angle bin of U, at most
+    `cap` per bin.
+
+    A row is stored once per distinct value of (bin, rounded row).  Rows
+    compare by value, so -0.0 and 0.0 are the same coordinate, and the
+    stored row is the first occurrence, with its own sign of zero.  Each
+    bin keeps its first `cap` distinct rows in the order they first occur
+    in U.
+    """
+    if len(U) == 0:
+        return {}
     ang = np.arctan2(U[:, 1], U[:, 0])
     bins = ((ang + math.pi) / TWO_PI * nbins).astype(int) % nbins
-    occ: dict[int, list] = {}
-    seen: set = set()
-    for b, u in zip(bins, np.round(U, 9)):
-        key = (b, u[0], u[1])
-        if key in seen:
-            continue
-        seen.add(key)
-        lst = occ.setdefault(int(b), [])
-        if len(lst) < cap:
-            lst.append(u)
-    return {b: np.array(lst) for b, lst in occ.items()}
+    R = np.round(U, 9)
+    # stable, so equal rows keep their order; floats compare by value, -0.0 == 0.0
+    order = np.lexsort((R[:, 1], R[:, 0], bins))
+    b, x, y = bins[order], R[order, 0], R[order, 1]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (b[1:] != b[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    # the first occurrences, ordered by bin and then by position in U
+    firsts = order[first]
+    key = np.sort(bins[firsts] * len(U) + firsts)
+    rows, row_bins = key % len(U), key // len(U)
+    starts = np.flatnonzero(np.diff(row_bins, prepend=-1))
+    ends = np.append(starts[1:], len(rows))
+    return {int(row_bins[s]): R[rows[s:min(e, s + cap)]] for s, e in zip(starts, ends)}
+
+
+class _DirectionBins:
+    """The unit directions of a planar point set, binned by angle.
+
+    Rows no longer than the zero tolerance of a query have no direction.
+    The tolerance depends on both sets of a query, so the occupancy is
+    kept per set of surviving rows: a set that takes part in several
+    queries is binned once for each distinct set of rows, usually once.
+    """
+
+    def __init__(self, P: np.ndarray):
+        self.P = np.asarray(P, dtype=float)
+        self.norms = np.hypot(self.P[:, 0], self.P[:, 1])
+        self.peak = float(np.max(np.abs(self.P))) if len(self.P) else 0.0
+        self._occupancy: dict[int, dict[int, np.ndarray]] = {}
+
+    def occupancy(self, ztol: float) -> dict[int, np.ndarray]:
+        keep = self.norms > ztol
+        # the kept rows shrink as ztol grows, so their count identifies them
+        kept = int(np.count_nonzero(keep))
+        if kept not in self._occupancy:
+            U = self.P[keep] / self.norms[keep, None]
+            self._occupancy[kept] = _bin_occupancy(U, NBINS)
+        return self._occupancy[kept]
 
 
 def _direction_collisions(
-    A: np.ndarray,
-    B: np.ndarray,
+    A: _DirectionBins,
+    B: _DirectionBins,
     cross_tol: float = CROSS_TOL,
     max_report: int = 64,
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -437,16 +469,9 @@ def _direction_collisions(
     u . v < 0, i.e. the rays are anti-parallel within tolerance.  Bins
     prefilter the candidates; the cross-product test decides.
     """
-    if len(A) == 0 or len(B) == 0:
-        return []
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(B))))
-    ztol = 1e-12 * scale
-    UA = _unit_rows(np.asarray(A, dtype=float), ztol)
-    UB = _unit_rows(np.asarray(B, dtype=float), ztol)
-    if len(UA) == 0 or len(UB) == 0:
-        return []
-    occ_a = _bin_occupancy(UA, NBINS)
-    occ_b = _bin_occupancy(UB, NBINS)
+    ztol = 1e-12 * max(1.0, A.peak, B.peak)
+    occ_a = A.occupancy(ztol)
+    occ_b = B.occupancy(ztol)
     half = NBINS // 2
     hits = []
     for b, ua in sorted(occ_a.items()):
@@ -471,7 +496,8 @@ def _direction_collisions(
 def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
     """Number of distinct lines through the origin present in a point set,
     detected as clusters of antipodal direction collisions (angles mod pi)."""
-    colls = _direction_collisions(P, P)
+    bins = _DirectionBins(P)
+    colls = _direction_collisions(bins, bins)
     if not colls:
         return 0, []
     angles = sorted(math.atan2(u[1], u[0]) % math.pi for u, _ in colls)
@@ -618,7 +644,7 @@ def _nhs_chain(f, g, k, affine: SampledPair, box_radius: float):
                               "the top-degree form of f is not copositive with that of g",
                               "top_form")
 
-    A, T = affine.joint_values, top.joint_values
+    A, T = _DirectionBins(affine.joint_values), _DirectionBins(top.joint_values)
     yield _collision_check("item_1_top_antipodal", _direction_collisions(T, T),
                            ReasonCode.NHS_ITEM_1,
                            "the top-form image contains a pair of opposite directions",

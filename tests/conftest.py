@@ -8,6 +8,7 @@ are exercised repeatedly across the test modules, so they live here.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from slemma import Dilation, GeneralizedPolynomial, SwitchedSystem
 
@@ -32,6 +33,15 @@ def quad_form(Q):
 def random_symmetric(rng, n):
     A = rng.normal(size=(n, n))
     return (A + A.T) / 2.0
+
+
+# Coefficients clear of the 1e-15 relative cutoff that drops negligible terms.
+COEFFS = st.builds(lambda m, s: m * s, st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]))
+
+
+def coordinates(hi):
+    """Zero or at least 0.01 in magnitude, so that no power underflows."""
+    return st.one_of(st.just(0.0), st.floats(0.01, hi), st.floats(-hi, -0.01))
 
 
 @pytest.fixture(scope="session")

@@ -315,6 +315,15 @@ def test_verification_failures_map_to_exit_3():
     assert _multiplier_exit(neg) == 1
 
 
+def test_unexpected_exceptions_exit_3(tmp_path, problems_dir, monkeypatch, capsys):
+    def broken(args, problem):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(COMMANDS, "zeros", broken)
+    assert run(tmp_path, "zeros", str(problems_dir / "switch_sextic.json")) == 3
+    assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
+
+
 # ------------------------------------------------------------- determinism
 
 

@@ -1,10 +1,16 @@
 """Polynomial container, dilations, and sphere sampling."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
 from slemma.homog_core import sphere_samples, theta_grid, theta_points
+
+from conftest import COEFFS, coordinates
 
 GP = GeneralizedPolynomial
 
@@ -242,3 +248,79 @@ def test_theta_points_cover_circle():
     X = theta_points(t, d)
     assert X.shape == (64, 2)
     assert np.allclose(np.hypot(X[:, 0], X[:, 1]), 1.0)
+
+
+# ------------------------------------------------------------ properties
+
+# exponents a/b with an odd denominator
+EXPONENTS = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 3]))
+
+
+def _points(n, hi):
+    return st.lists(st.lists(coordinates(hi), min_size=n, max_size=n),
+                    min_size=1, max_size=8).map(np.array)
+
+
+def _term_size(f, X):
+    """sum over terms of |c| * prod |x_i|^p_i: the scale of f's rounding error."""
+    return sum(abs(c) * np.prod(np.abs(X) ** np.array([float(p) for p in powers]), axis=1)
+               for (powers, _), c in f.terms.items())
+
+
+@st.composite
+def polynomials(draw, n):
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        powers = tuple(draw(EXPONENTS) for _ in range(n))
+        signed = tuple(p > 0 and draw(st.booleans()) for p in powers)
+        terms[powers, signed] = draw(COEFFS)
+    return GP.from_terms(n, [(c, *key) for key, c in terms.items()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_rows_match_the_scalar_call(data):
+    n = data.draw(st.integers(1, 4))
+    f = data.draw(polynomials(n))
+    X = data.draw(_points(n, 5.0))
+    rows = f.evaluate(X)
+    calls = np.array([f(x) for x in X])
+    assert np.all(np.abs(rows - calls) <= 1e-12 * _term_size(f, X))
+
+
+@st.composite
+def homogeneous_polynomials(draw):
+    """(d, k, f) with f(eps^r o x) = eps^k f(x): odd integer weights keep
+    every solved-for exponent's denominator odd."""
+    n = draw(st.integers(1, 3))
+    d = Dilation(tuple(draw(st.sampled_from([1, 3, 5])) for _ in range(n)))
+    k = Fraction(draw(st.integers(1, 12)))
+    terms = {}  # one coefficient per term, so that none cancels
+    for _ in range(draw(st.integers(1, 4))):
+        powers, left = [], k
+        for w in d.weights[:-1]:
+            p = draw(EXPONENTS)
+            p = p if w * p <= left else Fraction(0)
+            powers.append(p)
+            left -= int(w) * p
+        powers.append(left / int(d.weights[-1]))
+        signed = tuple(p > 0 and draw(st.booleans()) for p in powers)
+        terms[tuple(powers), signed] = draw(COEFFS)
+    return d, float(k), GP.from_terms(n, [(c, *key) for key, c in terms.items()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_polynomials(), st.floats(0.1, 10.0), st.data())
+def test_degree_and_parity_hold_under_dilations(dkf, eps, data):
+    d, k, f = dkf
+    X = data.draw(_points(d.n, 2.0))
+    assert f.homogeneity_degree(d) == pytest.approx(k, rel=1e-12)
+    Y = d.scale(eps, X)
+    tol = 1e-11 * _term_size(f, Y)
+    assert np.all(np.abs(f.evaluate(Y) - eps ** k * f.evaluate(X)) <= tol)
+    parity = f.parity()
+    if parity is not Parity.NEITHER:
+        sign = 1.0 if parity is Parity.EVEN else -1.0
+        assert np.all(np.abs(f.evaluate(-Y) - sign * f.evaluate(Y)) <= tol)
+    shifted = f + GP.constant(d.n, 1.0)
+    assert shifted.homogeneity_degree(d) is None

@@ -1,9 +1,13 @@
 """Copositivity decisions and multiplier searches (strict and non-strict)."""
 
+import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slemma import (
     CoeffVecPolynomial,
@@ -18,9 +22,9 @@ from slemma import (
     multiplier_margin,
     shs_condition,
 )
-from slemma import homog_core
+from slemma import homog_core, s_lemma
 from slemma.cli import main
-from slemma.s_lemma import _count_lines, _direction_collisions
+from slemma.s_lemma import NBINS, _count_lines, _direction_collisions, _DirectionBins
 from slemma.stp_poly import to_coeff_vec
 
 from conftest import quad_form, random_symmetric
@@ -324,7 +328,7 @@ def test_nonstrict_fresh_seed_soundness(sextic_pair):
 def test_direction_collisions_detects_antipodes():
     t = np.linspace(0.1, 0.4, 5)
     A = np.column_stack([np.cos(t), np.sin(t)])
-    hits = _direction_collisions(A, -A)
+    hits = _direction_collisions(_DirectionBins(A), _DirectionBins(-A))
     assert hits
     for u, v in hits:
         assert u[0] * v[0] + u[1] * v[1] < 0
@@ -333,8 +337,115 @@ def test_direction_collisions_detects_antipodes():
 
 def test_direction_collisions_empty_for_half_plane():
     t = np.linspace(-1.2, 1.2, 50)
+    bins = _DirectionBins(np.column_stack([np.cos(t), np.sin(t)]))
+    assert _direction_collisions(bins, bins) == []
+
+
+def _reference_bin_occupancy(U, nbins, cap=96):
+    """The per-point loop that `_bin_occupancy` vectorizes: the reference
+    its output must match byte for byte."""
+    ang = np.arctan2(U[:, 1], U[:, 0])
+    bins = ((ang + math.pi) / (2 * math.pi) * nbins).astype(int) % nbins
+    occ = {}
+    seen = set()
+    for b, u in zip(bins, np.round(U, 9)):
+        key = (b, u[0], u[1])
+        if key in seen:
+            continue
+        seen.add(key)
+        lst = occ.setdefault(int(b), [])
+        if len(lst) < cap:
+            lst.append(u)
+    return {b: np.array(lst) for b, lst in occ.items()}
+
+
+# Axis directions with both signs of zero: (0.0, 1.0) and (-0.0, 1.0) fall
+# in one bin and are equal by value; so do (-1.0, 0.0) and (-1.0, -0.0),
+# at angles pi and -pi, which both land in bin 0.
+SIGNED_AXES = [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0),
+               (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0)]
+
+
+@st.composite
+def unit_sets(draw, max_clusters=3):
+    """Shuffled unit vectors: angle clusters narrower than a bin and up to
+    250 strong (past the per-bin cap), or 1e-11 wide (duplicates after
+    9-digit rounding), signed-zero axis vectors and exact repeats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces = [np.array(draw(st.lists(st.sampled_from(SIGNED_AXES), max_size=12)),
+                       dtype=float).reshape(-1, 2)]
+    for _ in range(draw(st.integers(0, max_clusters))):
+        centre = draw(st.floats(-math.pi, math.pi))
+        width = draw(st.sampled_from([2e-3, 1e-11, 0.5]))
+        t = centre + width * rng.uniform(-1.0, 1.0, draw(st.integers(1, 250)))
+        pieces.append(np.column_stack([np.cos(t), np.sin(t)]))
+    U = np.vstack(pieces)
+    if len(U):
+        U = np.vstack([U, U[rng.integers(0, len(U), draw(st.integers(0, 20)))]])
+    return U[rng.permutation(len(U))]
+
+
+def _assert_same_occupancy(got, want):
+    assert got.keys() == want.keys()
+    for b in want:
+        assert got[b].dtype == want[b].dtype and got[b].shape == want[b].shape
+        assert got[b].tobytes() == want[b].tobytes(), f"bin {b}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_sets())
+def test_bin_occupancy_matches_the_reference_loop(U):
+    _assert_same_occupancy(s_lemma._bin_occupancy(U, NBINS),
+                           _reference_bin_occupancy(U, NBINS))
+
+
+def test_bin_occupancy_keeps_first_seen_rows_by_value():
+    U = np.array([(-1.0, -0.0), (0.6, 0.8), (-1.0, 0.0), (0.6, 0.8 + 1e-12)])
+    occ = s_lemma._bin_occupancy(U, NBINS)
+    assert sorted(occ) == [0, 932]
+    assert occ[0].tobytes() == np.array([[-1.0, -0.0]]).tobytes()
+    assert len(occ[932]) == 1
+    t = np.linspace(0.0, 1e-3, 200)
+    assert len(s_lemma._bin_occupancy(np.column_stack([np.cos(t), np.sin(t)]), NBINS)[720]) == 96
+
+
+@st.composite
+def point_sets(draw):
+    """Unit sets scaled per row by radii that include zero and values that
+    only some queries' zero tolerance drops, at one overall scale."""
+    U = draw(unit_sets(max_clusters=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = rng.choice([0.0, 1e-9, 0.5, 1.0, 3.0], size=len(U))
+    return U * radii[:, None] * draw(st.sampled_from([1.0, 1e6]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets(), point_sets(), st.data())
+def test_direction_collisions_match_the_reference_binning(A, T, data):
+    """The queries of the NHS chain, (T, T), (A, A) and (A, T), on two
+    shared binned sets give the hit lists of the reference loop run on a
+    fresh binning per operand, in order and truncated at 64."""
+    if len(A):
+        flip = data.draw(st.lists(st.integers(0, len(A) - 1), max_size=200))
+        T = np.vstack([T, -A[flip]])
+    bins_a, bins_t = _DirectionBins(A), _DirectionBins(T)
+    got = [_direction_collisions(bins_t, bins_t), _direction_collisions(bins_a, bins_a),
+           _direction_collisions(bins_a, bins_t)]
+    with mock.patch.object(s_lemma, "_bin_occupancy", _reference_bin_occupancy):
+        want = [_direction_collisions(_DirectionBins(X), _DirectionBins(Y))
+                for X, Y in ((T, T), (A, A), (A, T))]
+    assert got == want
+
+
+def test_direction_collisions_truncate_at_64_hits():
+    t = np.linspace(0.1, 0.101, 300)
     A = np.column_stack([np.cos(t), np.sin(t)])
-    assert _direction_collisions(A, A) == []
+    P = np.vstack([A, -A])
+    bins = _DirectionBins(P)
+    hits = _direction_collisions(bins, bins)
+    assert len(hits) == 64
+    with mock.patch.object(s_lemma, "_bin_occupancy", _reference_bin_occupancy):
+        assert hits == _direction_collisions(_DirectionBins(P), _DirectionBins(P))
 
 
 def test_count_lines_clusters_antipodal_directions():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slemma import CoeffVecPolynomial, Dilation, GeneralizedPolynomial
 from slemma.stp_poly import (
@@ -13,6 +15,8 @@ from slemma.stp_poly import (
     to_coeff_vec,
     to_generalized,
 )
+
+from conftest import COEFFS, coordinates
 
 GP = GeneralizedPolynomial
 
@@ -143,3 +147,25 @@ def test_method_homogenize_stays_coeffvec():
     assert isinstance(lift, CoeffVecPolynomial)
     assert lift.is_homogeneous
     assert lift.evaluate([2.0, 1.0]) == pytest.approx(7.0)
+
+
+@st.composite
+def coeff_vec_polynomials(draw):
+    n = draw(st.integers(1, 3))
+    layers = {}
+    for m in draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)):
+        idx = draw(st.lists(st.integers(0, n ** m - 1), min_size=1, max_size=4))
+        layers[m] = {i: draw(COEFFS) for i in idx}
+    return CoeffVecPolynomial(n, layers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_vec_polynomials(), st.integers(0, 3), st.data())
+def test_homogenize_at_t1_reproduces_the_polynomial(p, extra, data):
+    X = np.array(data.draw(st.lists(st.lists(coordinates(3.0), min_size=p.n,
+                                             max_size=p.n), min_size=1, max_size=8)))
+    lift = homogenize(p, p.degree + extra)
+    got = lift.evaluate(np.column_stack([X, np.ones(len(X))]))
+    size = CoeffVecPolynomial(p.n, {m: {i: abs(c) for i, c in layer.items()}
+                                    for m, layer in p.layers.items()}).evaluate(np.abs(X))
+    assert np.all(np.abs(got - p.evaluate(X)) <= 1e-12 * size)
