@@ -475,6 +475,108 @@ def theta_point_scalar(t: float, d: Dilation) -> tuple[float, float]:
     return x1, x2
 
 
+def _first_primes(n: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
+    """Owen-scrambled Halton points in [0, 1)^n (arXiv:1706.02808).
+
+    One NumPy generator, seeded once, shuffles a permutation of
+    range(b) for every digit position of every base b (the first n
+    primes, in order).  Coordinate i is the sum over digit positions j of
+    perm_j[digit_j(i)] * b2r_j, added lowest digit first, where b2r_0 =
+    1/b and b2r_{j+1} = b2r_j / b.  The sum is built by outer sums over
+    b, b^2, ... indices (a partial sum depends only on the low digits),
+    then the high digits, zero for every index below count, add their
+    constant terms.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, n))
+    for col, b in enumerate(_first_primes(n)):
+        # one permutation per digit k >= 1 with b^-k > 2^-54: the digits
+        # that still change a double in [0, 1)
+        depth = math.ceil(54 / math.log2(b)) - 1
+        perms = np.repeat(np.arange(b)[None], depth, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        s = np.zeros(1)
+        b2r = 1.0 / b
+        for perm in perms:
+            if s.size < count:
+                s = (s[None, :] + (perm * b2r)[:, None]).ravel()[:count]
+            else:
+                s = s + perm[0] * b2r
+            b2r /= b
+        out[:, col] = s[:count]
+    return out
+
+
+# Cephes ndtri: the central rational approximation for |y - 1/2| below
+# 1/2 - exp(-2) and the tail one for exp(-32) < y <= exp(-2).  Each Q has
+# the leading 1 that Cephes' p1evl leaves implicit.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _horner(x: np.ndarray, coef: Sequence[float]) -> np.ndarray:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(a: np.ndarray) -> np.ndarray:
+    """Elementwise math.log, the C library's log; np.log may round differently."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile for y0 in [1e-12, 1 - 1e-12].
+
+    Cephes' algorithm step for step, so |result| < 8 and the tail needs
+    only its first approximation.
+    """
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x = x0 - z * _horner(z, _P1) / _horner(z, _Q1)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def sphere_samples(
     d: Dilation, count: int, seed: int = DEFAULT_SEED, offset: float = 0.0
 ) -> np.ndarray:
@@ -485,6 +587,11 @@ def sphere_samples(
     verification passes); n >= 3 uses a scrambled Halton sequence pushed
     through the normal quantile map and projected along dilation orbits.
     Every row satisfies sum_i |x_i|^(l/r_i) = 1 to float precision.
+
+    The n >= 3 points reproduce SciPy 1.17 bit for bit: its
+    `stats.qmc.Halton(d=n, scramble=True, seed=seed).random(count)`
+    mapped through its `special.ndtri`.  That is why `_ndtri` takes its
+    logarithms with math.log: SciPy calls the same C library log.
     """
     n = d.n
     if n == 1:
@@ -493,14 +600,8 @@ def sphere_samples(
         step = TWO_PI / count
         theta = theta_grid(count) + (offset % 1.0) * step
         return theta_points(theta, d)
-    # SciPy costs about a second to import and only this branch needs it,
-    # so runs that stay at n <= 2 never load it.
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
-    engine = qmc.Halton(d=n, scramble=True, seed=seed)
-    u = engine.random(count)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    u = _scrambled_halton(n, count, seed)
+    z = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1)
     keep = norms > 1e-9
     z = z[keep] / norms[keep, None]

@@ -461,13 +461,15 @@ def _direction_collisions(
     A: _DirectionBins,
     B: _DirectionBins,
     cross_tol: float = CROSS_TOL,
-    max_report: int = 64,
+    max_report: int | None = 64,
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Pairs u in A, v in B pointing in opposite directions.
 
     Opposite means |cross(u, v)| <= cross_tol on unit vectors and
     u . v < 0, i.e. the rays are anti-parallel within tolerance.  Bins
-    prefilter the candidates; the cross-product test decides.
+    prefilter the candidates; the cross-product test decides.  The walk
+    goes up from angle -pi and stops after `max_report` hits (None: no
+    stop; the per-bin cap of the occupancy bounds the count).
     """
     ztol = 1e-12 * max(1.0, A.peak, B.peak)
     occ_a = A.occupancy(ztol)
@@ -488,16 +490,19 @@ def _direction_collisions(
                     ((float(ua[i, 0]), float(ua[i, 1])),
                      (float(vb[j, 0]), float(vb[j, 1])))
                 )
-                if len(hits) >= max_report:
+                if max_report is not None and len(hits) >= max_report:
                     return hits
     return hits
 
 
 def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
     """Number of distinct lines through the origin present in a point set,
-    detected as clusters of antipodal direction collisions (angles mod pi)."""
+    detected as clusters of antipodal direction collisions (angles mod pi).
+
+    Every collision is clustered: a truncated list would hold only the
+    lines met first in the walk over the bins."""
     bins = _DirectionBins(P)
-    colls = _direction_collisions(bins, bins)
+    colls = _direction_collisions(bins, bins, max_report=None)
     if not colls:
         return 0, []
     angles = sorted(math.atan2(u[1], u[0]) % math.pi for u, _ in colls)

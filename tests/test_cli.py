@@ -343,8 +343,9 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, problems_dir):
 
 # ------------------------------------------------------------ import graph
 
-# sha256 of sphere_samples(Dilation.standard(3), 4096, DEFAULT_SEED).tobytes()
-# with SciPy 1.17: the n >= 3 samples are SciPy's scrambled Halton points.
+# sha256 of sphere_samples(Dilation.standard(3), 4096, DEFAULT_SEED).tobytes():
+# the n >= 3 samples are Owen-scrambled Halton points through the normal
+# quantile map, frozen when they were drawn with SciPy 1.17.
 HALTON_3D_SHA256 = "b4eb0a6577f7c41dad2b40fa4059dcc1b33e114a48bcc14898df8880dad4bc86"
 
 IMPORT_GRAPH_SCRIPT = """
@@ -352,20 +353,24 @@ import hashlib, sys
 from slemma.cli import main
 assert main(["shs-xi", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
 lazy = ("scipy.stats", "scipy.special", "concurrent.futures")
-print(",".join(m for m in lazy if m in sys.modules))
+print("n2:", ",".join(m for m in lazy if m in sys.modules))
+assert main(["hs-xi", sys.argv[3], "--out-dir", sys.argv[2]]) == 0
+print("n3:", ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 from slemma.homog_core import DEFAULT_SEED, Dilation, sphere_samples
 X = sphere_samples(Dilation.standard(3), 4096, DEFAULT_SEED)
-print(hashlib.sha256(X.tobytes()).hexdigest())
+print("sha256:", hashlib.sha256(X.tobytes()).hexdigest())
 """
 
 
 def test_n2_run_loads_no_scipy_and_halton_bytes_hold(tmp_path, problems_dir):
     # A fresh interpreter: the test process itself may have loaded SciPy.
+    quartic3 = problems_dir.parent / "tests" / "fixtures" / "quartic3_pair.json"
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH_SCRIPT,
-         str(problems_dir / "switch_sextic.json"), str(tmp_path)],
+         str(problems_dir / "switch_sextic.json"), str(tmp_path), str(quartic3)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    eager, digest = proc.stdout.splitlines()[-2:]
-    assert eager == ""
-    assert digest == HALTON_3D_SHA256
+    report = dict(line.partition(": ")[::2] for line in proc.stdout.splitlines())
+    assert report["n2"] == ""
+    assert report["n3"] == ""
+    assert report["sha256"] == HALTON_3D_SHA256

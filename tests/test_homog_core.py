@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
-from slemma.homog_core import sphere_samples, theta_grid, theta_points
+from slemma.homog_core import (
+    _first_primes, _ndtri, _scrambled_halton, sphere_samples, theta_grid, theta_points,
+)
 
 from conftest import COEFFS, coordinates
 
@@ -248,6 +250,57 @@ def test_theta_points_cover_circle():
     X = theta_points(t, d)
     assert X.shape == (64, 2)
     assert np.allclose(np.hypot(X[:, 0], X[:, 1]), 1.0)
+
+
+# SciPy is only the reference here: the n >= 3 sampler reproduces its
+# scrambled Halton points and its ndtri byte for byte.
+
+SEEDS = (0, DEFAULT_SEED, 2**31 - 1)
+
+
+def _halton_counts(n):
+    counts = {1, 2, 4096, 65536}
+    for b in _first_primes(n):
+        for k in (1, 2, 3):
+            counts |= {b**k, b**k + 1}
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_scrambled_halton_matches_scipy(n):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in SEEDS:
+        for count in _halton_counts(n):
+            want = qmc.Halton(d=n, scramble=True, seed=seed).random(count)
+            got = _scrambled_halton(n, count, seed)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (seed, count)
+
+
+def test_ndtri_matches_scipy_on_halton_sets():
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    for n in (3, 8):
+        for seed in SEEDS:
+            u = np.clip(_scrambled_halton(n, 65536, seed), 1e-12, 1.0 - 1e-12)
+            assert _ndtri(u).tobytes() == ndtri(u).tobytes(), (n, seed)
+
+
+def test_ndtri_matches_scipy_at_branch_edges():
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    edges = np.array([1e-12, 1.0 - 1e-12, 0.5, np.exp(-2.0), 1.0 - np.exp(-2.0)])
+    y = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    y = np.clip(y, 1e-12, 1.0 - 1e-12)
+    assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+
+def test_sphere_samples_match_the_scipy_pipeline():
+    stats = pytest.importorskip("scipy.stats")
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    d = Dilation((1.0, 2.0, 1.5, 1.0), l=3.0)
+    u = stats.qmc.Halton(d=4, scramble=True, seed=DEFAULT_SEED).random(3000)
+    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    want = d.project(z / np.linalg.norm(z, axis=1)[:, None])
+    assert sphere_samples(d, 3000).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------ properties

@@ -462,6 +462,19 @@ def test_count_lines_clusters_antipodal_directions():
     assert _count_lines(np.vstack([axis, diag]))[0] == 0
 
 
+def test_count_lines_sees_lines_past_the_first_64_collisions():
+    # Ten close directions per line give 200 collisions per line, so the
+    # first line met in the bin walk alone fills a 64-hit report.
+    pieces = []
+    for a in (0.3, 1.2, 2.0):
+        t = a + 1e-8 * np.arange(10)
+        U = np.column_stack([np.cos(t), np.sin(t)])
+        pieces += [U, -U]
+    count, angles = _count_lines(np.vstack(pieces))
+    assert count == 3
+    assert angles == pytest.approx([0.3, 1.2, 2.0], abs=1e-6)
+
+
 # ------------------------------------------------- non-homogeneous multiplier
 
 
