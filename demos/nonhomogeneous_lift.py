@@ -20,16 +20,14 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 def main() -> None:
     prob = load_problem(PROBLEMS / "affine_sextic_shift.json")
-    fc, gc = prob.pair_coeff_vec()
-    print(f"f(1, 1) = {fc.evaluate([1.0, 1.0]):+.4f}, "
-          f"g(1, 1) = {gc.evaluate([1.0, 1.0]):+.4f}")
+    f, g = prob.pair()
+    print(f"f(1, 1) = {f([1.0, 1.0]):+.4f}, g(1, 1) = {g([1.0, 1.0]):+.4f}")
 
-    lift_f = homogenize(fc, 6)
-    lift_g = homogenize(gc, 6)
+    lift_f = homogenize(f, 6)
     print(f"lifted to {lift_f.n} variables, degree 6 forms")
     print(f"f(1, 1, 1) = {lift_f([1.0, 1.0, 1.0]):+.4f} (same value, t = 1)")
 
-    res = find_nhs_multiplier(fc, gc)
+    res = find_nhs_multiplier(f, g)
     print(f"\ncertified xi = {res.xi:.9f}")
     print(f"lift margin on the sphere = {res.margin:.6f}")
     print(f"t = 1 slice margin = {res.details['t1_margin']:.6f}")
@@ -37,7 +35,7 @@ def main() -> None:
     # independent check: f - xi*g >= 0 on a random box around the origin
     rng = np.random.default_rng(8)
     X = rng.uniform(-10.0, 10.0, size=(20000, 2))
-    vals = np.array([fc.evaluate(x) - res.xi * gc.evaluate(x) for x in X])
+    vals = f.evaluate(X) - res.xi * g.evaluate(X)
     print(f"min of f - xi g over 20000 box samples: {vals.min():.6f}")
 
 

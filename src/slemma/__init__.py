@@ -41,16 +41,7 @@ from .s_lemma import (
     multiplier_margin,
     shs_condition,
 )
-from .stp_poly import (
-    CoeffVecPolynomial,
-    homogenize,
-    index_to_multidegree,
-    multidegree_to_index,
-    stp,
-    stp_power,
-    to_coeff_vec,
-    to_generalized,
-)
+from .stp_poly import CoeffVecPolynomial, homogenize, index_to_multidegree
 from .switched_systems import (
     ConvexCombination,
     DivergenceError,
@@ -104,11 +95,6 @@ __all__ = [
     "CoeffVecPolynomial",
     "homogenize",
     "index_to_multidegree",
-    "multidegree_to_index",
-    "stp",
-    "stp_power",
-    "to_coeff_vec",
-    "to_generalized",
     "ConvexCombination",
     "DivergenceError",
     "LfhdCandidate",

@@ -315,8 +315,7 @@ def cmd_hs_xi(args, problem: Problem) -> int:
 
 
 def cmd_nhs_xi(args, problem: Problem) -> int:
-    fc, gc = problem.pair_coeff_vec()
-    res = find_nhs_multiplier(fc, gc, count=args.samples, seed=args.seed)
+    res = find_nhs_multiplier(*problem.pair(), count=args.samples, seed=args.seed)
     _write_json(_out_path(args, "", "json"), _payload(args, problem, res.to_json()))
     if isinstance(res, MultiplierFailure):
         print(f"nhs-xi: failed ({res.reason.value})")

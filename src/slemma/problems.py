@@ -4,8 +4,9 @@ A problem file is JSON with a versioned schema: a dilation, variable
 names, named function literals, optional switched-system definitions
 referencing those functions, and optional Lyapunov candidate references.
 Function literals come in two forms: a list of generalized-monomial
-terms, or a coefficient-vector object keyed by "degree:index".  See
-docs/schema.md for the full contract.
+terms, or a coefficient-vector object keyed by "degree:index"; both are
+parsed into generalized polynomials.  See docs/schema.md for the full
+contract.
 """
 
 from __future__ import annotations
@@ -25,22 +26,15 @@ class ProblemError(ValueError):
     """The problem file is missing, malformed, or inconsistent."""
 
 
-def parse_function(n: int, spec):
-    """One function literal: a term list (generalized polynomial) or a
-    {"coeffs": {...}} object (coefficient-vector polynomial)."""
+def parse_function(n: int, spec) -> GeneralizedPolynomial:
+    """One function literal: a term list or a {"coeffs": {...}} object."""
     if isinstance(spec, list):
         return GeneralizedPolynomial.from_json_terms(n, spec)
     if isinstance(spec, dict) and "coeffs" in spec:
-        return CoeffVecPolynomial.from_json(n, spec["coeffs"])
+        return CoeffVecPolynomial.from_json(n, spec["coeffs"]).to_generalized()
     raise ProblemError(
         "function literal must be a term list or a {'coeffs': ...} object"
     )
-
-
-def _as_generalized(fn) -> GeneralizedPolynomial:
-    if isinstance(fn, CoeffVecPolynomial):
-        return fn.to_generalized()
-    return fn
 
 
 @dataclass
@@ -57,24 +51,14 @@ class Problem:
     def n(self) -> int:
         return len(self.variables)
 
-    def function(self, name: str):
+    def function(self, name: str) -> GeneralizedPolynomial:
         if name not in self.functions:
             raise ProblemError(f"problem defines no function named '{name}'")
         return self.functions[name]
 
     def pair(self) -> tuple[GeneralizedPolynomial, GeneralizedPolynomial]:
-        """The canonical (f, g) pair, as generalized polynomials."""
-        return (_as_generalized(self.function("f")),
-                _as_generalized(self.function("g")))
-
-    def pair_coeff_vec(self) -> tuple[CoeffVecPolynomial, CoeffVecPolynomial]:
-        """The (f, g) pair in coefficient-vector form (integer powers)."""
-        from .stp_poly import to_coeff_vec
-
-        try:
-            return to_coeff_vec(self.function("f")), to_coeff_vec(self.function("g"))
-        except ValueError as e:
-            raise ProblemError(str(e)) from None
+        """The canonical (f, g) pair."""
+        return self.function("f"), self.function("g")
 
     def single_system(self) -> tuple[str, SwitchedSystem]:
         if len(self.systems) != 1:
@@ -146,7 +130,7 @@ def load_problem(path) -> Problem:
                     raise ProblemError(
                         f"system '{name}' references unknown function '{ref}'"
                     )
-                row.append(_as_generalized(functions[ref]))
+                row.append(functions[ref])
             resolved.append(row)
         try:
             systems[name] = SwitchedSystem(resolved)
@@ -159,7 +143,7 @@ def load_problem(path) -> Problem:
             raise ProblemError(
                 f"Lyapunov candidate '{name}' references unknown function '{ref}'"
             )
-        lyapunov[name] = _as_generalized(functions[ref])
+        lyapunov[name] = functions[ref]
 
     return Problem(
         path=path,

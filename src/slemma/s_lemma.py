@@ -58,7 +58,7 @@ from .image_analysis import (
     _nonneg_tol,
     _pos_threshold,
 )
-from .stp_poly import CoeffVecPolynomial, homogenize
+from .stp_poly import homogenize
 
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e6
@@ -500,7 +500,9 @@ def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
     detected as clusters of antipodal direction collisions (angles mod pi).
 
     Every collision is clustered: a truncated list would hold only the
-    lines met first in the walk over the bins."""
+    lines met first in the walk over the bins.  A cluster spans at most
+    0.02 rad from its first angle, so a continuum of directions counts as
+    many lines, not one."""
     bins = _DirectionBins(P)
     colls = _direction_collisions(bins, bins, max_report=None)
     if not colls:
@@ -513,11 +515,11 @@ def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
 
     clusters: list[list[float]] = []
     for a in angles:
-        if clusters and mod_pi_dist(a, clusters[-1][-1]) <= 0.02:
+        if clusters and mod_pi_dist(a, clusters[-1][0]) <= 0.02:
             clusters[-1].append(a)
         else:
             clusters.append([a])
-    if len(clusters) > 1 and mod_pi_dist(clusters[0][0], clusters[-1][-1]) <= 0.02:
+    if len(clusters) > 1 and mod_pi_dist(clusters[0][-1], clusters[-1][0]) <= 0.02:
         clusters[0].extend(clusters.pop())
     return len(clusters), [float(np.mean(c)) for c in clusters]
 
@@ -600,38 +602,39 @@ def _affine_samples(n: int, radius: float, count: int, seed: int) -> np.ndarray:
 
 
 def find_nhs_multiplier(
-    f: CoeffVecPolynomial,
-    g: CoeffVecPolynomial,
+    f: GeneralizedPolynomial,
+    g: GeneralizedPolynomial,
     count: int | None = None,
     seed: int = DEFAULT_SEED,
     box_radius: float = NHS_BOX_RADIUS,
 ):
     """Multiplier search for non-homogeneous polynomial pairs.
 
-    Checks the copositivity and no-common-zero hypotheses for the pair
-    itself and for its top-degree forms, then the four direction
-    consistency items: no antipodal directions within the top image
-    (item 1), within the affine image (item 2), or between the two
-    (items 3 and 4, one symmetric test).  On success the pair is
-    homogenized with one auxiliary variable, the homogeneous non-strict
-    search runs on the lift, and the resulting xi is re-verified on the
-    t = 1 slice over a box.
+    f and g need integer powers and plain monomials (no |x| factors);
+    other pairs raise ValueError before any sampling.  Checks the
+    copositivity and no-common-zero hypotheses for the pair itself and
+    for its top-degree forms, then the four direction consistency items:
+    no antipodal directions within the top image (item 1), within the
+    affine image (item 2), or between the two (items 3 and 4, one
+    symmetric test).  On success the homogeneous non-strict search runs
+    on the pair homogenized with one auxiliary variable, and the
+    resulting xi is re-verified on the t = 1 slice over a box.
     """
     if f.n != g.n:
         raise ValueError("variable counts differ")
     n = f.n
-    k = max(f.degree, g.degree)
+    k = int(max(f.total_degree() or 0, g.total_degree() or 0))
+    lift = homogenize(f, k), homogenize(g, k)
     if k < 1:
         raise ValueError("degree must be at least 1")
     if count is None:
         count = min(_default_count(n), 16384)
-    affine = SampledPair(f.to_generalized(), g.to_generalized(),
-                         _affine_samples(n, box_radius, count, seed), count, seed)
-    return _run_chain(_nhs_chain(f, g, k, affine, box_radius))
+    affine = SampledPair(f, g, _affine_samples(n, box_radius, count, seed), count, seed)
+    return _run_chain(_nhs_chain(lift, k, affine, box_radius))
 
 
-def _nhs_chain(f, g, k, affine: SampledPair, box_radius: float):
-    n, seed = f.n, affine.seed
+def _nhs_chain(lift, k, affine: SampledPair, box_radius: float):
+    n, seed = affine.f.n, affine.seed
     # zero thresholds relative to the sampled scale: box values grow like
     # box_radius**k, so an absolute floor would mean nothing here
     yield _zero_check("affine_zero_margin", affine.zero_margin(1e-9 * affine.scale),
@@ -663,8 +666,7 @@ def _nhs_chain(f, g, k, affine: SampledPair, box_radius: float):
                            "an image value of (f, g) opposes a top-form image direction",
                            "item_3_4")
 
-    lifted = find_nonstrict_multiplier(homogenize(f, k), homogenize(g, k),
-                                       Dilation.standard(n + 1), seed=seed)
+    lifted = find_nonstrict_multiplier(*lift, Dilation.standard(n + 1), seed=seed)
     failed = isinstance(lifted, MultiplierFailure)
     if failed:
         lifted.stage = f"homogenized:{lifted.stage}"

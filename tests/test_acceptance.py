@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from slemma import (
     sample_image,
     scan_combinations,
     simulate_min_switching,
-    stp,
     synthesize_combination_n2,
     zero_margin,
 )
@@ -201,25 +201,27 @@ def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilatio
                    f.parity() is Parity.EVEN and odd.parity() is Parity.ODD
                    and mixed.parity() is Parity.NEITHER))
 
-        # semi-tensor product associativity
+        # a coefficient-vector literal is the STP form sum_m f_m x^m, x^m
+        # the m-fold Kronecker power of x
+        coeffs = {"6:0": -7.0, "6:7": -2.0, "6:63": 5.0, "6:3": -2.0, "0:0": -2.0}
+        affine = CoeffVecPolynomial.from_json(2, coeffs).to_generalized()
         stp_ok = True
         for _ in range(10):
-            u = rng.normal(size=rng.integers(2, 5))
-            v = rng.normal(size=rng.integers(2, 5))
-            w = rng.normal(size=rng.integers(2, 5))
-            left = stp(stp(u, v), w)
-            right = stp(u, stp(v, w))
-            if not np.allclose(left, right, rtol=1e-12, atol=1e-12):
+            x = rng.normal(size=2)
+            total = 0.0
+            for key, c in coeffs.items():
+                m, idx = map(int, key.split(":"))
+                power = reduce(np.kron, [x] * m, np.array([1.0]))
+                total += c * power[idx]
+            if not np.isclose(affine(x), total, rtol=1e-12, atol=1e-12):
                 stp_ok = False
-        ck.append(("semi-tensor product associativity", stp_ok))
+        ck.append(("coefficient-vector literal matches the STP defining form", stp_ok))
 
         # homogenization evaluates back at t = 1
-        affine = CoeffVecPolynomial.from_json(
-            2, {"6:0": -7.0, "6:7": -2.0, "6:63": 5.0, "6:3": -2.0, "0:0": -2.0})
         lift = homogenize(affine, 6)
         pts = rng.uniform(-2.0, 2.0, size=(50, 2))
         lift_ok = all(
-            np.isclose(lift([x, y, 1.0]), affine.evaluate([x, y]),
+            np.isclose(lift([x, y, 1.0]), affine([x, y]),
                        rtol=1e-12, atol=1e-12)
             for x, y in pts)
         ck.append(("homogenize evaluates back at t = 1", lift_ok))

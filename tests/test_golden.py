@@ -9,8 +9,9 @@ Each run calls `slemma.cli.main` in process at the default seed and
 records its exit code and the sha256 of every artifact it writes.  The
 commands with CSV/SVG output run once with `--format csv` and once with
 `--format svg` (both also write the JSON report); the others run with
-`--format json`.  The n >= 3 samples come from SciPy's scrambled Halton
-sequence, so the manifest records the NumPy and SciPy versions it was
+`--format json`.  The n >= 3 samples come from NumPy ports of SciPy's
+scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
+random stream; the manifest records the NumPy and SciPy versions it was
 frozen with and the comparison is skipped under other versions.
 
 Regenerate the manifest (only when a change of artifacts is intended):

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from slemma import (
-    CoeffVecPolynomial,
     GeneralizedPolynomial,
     Problem,
     ProblemError,
     load_problem,
 )
+from slemma.stp_poly import homogenize
 
 ALL_NAMES = [
     "affine_sextic_shift",
@@ -56,21 +56,21 @@ def test_switch_fractional_contents(problems_dir):
     assert g([1.0, 0.0]) == pytest.approx(8.0)
     _, sys = prob.single_system()
     assert sys.count == 2
-    # fractional exponents have no coefficient-vector form
-    with pytest.raises(ProblemError):
-        prob.pair_coeff_vec()
+    # fractional exponents cannot be homogenized with an auxiliary variable
+    with pytest.raises(ValueError, match="integer powers"):
+        homogenize(f, 4)
 
 
 def test_affine_shift_uses_coeff_vectors(problems_dir):
     prob = load_problem(problems_dir / "affine_sextic_shift.json")
-    assert isinstance(prob.function("f"), CoeffVecPolynomial)
     f, g = prob.pair()
     assert isinstance(f, GeneralizedPolynomial)
     assert f([1.0, 1.0]) == pytest.approx(-8.0)
     assert g([1.0, 1.0]) == pytest.approx(-7.0)
-    cf, cg = prob.pair_coeff_vec()
-    assert cf.evaluate([1.0, 1.0]) == pytest.approx(-8.0)
-    assert cg.evaluate([1.0, 1.0]) == pytest.approx(-7.0)
+    # "6:7" is x1^3 x2^3, "6:3" is x1^4 x2^2 and "6:63" is x2^6
+    want = GeneralizedPolynomial.from_terms(
+        2, [(-7, (6, 0)), (-2, (3, 3)), (5, (0, 6)), (-2, (4, 2)), (-2, (0, 0))])
+    assert list(f.terms.items()) == list(want.terms.items())
 
 
 def test_cubic_pair_has_the_shared_zero(problems_dir):

@@ -25,7 +25,6 @@ from slemma import (
 from slemma import homog_core, s_lemma
 from slemma.cli import main
 from slemma.s_lemma import NBINS, _count_lines, _direction_collisions, _DirectionBins
-from slemma.stp_poly import to_coeff_vec
 
 from conftest import quad_form, random_symmetric
 
@@ -475,6 +474,17 @@ def test_count_lines_sees_lines_past_the_first_64_collisions():
     assert angles == pytest.approx([0.3, 1.2, 2.0], abs=1e-6)
 
 
+def test_count_lines_splits_a_continuum_of_directions():
+    # every direction of the plane, both ways: a cluster chained through
+    # small gaps would call this one line and pass the image_lines check
+    t = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
+    r = 1.5 + np.sin(3.0 * t)
+    P = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    count, angles = _count_lines(np.vstack([P, -P]))
+    assert count == 157
+    assert len(angles) == count
+
+
 # ------------------------------------------------- non-homogeneous multiplier
 
 
@@ -484,7 +494,7 @@ def affine_pair():
         2, {"6:0": -7.0, "6:7": -2.0, "6:63": 5.0, "6:3": -2.0, "0:0": -2.0})
     g = CoeffVecPolynomial.from_json(
         2, {"6:0": -5.0, "6:7": -1.0, "6:63": 1.0, "6:3": -1.0, "0:0": -1.0})
-    return f, g
+    return f.to_generalized(), g.to_generalized()
 
 
 def test_affine_pair_certificate(affine_pair):
@@ -496,11 +506,8 @@ def test_affine_pair_certificate(affine_pair):
     assert cert.details["t1_margin"] >= -1e-8
     assert cert.details["lift_degree"] == 6
     # the shifted pair still satisfies the exact sextic identity at xi = 2
-    from slemma.stp_poly import to_generalized
-
-    fg, gg = to_generalized(f), to_generalized(g)
     target = GP.from_terms(2, [(3, (6, 0)), (3, (0, 6))])
-    assert (fg - 2.0 * gg - target).is_zero
+    assert (f - 2.0 * g - target).is_zero
 
 
 def test_affine_pair_multiplier_verifies_on_random_box(affine_pair):
@@ -514,8 +521,8 @@ def test_affine_pair_multiplier_verifies_on_random_box(affine_pair):
 
 def test_constant_shift_certificate():
     # f = g + 1 with g >= 0 everywhere: any xi in [0, 1] works
-    g = CoeffVecPolynomial(1, {2: {0: 1.0}})
-    f = CoeffVecPolynomial(1, {2: {0: 1.0}, 0: {0: 1.0}})
+    g = GP.from_terms(1, [(1.0, (2,))])
+    f = GP.from_terms(1, [(1.0, (2,)), (1.0, (0,))])
     cert = find_nhs_multiplier(f, g)
     assert cert.ok
     assert 0.0 <= cert.xi <= 1.0 + 1e-9
@@ -524,9 +531,7 @@ def test_constant_shift_certificate():
 
 
 def test_homogeneous_input_shares_zero(cubic_pair):
-    f = to_coeff_vec(cubic_pair[0])
-    g = to_coeff_vec(cubic_pair[1])
-    res = find_nhs_multiplier(f, g)
+    res = find_nhs_multiplier(*cubic_pair)
     assert not res.ok
     assert res.reason is ReasonCode.COMMON_ZERO
     assert res.stage == "affine"
@@ -535,8 +540,8 @@ def test_homogeneous_input_shares_zero(cubic_pair):
 def test_top_form_direction_collision():
     # top forms x^3 and 2x^3 map the two sphere points to opposite
     # directions, which kills the lifted pair before any search runs
-    f = CoeffVecPolynomial(1, {3: {0: 1.0}, 0: {0: 0.6}})
-    g = CoeffVecPolynomial(1, {3: {0: 2.0}, 0: {0: 1.0}})
+    f = GP.from_terms(1, [(1.0, (3,)), (0.6, (0,))])
+    g = GP.from_terms(1, [(2.0, (3,)), (1.0, (0,))])
     res = find_nhs_multiplier(f, g)
     assert not res.ok
     assert res.reason is ReasonCode.NHS_ITEM_1
@@ -573,7 +578,7 @@ def test_each_check_chain_samples_its_pair_once(sphere_calls, problems_dir, tmp_
     runs = {
         "strict": lambda: find_strict_multiplier(f, g, sextic.dilation).ok,
         "non-strict": lambda: find_nonstrict_multiplier(f, g, sextic.dilation).ok,
-        "nhs": lambda: find_nhs_multiplier(*shifted.pair_coeff_vec()).ok,
+        "nhs": lambda: find_nhs_multiplier(*shifted.pair()).ok,
         "image": lambda: main(["image", str(problems_dir / "sector_sextic_wide.json"),
                                "--out-dir", str(tmp_path)]) == 0,
     }
@@ -583,3 +588,10 @@ def test_each_check_chain_samples_its_pair_once(sphere_calls, problems_dir, tmp_
         assert run(), name
         counts[name] = len(sphere_calls)
     assert counts == {"strict": 2, "non-strict": 2, "nhs": 4, "image": 1}
+
+
+def test_nhs_rejects_fractional_powers_before_sampling(sphere_calls, problems_dir):
+    f, g = load_problem(problems_dir / "switch_fractional.json").pair()
+    with pytest.raises(ValueError, match="integer powers"):
+        find_nhs_multiplier(f, g)
+    assert sphere_calls == []

@@ -1,90 +1,131 @@
-"""Semi-tensor products, coefficient-vector polynomials, homogenization."""
+"""Coefficient-vector literals and integer-power homogenization."""
+
+import math
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slemma import CoeffVecPolynomial, Dilation, GeneralizedPolynomial
-from slemma.stp_poly import (
-    homogenize,
-    index_to_multidegree,
-    multidegree_to_index,
-    stp,
-    stp_power,
-    to_coeff_vec,
-    to_generalized,
-)
+from slemma import CoeffVecPolynomial, Dilation, GeneralizedPolynomial, load_problem
+from slemma.stp_poly import homogenize, index_to_multidegree
 
 from conftest import COEFFS, coordinates
 
 GP = GeneralizedPolynomial
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "problems").glob("*.json")) + [
+    ROOT / "tests" / "fixtures" / "quartic3_pair.json"]
 
 
-def test_stp_is_kron():
-    u = np.array([1.0, 2.0])
-    v = np.array([3.0, 4.0, 5.0])
-    assert np.array_equal(stp(u, v), np.kron(u, v))
+def parse(n, coeffs):
+    return CoeffVecPolynomial.from_json(n, coeffs).to_generalized()
 
 
-def test_stp_associativity():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        u = rng.normal(size=rng.integers(1, 5))
-        v = rng.normal(size=rng.integers(1, 5))
-        w = rng.normal(size=rng.integers(1, 5))
-        left = stp(stp(u, v), w)
-        right = stp(u, stp(v, w))
-        assert np.allclose(left, right, rtol=1e-12, atol=1e-12)
+def stp_form(n, coeffs, x):
+    """The defining form sum_m f_m x^m, x^m the m-fold Kronecker power."""
+    total = 0.0
+    for key, c in coeffs.items():
+        m, idx = map(int, key.split(":"))
+        power = reduce(np.kron, [x] * m, np.array([1.0]))
+        total += c * power[idx]
+    return total
 
 
-def test_stp_power():
-    x = np.array([2.0, -1.0])
-    assert np.array_equal(stp_power(x, 0), [1.0])
-    assert np.array_equal(stp_power(x, 1), x)
-    assert np.array_equal(stp_power(x, 3), np.kron(np.kron(x, x), x))
-    with pytest.raises(ValueError):
-        stp_power(x, -1)
+# Reference: the lift through degree layers, as the coefficient-vector
+# type once did it (re-encode the terms as layers, pad each layer with
+# t^(k - degree), convert back to terms).
+
+def _canonical_index(multi, n):
+    idx = 0
+    for var, count in enumerate(multi):
+        for _ in range(count):
+            idx = idx * n + var
+    return idx
+
+
+def _generalized_to_layers(p):
+    layers = {}
+    for (powers, _), coeff in p.terms.items():
+        multi = tuple(q.numerator for q in powers)
+        layer = layers.setdefault(sum(multi), {})
+        idx = _canonical_index(multi, p.n)
+        layer[idx] = layer.get(idx, 0.0) + coeff
+    return CoeffVecPolynomial(p.n, layers)
+
+
+def reference_homogenize(cv, k):
+    out = {}
+    for j, coeffs in cv.layers.items():
+        for idx, c in coeffs.items():
+            multi = index_to_multidegree(idx, cv.n, j) + (k - j,)
+            new_idx = _canonical_index(multi, cv.n + 1)
+            out[new_idx] = out.get(new_idx, 0.0) + c
+    return CoeffVecPolynomial(cv.n + 1, {k: out}).to_generalized()
 
 
 def test_index_multidegree_round_trip():
     n, m = 3, 4
-    seen = set()
+    hits = {}
     for idx in range(n ** m):
         multi = index_to_multidegree(idx, n, m)
         assert sum(multi) == m
-        canon = multidegree_to_index(multi, n)
-        assert index_to_multidegree(canon, n, m) == multi
-        seen.add(multi)
-    # number of distinct monomials of degree m in n variables
-    assert len(seen) == 15
+        assert index_to_multidegree(_canonical_index(multi, n), n, m) == multi
+        hits[multi] = hits.get(multi, 0) + 1
+    # every monomial of degree m in n variables, each at m!/prod(a_i!) indices
+    assert len(hits) == 15
+    assert all(c == math.factorial(m) // math.prod(map(math.factorial, a))
+               for a, c in hits.items())
 
 
 def test_canonical_index_is_minimal():
-    # x*y and y*x collapse to one canonical slot
-    assert multidegree_to_index((1, 1), 2) == 1  # digits (0, 1) -> 0*2+1
+    # x*y and y*x address one monomial, so both slots collapse to one term
+    p = parse(2, {"2:1": 0.5, "2:2": 0.25})
+    assert p.terms == GP.from_terms(2, [(0.75, (1, 1))]).terms
 
 
 def test_coeffvec_evaluate_matches_stp_form():
     rng = np.random.default_rng(22)
-    p = CoeffVecPolynomial(2, {0: {0: -2.0}, 2: {0: 1.0, 1: 0.5}, 3: {7: 3.0}})
+    coeffs = {"0:0": -2.0, "2:0": 1.0, "2:1": 0.5, "3:7": 3.0}
+    p = parse(2, coeffs)
     for _ in range(10):
         x = rng.normal(size=2)
-        assert p.evaluate(x) == pytest.approx(p.evaluate_stp(x), rel=1e-12)
+        assert p(x) == pytest.approx(stp_form(2, coeffs, x), rel=1e-12)
+
+
+@st.composite
+def coeff_literals(draw):
+    n = draw(st.integers(1, 3))
+    coeffs = {}
+    for m in draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)):
+        for i in draw(st.lists(st.integers(0, n ** m - 1), min_size=1, max_size=4)):
+            coeffs[f"{m}:{i}"] = draw(COEFFS)
+    return n, coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_literals(), st.data())
+def test_coeff_literal_matches_the_stp_form(literal, data):
+    n, coeffs = literal
+    x = np.array(data.draw(st.lists(coordinates(3.0), min_size=n, max_size=n)))
+    size = stp_form(n, {k: abs(c) for k, c in coeffs.items()}, np.abs(x))
+    assert abs(parse(n, coeffs).evaluate(x) - stp_form(n, coeffs, x)) <= 1e-12 * size
 
 
 def test_coeffvec_evaluate_matches_generalized():
-    rng = np.random.default_rng(23)
-    p = CoeffVecPolynomial(3, {1: {0: 1.0}, 2: {4: -2.0}, 4: {5: 0.25}})
-    q = to_generalized(p)
-    X = rng.normal(size=(30, 3))
-    assert np.allclose(p.evaluate(X), q.evaluate(X), rtol=1e-12)
+    q = CoeffVecPolynomial(3, {1: {0: 1.0}, 2: {4: -2.0}, 4: {5: 0.25}}).to_generalized()
+    # index 4 of degree 2 is x2*x2, index 5 of degree 4 is x3*x2*x1*x1
+    expected = GP.from_terms(3, [(1.0, (1, 0, 0)), (-2.0, (0, 2, 0)),
+                                 (0.25, (2, 1, 1))])
+    assert q.terms == expected.terms
 
 
 def test_coeffvec_json_round_trip():
-    p = CoeffVecPolynomial.from_json(2, {"6:0": -7.0, "6:7": -2.0, "0:0": 1.5})
-    q = CoeffVecPolynomial.from_json(2, p.to_json())
-    assert p.to_json() == q.to_json()
+    # a coeffs literal and the term list it parses to describe one polynomial
+    p = parse(2, {"6:0": -7.0, "6:7": -2.0, "0:0": 1.5})
+    assert GP.from_json_terms(2, p.to_json_terms()).terms == p.terms
     with pytest.raises(ValueError):
         CoeffVecPolynomial.from_json(2, {"60": 1.0})
 
@@ -94,26 +135,16 @@ def test_coeffvec_index_bounds():
         CoeffVecPolynomial(2, {2: {4: 1.0}})  # 2^2 = 4 slots, max index 3
 
 
-def test_to_coeff_vec_round_trip():
-    rng = np.random.default_rng(24)
-    p = GP.from_terms(2, [(1, (3, 0)), (-2, (1, 2)), (0.5, (0, 0))])
-    cv = to_coeff_vec(p)
-    X = rng.normal(size=(20, 2))
-    assert np.allclose(cv.evaluate(X), p.evaluate(X), rtol=1e-12)
-    assert to_coeff_vec(cv) is cv
-
-
-def test_to_coeff_vec_rejects_fractional_and_abs():
-    with pytest.raises(ValueError):
-        to_coeff_vec(GP.from_terms(1, [(1, ((2, 3),))]))
-    with pytest.raises(ValueError):
-        to_coeff_vec(GP.from_terms(1, [(1, (1,), (False,))]))
+def test_homogenize_rejects_fractional_and_abs():
+    with pytest.raises(ValueError, match="integer powers"):
+        homogenize(GP.from_terms(1, [(1, ((2, 3),))]), 1)
+    with pytest.raises(ValueError, match="plain monomials"):
+        homogenize(GP.from_terms(1, [(1, (1,), (False,))]), 1)
 
 
 def test_homogenize_t1_round_trip():
     rng = np.random.default_rng(25)
-    p = CoeffVecPolynomial.from_json(
-        2, {"6:0": -7.0, "6:7": -2.0, "6:63": 5.0, "6:3": -2.0, "0:0": -2.0})
+    p = parse(2, {"6:0": -7.0, "6:7": -2.0, "6:63": 5.0, "6:3": -2.0, "0:0": -2.0})
     lift = homogenize(p, 6)
     assert lift.n == 3
     d3 = Dilation.standard(3)
@@ -121,12 +152,12 @@ def test_homogenize_t1_round_trip():
     for _ in range(20):
         x = rng.normal(size=2)
         lifted = lift(np.append(x, 1.0))
-        assert lifted == pytest.approx(p.evaluate(x), rel=1e-10, abs=1e-12)
+        assert lifted == pytest.approx(p(x), rel=1e-10, abs=1e-12)
 
 
 def test_homogenize_scaling_identity():
     rng = np.random.default_rng(26)
-    p = CoeffVecPolynomial(1, {0: {0: 1.0}, 1: {0: 2.0}, 3: {0: -1.0}})
+    p = GP.from_terms(1, [(1.0, (0,)), (2.0, (1,)), (-1.0, (3,))])
     lift = homogenize(p, 3)
     for _ in range(10):
         x, t = rng.normal(size=2)
@@ -136,36 +167,48 @@ def test_homogenize_scaling_identity():
 
 
 def test_homogenize_rejects_low_target():
-    p = CoeffVecPolynomial(2, {4: {0: 1.0}})
-    with pytest.raises(ValueError):
+    p = GP.from_terms(2, [(1.0, (4, 0))])
+    with pytest.raises(ValueError, match="below the degree"):
         homogenize(p, 3)
 
 
-def test_method_homogenize_stays_coeffvec():
-    p = CoeffVecPolynomial(1, {0: {0: 3.0}, 2: {0: 1.0}})
-    lift = p.homogenize(2)
-    assert isinstance(lift, CoeffVecPolynomial)
-    assert lift.is_homogeneous
-    assert lift.evaluate([2.0, 1.0]) == pytest.approx(7.0)
+@settings(max_examples=100, deadline=None)
+@given(coeff_literals(), st.integers(0, 3), st.data())
+def test_homogenize_at_t1_reproduces_the_polynomial(literal, extra, data):
+    n, coeffs = literal
+    p = parse(n, coeffs)
+    X = np.array(data.draw(st.lists(st.lists(coordinates(3.0), min_size=n,
+                                             max_size=n), min_size=1, max_size=8)))
+    lift = homogenize(p, (p.total_degree() or 0) + extra)
+    got = lift.evaluate(np.column_stack([X, np.ones(len(X))]))
+    size = GP(n, {key: abs(c) for key, c in p.terms.items()}).evaluate(np.abs(X))
+    assert np.all(np.abs(got - p.evaluate(X)) <= 1e-12 * size)
 
 
-@st.composite
-def coeff_vec_polynomials(draw):
-    n = draw(st.integers(1, 3))
-    layers = {}
-    for m in draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)):
-        idx = draw(st.lists(st.integers(0, n ** m - 1), min_size=1, max_size=4))
-        layers[m] = {i: draw(COEFFS) for i in idx}
-    return CoeffVecPolynomial(n, layers)
+# ------------------------------------------ agreement with the layer path
+
+
+def _integer_power_pairs():
+    for path in SHIPPED:
+        prob = load_problem(path)
+        if "f" in prob.functions and all(p.has_integer_powers() for p in prob.pair()):
+            yield pytest.param(prob.pair(), id=path.stem)
+
+
+@pytest.mark.parametrize("pair", _integer_power_pairs())
+def test_homogenize_matches_the_layer_path_on_shipped_pairs(pair):
+    k = int(max(p.total_degree() for p in pair))
+    for p in pair:
+        got = homogenize(p, k).terms
+        want = reference_homogenize(_generalized_to_layers(p), k).terms
+        assert list(got.items()) == list(want.items())
 
 
 @settings(max_examples=100, deadline=None)
-@given(coeff_vec_polynomials(), st.integers(0, 3), st.data())
-def test_homogenize_at_t1_reproduces_the_polynomial(p, extra, data):
-    X = np.array(data.draw(st.lists(st.lists(coordinates(3.0), min_size=p.n,
-                                             max_size=p.n), min_size=1, max_size=8)))
-    lift = homogenize(p, p.degree + extra)
-    got = lift.evaluate(np.column_stack([X, np.ones(len(X))]))
-    size = CoeffVecPolynomial(p.n, {m: {i: abs(c) for i, c in layer.items()}
-                                    for m, layer in p.layers.items()}).evaluate(np.abs(X))
-    assert np.all(np.abs(got - p.evaluate(X)) <= 1e-12 * size)
+@given(coeff_literals(), st.integers(0, 3))
+def test_homogenize_matches_the_layer_path_on_coeff_literals(literal, extra):
+    n, coeffs = literal
+    cv = CoeffVecPolynomial.from_json(n, coeffs)
+    k = max(cv.layers, default=0) + extra
+    got = homogenize(cv.to_generalized(), k).terms
+    assert list(got.items()) == list(reference_homogenize(cv, k).terms.items())
