@@ -173,16 +173,19 @@ def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
         raise ProblemError(f"{name} must be comma-separated numbers") from None
     if len(vals) != n:
         raise ProblemError(f"{name} needs {n} components, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ProblemError(f"{name} components must be finite")
     return np.array(vals)
 
 
 def _positive(kind):
-    """argparse type for a strictly positive `kind` (a zero sample count or
-    grid step would otherwise divide by zero deep inside a command)."""
+    """argparse type for a finite, strictly positive `kind` (a zero sample
+    count or grid step would otherwise divide by zero deep inside a
+    command, and an infinite time step or horizon overflow there)."""
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -492,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="test strict copositivity")
         if name == "simulate":
             p.add_argument("--x0", default=None, help="initial state (comma-separated)")
-            p.add_argument("--dt", type=float, default=1e-3)
-            p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-            p.add_argument("--dwell", type=float, default=None)
+            p.add_argument("--dt", type=_positive(float), default=1e-3)
+            p.add_argument("--t-end", type=_positive(float), default=10.0, dest="t_end")
+            p.add_argument("--dwell", type=_positive(float), default=None)
         if name == "eigencheck":
             p.add_argument("--lambdas", default=None,
                            help="combination weights (comma-separated)")

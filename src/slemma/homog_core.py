@@ -241,19 +241,28 @@ class GeneralizedPolynomial:
         return self._compiled
 
     def __call__(self, x) -> float:
-        """Evaluate at a single point (fast scalar path)."""
+        """Evaluate at a single point (fast scalar path).
+
+        On Python floats each power is float `**`, which calls the C
+        library's `pow` as a NumPy scalar does, but raises OverflowError
+        where NumPy returns inf; such a point is evaluated again as NumPy
+        scalars, so both give the same value.
+        """
         total = 0.0
-        for coeff, items in self._compile():
-            v = coeff
-            for i, p, signed in items:
-                xi = x[i]
-                a = abs(xi) ** p
-                if signed and xi < 0:
-                    a = -a
-                v *= a
-                if v == 0.0:
-                    break
-            total += v
+        try:
+            for coeff, items in self._compiled or self._compile():
+                v = coeff
+                for i, p, signed in items:
+                    xi = x[i]
+                    a = abs(xi) ** p
+                    if signed and xi < 0:
+                        a = -a
+                    v *= a
+                    if v == 0.0:
+                        break
+                total += v
+        except OverflowError:
+            return self(np.asarray(x, dtype=float))
         return total
 
     def evaluate(self, X) -> np.ndarray:

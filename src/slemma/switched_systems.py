@@ -10,7 +10,6 @@ sum(lambda_i * f_i), which is linear in lambda, is negative everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,8 @@ STATE_NORM_LIMIT = 1e6
 
 
 class DivergenceError(RuntimeError):
-    """A simulated trajectory left the norm ball of radius 1e6."""
+    """A simulated trajectory left the norm ball of radius 1e6 or its state
+    stopped being finite."""
 
 
 # ------------------------------------------------------------------- types
@@ -459,9 +459,9 @@ class Trajectory:
     switch_times: list = field(default_factory=list)
 
     def rows(self):
-        for i in range(len(self.t)):
-            yield (float(self.t[i]), *map(float, self.x[i]),
-                   int(self.sigma[i]), float(self.v[i]))
+        for t, x, sigma, v in zip(self.t.tolist(), self.x.tolist(),
+                                  self.sigma.tolist(), self.v.tolist()):
+            yield (t, *x, sigma, v)
 
     def to_dict(self) -> dict:
         return {
@@ -475,8 +475,8 @@ class Trajectory:
         }
 
 
-def _field_value(comps, x: np.ndarray) -> np.ndarray:
-    return np.array([c(x) for c in comps])
+def _field_value(comps, x: tuple) -> tuple:
+    return tuple([c(x) for c in comps])
 
 
 def simulate_min_switching(
@@ -491,7 +491,14 @@ def simulate_min_switching(
 
     The active subsystem is argmin_i of the derivative of V along f_i at
     the current state, re-evaluated once per dwell period (default ten
-    steps); first index wins ties.
+    steps); first index wins ties.  A state that leaves the norm ball of
+    radius STATE_NORM_LIMIT, or is no longer finite, raises
+    DivergenceError.
+
+    The state and the stages are tuples of Python floats, combined one
+    component at a time in the order of the vector form
+    x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4); IEEE `+` and `*` round each
+    operation alike on floats and on float64 arrays.
     """
     if len(cand.derivatives) != sys.count:
         raise ValueError("candidate was built for a different system")
@@ -507,11 +514,19 @@ def simulate_min_switching(
     x = np.array(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError("x0 has the wrong dimension")
+    x = tuple(x.tolist())
 
+    half, sixth = 0.5 * dt, dt / 6.0
+    # Below this bound in every coordinate the norm is at most half the
+    # limit, so np.linalg.norm is needed only past it (or on NaN).
+    coord_bound = STATE_NORM_LIMIT / (2 * sys.n)
+    # Allocated before the loop so that a step count too large for memory
+    # fails at once instead of after the integration; filled at the end.
     t_arr = np.empty(steps + 1)
     x_arr = np.empty((steps + 1, sys.n))
     s_arr = np.empty(steps + 1, dtype=int)
     v_arr = np.empty(steps + 1)
+    t_list, x_list, s_list, v_list = [], [], [], []
     switch_times = []
 
     def pick(xc):
@@ -526,21 +541,25 @@ def simulate_min_switching(
             if new_sigma != sigma:
                 switch_times.append(t)
             sigma = new_sigma
-        t_arr[j] = t
-        x_arr[j] = x
-        s_arr[j] = sigma
-        v_arr[j] = cand.V(x)
+        t_list.append(t)
+        x_list.append(x)
+        s_list.append(sigma)
+        v_list.append(cand.V(x))
         if j == steps:
             break
         comps = sys.fields[sigma - 1]
         k1 = _field_value(comps, x)
-        k2 = _field_value(comps, x + 0.5 * dt * k1)
-        k3 = _field_value(comps, x + 0.5 * dt * k2)
-        k4 = _field_value(comps, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.linalg.norm(x) > STATE_NORM_LIMIT:
-            raise DivergenceError(
-                f"state norm exceeded {STATE_NORM_LIMIT:g} at t = {t + dt:.6g}"
-            )
+        k2 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k1)]))
+        k3 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k2)]))
+        k4 = _field_value(comps, tuple([a + dt * k for a, k in zip(x, k3)]))
+        x = tuple([a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+        if not all(abs(c) <= coord_bound for c in x):
+            norm = np.linalg.norm(x)
+            if not norm <= STATE_NORM_LIMIT:
+                what = (f"exceeded {STATE_NORM_LIMIT:g}" if norm > STATE_NORM_LIMIT
+                        else "is not finite")
+                raise DivergenceError(f"state norm {what} at t = {t + dt:.6g}")
+    t_arr[:], x_arr[:], s_arr[:], v_arr[:] = t_list, x_list, s_list, v_list
     return Trajectory(t=t_arr, x=x_arr, sigma=s_arr, v=v_arr,
                       dt=dt, dwell=dwell, switch_times=switch_times)

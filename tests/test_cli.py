@@ -284,6 +284,34 @@ def test_grid_step_must_be_positive(tmp_path, problems_dir):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--t-end", "inf"),
+    ("--t-end", "nan"), ("--t-end", "-1"), ("--dwell", "inf"), ("--dwell", "nan"),
+    ("--dwell", "0"),
+])
+def test_simulate_times_must_be_finite_and_positive(tmp_path, problems_dir, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "simulate", str(problems_dir / "switch_sextic.json"), flag, value)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("x0", ["nan,1", "1,inf", "0,-inf"])
+def test_simulate_x0_must_be_finite(tmp_path, problems_dir, x0):
+    code = run(tmp_path, "simulate", str(problems_dir / "switch_sextic.json"), "--x0", x0)
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("x0", ["3e6,1", "1e100,1"])
+def test_simulate_non_finite_state_is_divergence(tmp_path, problems_dir, x0):
+    code = run(tmp_path, "simulate", str(problems_dir / "switch_sextic.json"), "--x0", x0)
+    assert code == 1
+    payload = read_payload(tmp_path, "simulate_switch_sextic.json")
+    assert set(payload["result"]) == {"diverged"}
+    assert "not finite" in payload["result"]["diverged"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("problem, function", [
     ("switch_sextic.json", "f"),

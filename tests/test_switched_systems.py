@@ -17,7 +17,8 @@ from slemma import (
     simulate_min_switching,
     synthesize_combination_n2,
 )
-from slemma.switched_systems import _simplex_grid
+from slemma.problems import load_problem
+from slemma.switched_systems import STATE_NORM_LIMIT, _simplex_grid
 
 GP = GeneralizedPolynomial
 
@@ -339,3 +340,134 @@ def test_trajectory_rows(sextic_system, sextic_V, d2):
     assert (t0, x0, y0) == (0.0, 0.5, 0.5)
     assert s0 in (1, 2)
     assert v0 == pytest.approx(sextic_V([0.5, 0.5]))
+
+
+def test_non_finite_state_diverges(sextic_system, sextic_V, d2):
+    # From (3e6, 1) the first step overflows to inf - inf = nan; NaN never
+    # compares above the norm limit, so only `not norm <= limit` catches it.
+    cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
+    for x0 in ([3e6, 1.0], [1e100, 1.0]):
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
+            simulate_min_switching(sextic_system, cand, x0, t_end=0.1)
+
+
+# ------------------------------------------ float loop against the array loop
+
+
+def _reference_simulation(sys, cand, x0, dt=1e-3, t_end=10.0, dwell=None):
+    """simulate_min_switching's RK4 loop on a float64 ndarray state: the
+    reference its loop on tuples of floats must match bit for bit."""
+    if dwell is None:
+        dwell = 10.0 * dt
+    dwell_steps = max(1, int(round(dwell / dt)))
+    steps = int(round(t_end / dt))
+    x = np.array(x0, dtype=float)
+    t_arr = np.empty(steps + 1)
+    x_arr = np.empty((steps + 1, sys.n))
+    s_arr = np.empty(steps + 1, dtype=int)
+    v_arr = np.empty(steps + 1)
+    switch_times = []
+
+    def field_value(comps, xc):
+        return np.array([c(xc) for c in comps])
+
+    def pick(xc):
+        vals = [dv(xc) for dv in cand.derivatives]
+        return int(np.argmin(vals)) + 1
+
+    sigma = pick(x)
+    for j in range(steps + 1):
+        t = j * dt
+        if j > 0 and j % dwell_steps == 0:
+            new_sigma = pick(x)
+            if new_sigma != sigma:
+                switch_times.append(t)
+            sigma = new_sigma
+        t_arr[j] = t
+        x_arr[j] = x
+        s_arr[j] = sigma
+        v_arr[j] = cand.V(x)
+        if j == steps:
+            break
+        comps = sys.fields[sigma - 1]
+        k1 = field_value(comps, x)
+        k2 = field_value(comps, x + 0.5 * dt * k1)
+        k3 = field_value(comps, x + 0.5 * dt * k2)
+        k4 = field_value(comps, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.linalg.norm(x) <= STATE_NORM_LIMIT
+    return t_arr, x_arr, s_arr, v_arr, switch_times
+
+
+def _assert_bit_equal(sys, cand, x0, **kwargs):
+    traj = simulate_min_switching(sys, cand, x0, **kwargs)
+    t, x, sigma, v, switch_times = _reference_simulation(sys, cand, x0, **kwargs)
+    assert traj.t.tobytes() == t.tobytes()
+    assert traj.x.tobytes() == x.tobytes()
+    assert traj.sigma.tobytes() == sigma.tobytes()
+    assert traj.v.tobytes() == v.tobytes()
+    assert np.array(traj.switch_times).tobytes() == np.array(switch_times).tobytes()
+    assert switch_times  # the run exercised the switching law
+    return traj
+
+
+@pytest.mark.parametrize("name", ["switch_sextic", "switch_fractional",
+                                  "switch_three_linear"])
+def test_float_loop_matches_the_array_loop(problems_dir, name):
+    problem = load_problem(problems_dir / f"{name}.json")
+    _, system = problem.single_system()
+    _, V = problem.first_lyapunov()
+    cand = LfhdCandidate.build(V, system, problem.dilation)
+    _assert_bit_equal(system, cand, np.ones(problem.n))
+
+
+def test_float_loop_matches_with_other_settings(frac_system, frac_V, frac_dilation):
+    cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
+    _assert_bit_equal(frac_system, cand, [-0.73, 1.9], dt=2.5e-3, t_end=3.0,
+                      dwell=7.5e-3)
+    _assert_bit_equal(frac_system, cand, [1.3, -0.2], dt=1e-3, t_end=1.5,
+                      dwell=1.7e-2)
+
+
+def test_float_loop_matches_in_three_dimensions():
+    def field(rows):
+        return tuple(GP.from_terms(3, [(c, tuple((5, 3) if k == i else 0
+                                                 for k in range(3)))
+                                       for i, c in enumerate(row) if c])
+                     for row in rows)
+
+    # Signed powers x^(5/3): each derivative of V = |x|^2 / 2 is even and
+    # homogeneous of degree 8/3 under the standard dilation.
+    s1 = field([(-1.0, 2.0, 0.0), (0.0, -1.0, 1.5), (1.0, 0.0, -2.0)])
+    s2 = field([(-2.0, 0.0, -1.0), (0.5, 0.4, 0.0), (0.0, -1.0, -0.3)])
+    sys3 = SwitchedSystem((s1, s2))
+    V = GP.from_terms(3, [(0.5, (2, 0, 0)), (0.5, (0, 2, 0)), (0.5, (0, 0, 2))])
+    from slemma import Dilation
+
+    cand = LfhdCandidate.build(V, sys3, Dilation.standard(3))
+    traj = _assert_bit_equal(sys3, cand, [0.8, -0.5, 0.3], t_end=2.0)
+    assert traj.x.shape == (2001, 3)
+
+
+def test_scalar_call_on_floats_matches_the_array_call(sextic_system, sextic_V,
+                                                      frac_system, frac_V):
+    polys = [sextic_V, frac_V, *sextic_system.fields[0], *frac_system.fields[1]]
+    rng = np.random.default_rng(7)
+    points = [*rng.normal(scale=3.0, size=(200, 2)), np.array([0.0, -0.0]),
+              np.array([1e100, 1.0]), np.array([-1e60, 2.0])]
+    for p in polys:
+        for x in points:
+            with np.errstate(all="ignore"):
+                want = p(x)
+                got = p(tuple(x.tolist()))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    with np.errstate(all="ignore"):
+        assert sextic_V((1e100, 1.0)) == np.inf
+
+
+def test_oversized_horizon_fails_before_integrating(sextic_system, sextic_V, d2):
+    # 1e15 steps: the trajectory arrays (7 PiB) cannot be allocated, and
+    # that must surface at once, not after integrating.
+    cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
+    with pytest.raises(MemoryError):
+        simulate_min_switching(sextic_system, cand, [1.0, -0.7], t_end=1e12)
