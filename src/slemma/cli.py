@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except VerificationError as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return 3
+    except FloatingPointError as e:
+        print(f"error: {e} (the values leave the float64 range)", file=sys.stderr)
+        return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ representation.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +28,18 @@ import numpy as np
 DEFAULT_SEED = 170453
 
 TWO_PI = 2.0 * math.pi
+
+
+@contextmanager
+def overflow_guard(stage: str):
+    """Turn NumPy overflow and invalid results into a FloatingPointError
+    that names `stage`, instead of a warning and an inf or nan that a
+    later comparison would read as a verdict."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{stage}: {e}") from None
 
 
 class Parity(Enum):
@@ -246,7 +259,8 @@ class GeneralizedPolynomial:
         On Python floats each power is float `**`, which calls the C
         library's `pow` as a NumPy scalar does, but raises OverflowError
         where NumPy returns inf; such a point is evaluated again as NumPy
-        scalars, so both give the same value.
+        scalars, so both give the same value.  That value is inf or nan,
+        and the caller decides what it means, so NumPy does not warn.
         """
         total = 0.0
         try:
@@ -262,7 +276,8 @@ class GeneralizedPolynomial:
                         break
                 total += v
         except OverflowError:
-            return self(np.asarray(x, dtype=float))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self(np.asarray(x, dtype=float))
         return total
 
     def evaluate(self, X) -> np.ndarray:

@@ -34,6 +34,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    overflow_guard,
     sphere_samples,
     theta_grid,
     theta_point_scalar,
@@ -271,8 +272,9 @@ class SampledPair:
     def __init__(self, f, g, X, count, seed, d=None, degree=None):
         self.f, self.g, self.d, self.degree = f, g, d, degree
         self.X, self.count, self.seed = X, count, seed
-        self.F = f.evaluate(X)
-        self.G = g.evaluate(X)
+        with overflow_guard("sample evaluation"):
+            self.F = f.evaluate(X)
+            self.G = g.evaluate(X)
         self.scale_f = float(np.max(np.abs(self.F))) if len(X) else 0.0
         self.scale_g = float(np.max(np.abs(self.G))) if len(X) else 0.0
         self.scale = max(1.0, self.scale_f, self.scale_g)
@@ -538,9 +540,9 @@ class SampledPair:
                 continue
             key = int(round(direction / clearance))
             if key not in attained_cache:
-                attained_cache[key] = _direction_attained(
+                attained_cache[key] = _direction_miss(
                     f, g, d, X_kept, dirs, direction, clearance, seed
-                )
+                ) <= clearance
             if attained_cache[key]:
                 continue
             violations.append(
@@ -726,43 +728,79 @@ def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float]
     return None
 
 
-def _direction_attained(f, g, d, X, dirs, target: float, tol: float, seed) -> bool:
+def _direction_miss(f, g, d, X, dirs, target: float, tol: float, seed) -> float:
     """Local search for a sphere point whose image direction hits target.
 
-    A confirmed gap can be spurious where the pushforward density of
-    directions vanishes (sector boundaries without the n = 2 adaptive
-    refinement); a gap direction reachable by a short descent is not
-    evidence that the midpoint left the image.
+    Returns the smallest angular distance to target that the search
+    reached; it stops as soon as that distance is <= tol.  A confirmed gap
+    can be spurious where the pushforward density of directions vanishes
+    (sector boundaries without the n = 2 adaptive refinement); a gap
+    direction reachable by a short descent is not evidence that the
+    midpoint left the image.
+
+    Each step draws six proposals x + step*scale*prop with one
+    `rng.normal(size=(6, n))` and moves x to the first one, in index
+    order, that improves the miss.  The proposals are projected and
+    evaluated speculatively as one batch: every proposal after an
+    accepted one is built again from the new x, and the rest of the old
+    batch is discarded.  This takes the same draws and the same steps, and
+    reaches bit for bit the same points, as projecting and evaluating
+    one proposal at a time (tests/test_image_analysis.py keeps that
+    one-row search as its reference), because
+    - NumPy's array `**` in `radius`, `scale` and `evaluate` rounds each
+      entry the same at every array length (checked with NumPy 2.4 on
+      AVX-512);
+    - the projection factor rad**(-1/l) is still taken one row at a time
+      on NumPy scalars, as `Dilation.project` takes it for a single point
+      (the array `**` rounds it differently in about 5% of rows);
+    - the miss is still scalar `math.atan2` and `math.remainder`
+      (`np.arctan2` rounds differently);
+    - a nonzero proposal whose radius underflows to 0 raises in
+      `project` only if the scan reaches it.
     """
     gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
     best_i = int(np.argmin(gap))
     best = float(gap[best_i])
     if best <= tol:
-        return True
+        return best
     x = X[best_i].copy()
     rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
     scale = max(1.0, float(np.max(np.abs(X))))
+    power = -1.0 / d.l
     step = 0.3
     for _ in range(60):
         moved = False
-        for prop in rng.normal(size=(6, X.shape[1])):
-            y = x + step * scale * prop
-            if not np.any(y):
-                continue
-            y = d.project(y)
-            u, v = float(f.evaluate(y)), float(g.evaluate(y))
-            if math.hypot(u, v) <= 1e-12:
-                continue
-            cand = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
-            if cand < best:
-                best, x, moved = cand, y, True
-                if best <= tol:
-                    return True
+        props = rng.normal(size=(6, X.shape[1]))
+        k = 0
+        while k < len(props):
+            Y = x + step * scale * props[k:]
+            rows = np.flatnonzero(np.any(Y, axis=1))
+            rad = d.radius(Y[rows])
+            zero = np.flatnonzero(rad <= 0)
+            reach = int(zero[0]) if len(zero) else len(rows)
+            P = d.scale(np.array([r ** power for r in rad[:reach]]), Y[rows[:reach]])
+            U, V = f.evaluate(P), g.evaluate(P)
+            next_k = len(props)
+            for j in range(reach):
+                u, v = float(U[j]), float(V[j])
+                if math.hypot(u, v) <= 1e-12:
+                    continue
+                cand = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
+                if cand < best:
+                    best, x, moved = cand, P[j], True
+                    if best <= tol:
+                        return best
+                    next_k = k + int(rows[j]) + 1
+                    break
+            else:
+                if reach < len(rows):
+                    d.project(Y[rows[reach]])  # raises, as the one-row scan would here
+            k = next_k
         if not moved:
             step *= 0.6
             if step < 1e-6:
                 break
-    return best <= tol
+    return best
 
 
 def convexity_probe(

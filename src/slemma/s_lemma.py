@@ -46,6 +46,7 @@ from .homog_core import (
     TWO_PI,
     Dilation,
     GeneralizedPolynomial,
+    overflow_guard,
     sphere_samples,
 )
 from .image_analysis import (
@@ -374,8 +375,9 @@ def _strict_chain(pair: SampledPair):
                  symmetrized_gap=shs.symmetrized_gap, phi=shs.image.phi)
 
     # xi > 0 by construction: every candidate of the search is positive
-    xi_init, m_init = _geometric_xi(shs, pair.F, pair.G)
-    xi_star, m_star = _maximize_margin(pair.F, pair.G, extra_candidates=(xi_init,))
+    with overflow_guard("margin scan"):
+        xi_init, m_init = _geometric_xi(shs, pair.F, pair.G)
+        xi_star, m_star = _maximize_margin(pair.F, pair.G, extra_candidates=(xi_init,))
     threshold = _pos_threshold(pair.scale_f + abs(xi_star) * pair.scale_g)
     yield _check("margin_maximization", m_star > threshold, ReasonCode.VERIFICATION_FAILED,
                  "no positive xi reached a positive margin despite the "
@@ -567,7 +569,8 @@ def _nonstrict_chain(pair: SampledPair):
     if min_f >= -_nonneg_tol(pair.scale_f):
         xi_star, m_star = 0.0, min_f
     else:
-        xi_star, m_star = _maximize_margin(pair.F, pair.G, allow_zero=True)
+        with overflow_guard("margin scan"):
+            xi_star, m_star = _maximize_margin(pair.F, pair.G, allow_zero=True)
     tol = _nonneg_tol(pair.scale_f + abs(xi_star) * pair.scale_g)
     yield _check("margin_maximization", m_star >= -tol, ReasonCode.VERIFICATION_FAILED,
                  "no xi >= 0 reached a nonnegative margin", "derivation",

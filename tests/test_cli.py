@@ -312,6 +312,46 @@ def test_simulate_non_finite_state_is_divergence(tmp_path, problems_dir, x0):
     assert "not finite" in payload["result"]["diverged"]
 
 
+def test_simulate_overflow_reaches_the_user_only_as_divergence(tmp_path, problems_dir):
+    # A fresh interpreter: NumPy warnings print to its stderr, not to pytest's recorder.
+    proc = subprocess.run(
+        [sys.executable, "-m", "slemma.cli", "simulate", str(problems_dir / "switch_sextic.json"),
+         "--x0", "1e100,1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""  # no RuntimeWarning from the scalar fallback
+    assert "simulate: diverged (state norm is not finite" in proc.stdout
+
+
+def _scaled(tmp_path, problems_dir, problem, factor):
+    """`problem` with f and g multiplied by factor."""
+    raw = json.loads((problems_dir / problem).read_text())
+    for name in ("f", "g"):
+        spec = raw["functions"][name]
+        if isinstance(spec, list):
+            for term in spec:
+                term["coeff"] *= factor
+        else:
+            spec["coeffs"] = {k: c * factor for k, c in spec["coeffs"].items()}
+    path = tmp_path / problem
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("command, problem, stage", [
+    ("shs-xi", "switch_sextic.json", "margin scan"),
+    ("hs-xi", "switch_sextic.json", "margin scan"),
+    ("nhs-xi", "affine_sextic_shift.json", "sample evaluation"),
+])
+def test_overflow_is_an_internal_failure_naming_its_stage(tmp_path, problems_dir, capsys,
+                                                          command, problem, stage):
+    path = _scaled(tmp_path, problems_dir, problem, 1e306)
+    assert run(tmp_path / "out", command, str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: overflow encountered in "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("problem, function", [
     ("switch_sextic.json", "f"),

@@ -9,7 +9,9 @@ Each run calls `slemma.cli.main` in process at the default seed and
 records its exit code and the sha256 of every artifact it writes.  The
 commands with CSV/SVG output run once with `--format csv` and once with
 `--format svg` (both also write the JSON report); the others run with
-`--format json`.  The n >= 3 samples come from NumPy ports of SciPy's
+`--format json`.  `image` also runs at a few non-default seeds, because
+the pairs its convexity probe tests, and the local searches it starts
+from them, depend on the seed.  The n >= 3 samples come from NumPy ports of SciPy's
 scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
 random stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [
     Path(__file__).with_name("fixtures") / "quartic3_pair.json"]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
+IMAGE_SEEDS = (1, 2, 3)
 
 
 def _versions() -> dict:
@@ -45,22 +48,27 @@ def _versions() -> dict:
 
 
 def _runs():
+    """(key, argv) for every run of the sweep."""
     for command in COMMANDS:
         formats = ("csv", "svg") if command in CSV_COMMANDS else ("json",)
         for problem in PROBLEMS:
             for fmt in formats:
-                yield command, problem, fmt
+                yield f"{command} {problem.name} {fmt}", [
+                    command, str(problem), "--format", fmt]
+    for problem in PROBLEMS:
+        for seed in IMAGE_SEEDS:
+            yield f"image {problem.name} json seed={seed}", [
+                "image", str(problem), "--format", "json", "--seed", str(seed)]
 
 
 def sweep(out_root: Path) -> dict:
-    """{"<command> <problem> <format>": {"exit": code, "artifacts": {name: sha256}}}"""
+    """{"<command> <problem> <format>[ seed=N]": {"exit": code, "artifacts": {name: sha256}}}"""
     results = {}
-    for command, problem, fmt in _runs():
-        key = f"{command} {problem.name} {fmt}"
+    for key, argv in _runs():
         out = out_root / key.replace(" ", "_")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(problem), "--format", fmt, "--out-dir", str(out)])
+            code = main(argv + ["--out-dir", str(out)])
         digests = {}
         if out.exists():
             for path in sorted(out.iterdir()):

@@ -1,18 +1,27 @@
 """Image-set sampling, sector angles, zero margins, and the mixing curve."""
 
+import itertools
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from slemma import Dilation, GeneralizedPolynomial
+from slemma import Dilation, GeneralizedPolynomial, image_analysis
+from slemma.homog_core import DEFAULT_SEED, TWO_PI
 from slemma.image_analysis import (
+    GAP_FACTOR,
     DegenerateImageError,
     ImageClass,
     REFINE_BUDGET,
+    SampledPair,
+    _direction_miss,
     convexity_probe,
     mixing_curve,
     sample_image,
     zero_margin,
 )
+from slemma.problems import load_problem
 
 from conftest import quad_form, random_symmetric
 
@@ -267,3 +276,155 @@ def test_probe_empty_for_higher_dimension_quadratics():
                 continue
             assert convexity_probe(f, g, d, count=8192) == []
             checked += 1
+
+
+# ------------------------------------------- the probe's batched local search
+
+
+ROOT = Path(__file__).resolve().parent.parent
+IMAGE_PROBLEMS = [ROOT / "problems" / f"{name}.json" for name in (
+    "cubic_shared_zero", "sector_quartic_pi", "sector_quartic_wide",
+    "sector_sextic_full", "sector_sextic_wide", "switch_fractional",
+    "switch_sextic")] + [ROOT / "tests" / "fixtures" / "quartic3_pair.json"]
+
+
+def _reference_direction_miss(f, g, d, X, dirs, target, tol, seed):
+    """_direction_miss projecting and evaluating one proposal at a time:
+    the reference its speculative batch must match bit for bit."""
+    gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
+    best_i = int(np.argmin(gap))
+    best = float(gap[best_i])
+    if best <= tol:
+        return best
+    x = X[best_i].copy()
+    rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
+    scale = max(1.0, float(np.max(np.abs(X))))
+    step = 0.3
+    for _ in range(60):
+        moved = False
+        for prop in rng.normal(size=(6, X.shape[1])):
+            y = x + step * scale * prop
+            if not np.any(y):
+                continue
+            y = d.project(y)
+            u, v = float(f.evaluate(y)), float(g.evaluate(y))
+            if math.hypot(u, v) <= 1e-12:
+                continue
+            cand = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
+            if cand < best:
+                best, x, moved = cand, y, True
+                if best <= tol:
+                    return best
+        if not moved:
+            step *= 0.6
+            if step < 1e-6:
+                break
+    return best
+
+
+def _search_inputs(path, seed=DEFAULT_SEED, count=None):
+    """(pair, summary, f, g, d, X, dirs, clearance) as convexity_probe sets them up."""
+    problem = load_problem(path)
+    f, g = problem.pair()
+    pair = SampledPair.draw(f, g, problem.dilation, count, seed)
+    pts = pair.joint_values
+    keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * pair.scale
+    dirs = np.arctan2(pts[keep, 1], pts[keep, 0])
+    clearance = GAP_FACTOR * TWO_PI / pair.count
+    return pair, pair.image(), f, g, problem.dilation, pair.X[keep], dirs, clearance
+
+
+def _targets(summary, f, g, d, per_gap=4, attained=8):
+    """Directions inside each confirmed gap, where searches run out of
+    steps, and image directions of unsampled sphere points, which a
+    search can attain."""
+    out = [a + (b - a) * (i + 0.5) / per_gap for a, b in summary.gaps for i in range(per_gap)]
+    Y = d.project(np.random.default_rng(5).normal(size=(attained, d.n)))
+    out += list(np.arctan2(g.evaluate(Y), f.evaluate(Y)))
+    return [math.remainder(float(t), TWO_PI) for t in out]
+
+
+@pytest.mark.parametrize("path", IMAGE_PROBLEMS, ids=lambda p: p.stem)
+def test_batched_search_matches_the_one_row_search(path):
+    _, summary, f, g, d, X, dirs, clearance = _search_inputs(path)
+    attained = exhausted = 0
+    for target in _targets(summary, f, g, d):
+        # tol = 1e-9 keeps nearly every search going until it runs out of steps
+        for tol in (clearance, clearance / 50, 1e-9):
+            args = (f, g, d, X, dirs, target, tol, DEFAULT_SEED)
+            got = _direction_miss(*args)
+            assert got == _reference_direction_miss(*args), (target, tol)
+            attained += got <= tol
+            exhausted += got > tol
+    assert attained and exhausted
+
+
+@pytest.mark.parametrize("name", ["cubic_shared_zero", "sector_sextic_wide"])
+def test_probe_lists_match_the_one_row_search_across_seeds(name, monkeypatch):
+    path = ROOT / "problems" / f"{name}.json"
+    for seed in range(1, 21):
+        pair, summary = _search_inputs(path, seed=seed, count=1024)[:2]
+        got = pair.convexity_probe(summary, trials=60)
+        with monkeypatch.context() as m:
+            m.setattr(image_analysis, "_direction_miss", _reference_direction_miss)
+            want = pair.convexity_probe(summary, trials=60)
+        assert got and got == want, seed
+
+
+def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
+    _, summary, f, g, d, X, dirs, clearance = _search_inputs(
+        ROOT / "problems" / "cubic_shared_zero.json")
+    calls = [0]
+    evaluate = GeneralizedPolynomial.evaluate
+
+    def counting(self, pts):
+        calls[0] += 1
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+    counts = []
+    for search in (_direction_miss, _reference_direction_miss):
+        calls[0] = 0
+        for target in _targets(summary, f, g, d):
+            search(f, g, d, X, dirs, target, clearance, DEFAULT_SEED)
+        counts.append(calls[0])
+    assert 0 < counts[0] < counts[1] / 2, counts
+
+
+class _FragileDilation(Dilation):
+    """A dilation whose radius reads 0 at about one point in 256 (picked
+    by the low bits of x_0), as if every entry had underflowed: projecting
+    such a point raises.  `zeros` counts the zero radii it has returned."""
+
+    zeros = [0]
+
+    def radius(self, x):
+        fragile = np.asarray(x, dtype=float)[..., 0].view(np.uint64) % 256 == 0
+        self.zeros[0] += int(np.sum(fragile))
+        return super().radius(x) * ~fragile
+
+
+def test_underflowing_proposal_raises_only_where_the_one_row_search_reaches_it():
+    raised = passed_over = 0
+    for name in ("cubic_shared_zero", "sector_sextic_wide"):
+        _, summary, f, g, d, X, dirs, clearance = _search_inputs(
+            ROOT / "problems" / f"{name}.json")
+        fragile = _FragileDilation(d.weights, d.l)
+        for target, tol in itertools.product(
+                _targets(summary, f, g, d, per_gap=8, attained=16),
+                (clearance, clearance / 50, 1e-9)):
+            args = (f, g, fragile, X, dirs, target, tol, DEFAULT_SEED)
+            try:
+                want = _reference_direction_miss(*args)
+            except ValueError as e:
+                want = str(e)
+            fragile.zeros[0] = 0
+            try:
+                got = _direction_miss(*args)
+            except ValueError as e:
+                got = str(e)
+            assert got == want, (name, target, tol)
+            raised += isinstance(got, str)
+            # the batch built a zero-radius proposal that the scan never reached
+            passed_over += isinstance(got, float) and fragile.zeros[0] > 0
+    assert raised and passed_over
