@@ -4,17 +4,25 @@ Thirteen subcommands dispatch problem files to the analysis operations
 and write deterministic artifacts: a JSON report always, plus CSV or SVG
 data for the commands that have tabular or plottable output.  Exit codes:
 0 success, 1 negative finding (a valid mathematical answer such as "no
-multiplier exists"), 2 usage or parse error, 3 internal verification
-failure (an unsound certificate, which indicates a bug).
+multiplier exists"), 2 usage or parse error, 3 internal failure (a
+certificate that failed its independent re-check, a float64 overflow
+named by the stage it hit, or an unexpected exception: a bug, not a
+finding).
+
+Every JSON report's `result` is the command's report dataclass written
+field by field (enums by value, arrays as lists); the few keys a report
+drops or adds are named in its command handler (see docs/schema.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -50,14 +58,34 @@ from .switched_systems import (
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# The commands with tabular and plottable output: the only ones that take
+# --format csv or --format svg.
 CSV_COMMANDS = {"image", "curve", "lfhd", "simulate"}
-SVG_COMMANDS = {"image", "curve", "lfhd", "simulate"}
 
 
 # ---------------------------------------------------------------- artifacts
 
 
+def _fields(report, drop=(), **extra) -> dict:
+    """The JSON form of a report dataclass: its fields except `drop`,
+    plus `extra`."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+           if f.name not in drop}
+    out.update(extra)
+    return out
+
+
+def _image_fields(summary, **extra) -> dict:
+    """An ImageSummary without its direction and scatter arrays."""
+    return _fields(summary, drop=("directions", "scatter"),
+                   direction_count=len(summary.directions), **extra)
+
+
 def _json_default(o):
+    if dataclasses.is_dataclass(o):
+        return _fields(o)
+    if isinstance(o, Enum):
+        return o.value
     if isinstance(o, np.floating):
         return float(o)
     if isinstance(o, np.integer):
@@ -160,10 +188,8 @@ def _out_path(args, stem_suffix: str, ext: str) -> Path:
 
 
 def _check_format(args) -> None:
-    if args.format == "csv" and args.command not in CSV_COMMANDS:
-        raise ProblemError(f"--format csv is not available for '{args.command}'")
-    if args.format == "svg" and args.command not in SVG_COMMANDS:
-        raise ProblemError(f"--format svg is not available for '{args.command}'")
+    if args.format != "json" and args.command not in CSV_COMMANDS:
+        raise ProblemError(f"--format {args.format} is not available for '{args.command}'")
 
 
 def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
@@ -219,9 +245,8 @@ def cmd_image(args, problem: Problem) -> int:
         print(f"image: degenerate ({e})")
         return 1
     probe = pair.convexity_probe(summary)
-    result = summary.to_dict()
-    result["convexity_violations"] = probe
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
+    _write_json(_out_path(args, "", "json"),
+                _payload(args, problem, _image_fields(summary, convexity_violations=probe)))
     if args.format == "csv":
         _write_csv(_out_path(args, "", "csv"), ["theta_or_index", "f", "g"],
                    ((float(r[0]), float(r[1]), float(r[2]))
@@ -239,7 +264,7 @@ def cmd_zeros(args, problem: Problem) -> int:
     threshold = 1e-9 if args.threshold is None else args.threshold
     zm = zero_margin(f, g, problem.dilation, threshold=threshold,
                      count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, zm.to_dict()))
+    _write_json(_out_path(args, "", "json"), _payload(args, problem, zm))
     ok = zm.margin > threshold
     print(f"zeros: margin = {zm.margin:.6g} "
           f"({'no common zero' if ok else 'common zero detected'})")
@@ -278,7 +303,7 @@ def cmd_copositive(args, problem: Problem) -> int:
     rep = is_copositive(f, g, problem.dilation, strict=args.strict,
                         count=args.samples, seed=args.seed)
     suffix = "_strict" if args.strict else ""
-    _write_json(_out_path(args, suffix, "json"), _payload(args, problem, rep.to_dict()))
+    _write_json(_out_path(args, suffix, "json"), _payload(args, problem, rep))
     kind = "strictly copositive" if args.strict else "copositive"
     print(f"copositive: f is {'' if rep.holds else 'NOT '}{kind} with g")
     return 0 if rep.holds else 1
@@ -287,44 +312,30 @@ def cmd_copositive(args, problem: Problem) -> int:
 def cmd_shs_check(args, problem: Problem) -> int:
     f, g = problem.pair()
     rep = shs_condition(f, g, problem.dilation, count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, rep.to_dict()))
+    _write_json(_out_path(args, "", "json"),
+                _payload(args, problem, _fields(rep, image=_image_fields(rep.image))))
     print(f"shs-check: {'holds' if rep.holds else 'fails'} "
           f"(symmetrized gap {rep.symmetrized_gap:.6f} rad)")
     return 0 if rep.holds else 1
 
 
-def cmd_shs_xi(args, problem: Problem) -> int:
+def cmd_xi(args, problem: Problem) -> int:
+    """shs-xi, hs-xi and nhs-xi: the multiplier search named by the command."""
     f, g = problem.pair()
-    res = find_strict_multiplier(f, g, problem.dilation,
-                                 count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, res.to_json()))
-    if isinstance(res, MultiplierFailure):
-        print(f"shs-xi: failed ({res.reason.value})")
+    if args.command == "nhs-xi":
+        res = find_nhs_multiplier(f, g, count=args.samples, seed=args.seed)
     else:
-        print(f"shs-xi: xi = {res.xi:.9g}, margin = {res.margin:.6g}")
-    return _multiplier_exit(res)
-
-
-def cmd_hs_xi(args, problem: Problem) -> int:
-    f, g = problem.pair()
-    res = find_nonstrict_multiplier(f, g, problem.dilation,
-                                    count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, res.to_json()))
+        search = (find_strict_multiplier if args.command == "shs-xi"
+                  else find_nonstrict_multiplier)
+        res = search(f, g, problem.dilation, count=args.samples, seed=args.seed)
+    _write_json(_out_path(args, "", "json"), _payload(args, problem, res))
     if isinstance(res, MultiplierFailure):
-        print(f"hs-xi: failed ({res.reason.value})")
-    else:
-        print(f"hs-xi: xi = {res.xi:.9g}, margin = {res.margin:.6g}")
-    return _multiplier_exit(res)
-
-
-def cmd_nhs_xi(args, problem: Problem) -> int:
-    res = find_nhs_multiplier(*problem.pair(), count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, res.to_json()))
-    if isinstance(res, MultiplierFailure):
-        print(f"nhs-xi: failed ({res.reason.value})")
-    else:
+        print(f"{args.command}: failed ({res.reason.value})")
+    elif args.command == "nhs-xi":
         print(f"nhs-xi: xi = {res.xi:.9g}, "
               f"t=1 margin = {res.details['t1_margin']:.6g}")
+    else:
+        print(f"{args.command}: xi = {res.xi:.9g}, margin = {res.margin:.6g}")
     return _multiplier_exit(res)
 
 
@@ -332,10 +343,9 @@ def cmd_lfhd(args, problem: Problem) -> int:
     sys_name, system, v_name, cand = _candidate(problem)
     rep = check_lfhd(system, cand, count=args.samples, seed=args.seed,
                      threshold=args.threshold)
-    result = rep.to_dict()
-    result["system"] = sys_name
-    result["lyapunov"] = v_name
-    result["common_degree"] = cand.common_degree
+    result = _fields(rep, drop=("uncovered_indices", "argmin", "min_values", "params"),
+                     uncovered_count=len(rep.uncovered_indices), system=sys_name,
+                     lyapunov=v_name, common_degree=cand.common_degree)
     _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
     if args.format == "csv":
         _write_csv(_out_path(args, "_regions", "csv"),
@@ -355,12 +365,12 @@ def cmd_combo_synth(args, problem: Problem) -> int:
     res = synthesize_combination_n2(system, cand,
                                     count=args.samples, seed=args.seed)
     if isinstance(res, MultiplierFailure):
-        _write_json(_out_path(args, "", "json"),
-                    _payload(args, problem, res.to_json()))
+        _write_json(_out_path(args, "", "json"), _payload(args, problem, res))
         print(f"combo-synth: no certificate ({res.reason.value})")
         return _multiplier_exit(res)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, res.to_dict()))
     lam = res.combination.to_list()
+    _write_json(_out_path(args, "", "json"),
+                _payload(args, problem, _fields(res, drop=("combination",), lambdas=lam)))
     print(f"combo-synth: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
           f"max derivative {res.max_derivative:.6g}")
     return 0
@@ -372,8 +382,9 @@ def cmd_combo_scan(args, problem: Problem) -> int:
     scan = scan_combinations(system, cand, grid_step=step,
                              count=args.samples, seed=args.seed,
                              threshold=args.threshold)
-    result = scan.to_dict()
-    result["feasible"] = [c.to_list() for c in scan.feasible[:200]]
+    result = _fields(scan, best_lambda=scan.best_lambda.to_list(),
+                     feasible=[c.to_list() for c in scan.feasible[:200]],
+                     feasible_count=len(scan.feasible))
     _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
     if scan.interval is not None:
         print(f"combo-scan: {len(scan.feasible)} feasible points, "
@@ -395,8 +406,16 @@ def cmd_simulate(args, problem: Problem) -> int:
                     _payload(args, problem, {"diverged": str(e)}))
         print(f"simulate: diverged ({e})")
         return 1
-    result = traj.to_dict()
-    result["x0"] = list(map(float, x0))
+    result = {
+        "steps": len(traj.t) - 1,
+        "dt": traj.dt,
+        "dwell": traj.dwell,
+        "v_initial": float(traj.v[0]),
+        "v_final": float(traj.v[-1]),
+        "final_state": [float(c) for c in traj.x[-1]],
+        "switch_count": len(traj.switch_times),
+        "x0": list(map(float, x0)),
+    }
     _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
     if args.format == "csv":
         header = ["t"] + [f"x_{i + 1}" for i in range(problem.n)] + ["sigma", "V"]
@@ -435,9 +454,9 @@ COMMANDS = {
     "curve": cmd_curve,
     "copositive": cmd_copositive,
     "shs-check": cmd_shs_check,
-    "shs-xi": cmd_shs_xi,
-    "hs-xi": cmd_hs_xi,
-    "nhs-xi": cmd_nhs_xi,
+    "shs-xi": cmd_xi,
+    "hs-xi": cmd_xi,
+    "nhs-xi": cmd_xi,
     "lfhd": cmd_lfhd,
     "combo-synth": cmd_combo_synth,
     "combo-scan": cmd_combo_scan,

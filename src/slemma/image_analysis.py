@@ -80,21 +80,6 @@ class ImageSummary:
     refinement_complete: bool = True
     scatter: np.ndarray | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "phi": self.phi,
-            "largest_gap": self.largest_gap,
-            "direction_count": int(len(self.directions)),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "degree": self.degree,
-            "gaps": [[a, b] for a, b in self.gaps],
-            "boundary_angles": list(self.boundary_angles),
-            "refinement_evals": self.refinement_evals,
-            "refinement_complete": self.refinement_complete,
-        }
-
 
 @dataclass
 class ZeroMargin:
@@ -105,17 +90,6 @@ class ZeroMargin:
     sample_count: int
     seed: int
     certified_bound: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "refined": self.refined,
-            "witness": list(self.witness),
-            "threshold": self.threshold,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "certified_bound": self.certified_bound,
-        }
 
 
 @dataclass
@@ -129,21 +103,6 @@ class CopositivityReport:
     sample_count: int
     seed: int
 
-    def __bool__(self):
-        return self.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "strict": self.strict,
-            "min_value": self.min_value,
-            "witness": None if self.witness is None else list(self.witness),
-            "vacuous": self.vacuous,
-            "threshold": self.threshold,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class ShsConditionReport:
@@ -154,20 +113,6 @@ class ShsConditionReport:
     image: ImageSummary
     sample_count: int
     seed: int
-
-    def __bool__(self):
-        return self.holds
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "symmetrized_gap": self.symmetrized_gap,
-            "witness_direction": self.witness_direction,
-            "gap_interval": self.gap_interval,
-            "image": self.image.to_dict(),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
 
 
 def _default_count(n: int) -> int:
@@ -466,7 +411,7 @@ class SampledPair:
         gaps, starts = _gap_list(sym)
         i = int(np.argmax(gaps))
         largest = float(gaps[i])
-        gap_tol = 3.0 * TWO_PI / self.count
+        gap_tol = GAP_FACTOR * TWO_PI / self.count
         holds = largest > gap_tol
         witness = None
         interval = None
@@ -496,65 +441,67 @@ class SampledPair:
         Before a violation is reported, a local search tries to attain the
         midpoint direction on the sphere, which discards gaps that only
         reflect thin direction sampling.  Quadratic form pairs, whose image
-        is convex, produce an empty list.
+        is convex, produce an empty list.  A float64 overflow anywhere in
+        the probe raises FloatingPointError naming the stage.
         """
         if not summary.gaps:
             return []
         f, g, d, seed = self.f, self.g, self.d, self.seed
         clearance = GAP_FACTOR * TWO_PI / self.count
 
-        pts = self.joint_values
-        axis = _axis_points(d.n)
-        pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
+        with overflow_guard("convexity probe"):
+            pts = self.joint_values
+            axis = _axis_points(d.n)
+            pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
 
-        scale = self.scale
-        ztol = 1e-12 * scale
-        keep = np.hypot(pts[:, 0], pts[:, 1]) > ztol
-        pts = pts[keep]
-        if len(pts) < 2:
-            return []
+            scale = self.scale
+            ztol = 1e-12 * scale
+            keep = np.hypot(pts[:, 0], pts[:, 1]) > ztol
+            pts = pts[keep]
+            if len(pts) < 2:
+                return []
 
-        pairs = []
-        na = len(pts_axis)
-        for i in range(na):
-            for j in range(i + 1, na):
-                pairs.append((pts_axis[i], pts_axis[j]))
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            i, j = rng.integers(0, len(pts), size=2)
-            if i != j:
-                pairs.append((pts[i], pts[j]))
+            pairs = []
+            na = len(pts_axis)
+            for i in range(na):
+                for j in range(i + 1, na):
+                    pairs.append((pts_axis[i], pts_axis[j]))
+            rng = np.random.default_rng(seed)
+            for _ in range(trials):
+                i, j = rng.integers(0, len(pts), size=2)
+                if i != j:
+                    pairs.append((pts[i], pts[j]))
 
-        X_kept = self.X[keep]
-        dirs = np.arctan2(pts[:, 1], pts[:, 0])
-        attained_cache: dict = {}
+            X_kept = self.X[keep]
+            dirs = np.arctan2(pts[:, 1], pts[:, 0])
+            attained_cache: dict = {}
 
-        violations = []
-        for u, v in pairs:
-            mid = 0.5 * (u + v)
-            if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
-                continue
-            direction = math.atan2(mid[1], mid[0])
-            hit = _inside_gap(direction, summary.gaps, clearance)
-            if hit is None:
-                continue
-            key = int(round(direction / clearance))
-            if key not in attained_cache:
-                attained_cache[key] = _direction_miss(
-                    f, g, d, X_kept, dirs, direction, clearance, seed
-                ) <= clearance
-            if attained_cache[key]:
-                continue
-            violations.append(
-                {
-                    "u": [float(u[0]), float(u[1])],
-                    "v": [float(v[0]), float(v[1])],
-                    "midpoint": [float(mid[0]), float(mid[1])],
-                    "direction": direction,
-                    "gap": [hit[0], hit[1]],
-                }
-            )
-        return violations
+            violations = []
+            for u, v in pairs:
+                mid = 0.5 * (u + v)
+                if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
+                    continue
+                direction = math.atan2(mid[1], mid[0])
+                hit = _inside_gap(direction, summary.gaps, clearance)
+                if hit is None:
+                    continue
+                key = int(round(direction / clearance))
+                if key not in attained_cache:
+                    attained_cache[key] = _direction_miss(
+                        f, g, d, X_kept, dirs, direction, clearance, seed
+                    ) <= clearance
+                if attained_cache[key]:
+                    continue
+                violations.append(
+                    {
+                        "u": [float(u[0]), float(u[1])],
+                        "v": [float(v[0]), float(v[1])],
+                        "midpoint": [float(mid[0]), float(mid[1])],
+                        "direction": direction,
+                        "gap": [hit[0], hit[1]],
+                    }
+                )
+            return violations
 
 
 def sample_image(
@@ -573,12 +520,12 @@ def sample_image(
 # --------------------------------------------------------------- zero margin
 
 
-def _quadrant_cells(initial_per_quadrant: int = 16):
+def _quadrant_cells():
     cells = []
     for q in range(4):
         a = q * math.pi / 2.0
-        step = (math.pi / 2.0) / initial_per_quadrant
-        for i in range(initial_per_quadrant):
+        step = (math.pi / 2.0) / 16
+        for i in range(16):
             cells.append((a + i * step, a + (i + 1) * step))
     return cells
 

@@ -102,23 +102,6 @@ class MultiplierCertificate:
     details: dict = field(default_factory=dict)
     ok: bool = True
 
-    def to_json(self) -> dict:
-        return {
-            "ok": True,
-            "xi": self.xi,
-            "strict": self.strict,
-            "margin": self.margin,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "dilation": self.dilation,
-            "threshold": self.threshold,
-            "xi_initial": self.xi_initial,
-            "margin_initial": self.margin_initial,
-            "margin_derivation": self.margin_derivation,
-            "checks": self.checks,
-            "details": self.details,
-        }
-
 
 @dataclass
 class MultiplierFailure:
@@ -128,16 +111,6 @@ class MultiplierFailure:
     stage: str | None = None
     checks: list = field(default_factory=list)
     ok: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "ok": False,
-            "reason": self.reason.value,
-            "message": self.message,
-            "witness": self.witness,
-            "stage": self.stage,
-            "checks": self.checks,
-        }
 
 
 # ----------------------------------------------------------------- sampling
@@ -462,12 +435,11 @@ class _DirectionBins:
 def _direction_collisions(
     A: _DirectionBins,
     B: _DirectionBins,
-    cross_tol: float = CROSS_TOL,
     max_report: int | None = 64,
 ) -> list[tuple[tuple[float, float], tuple[float, float]]]:
     """Pairs u in A, v in B pointing in opposite directions.
 
-    Opposite means |cross(u, v)| <= cross_tol on unit vectors and
+    Opposite means |cross(u, v)| <= CROSS_TOL on unit vectors and
     u . v < 0, i.e. the rays are anti-parallel within tolerance.  Bins
     prefilter the candidates; the cross-product test decides.  The walk
     goes up from angle -pi and stops after `max_report` hits (None: no
@@ -486,7 +458,7 @@ def _direction_collisions(
                 continue
             cross = np.abs(ua[:, 0:1] * vb[None, :, 1] - ua[:, 1:2] * vb[None, :, 0])
             dot = ua[:, 0:1] * vb[None, :, 0] + ua[:, 1:2] * vb[None, :, 1]
-            ii, jj = np.nonzero((cross <= cross_tol) & (dot < 0))
+            ii, jj = np.nonzero((cross <= CROSS_TOL) & (dot < 0))
             for i, j in zip(ii, jj):
                 hits.append(
                     ((float(ua[i, 0]), float(ua[i, 1])),

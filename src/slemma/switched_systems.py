@@ -157,26 +157,11 @@ class LfhdReport:
     sample_count: int
     seed: int
 
-    def __bool__(self):
-        return self.covered
-
     def region_rows(self):
         """Rows (param, argmin subsystem 1-based, min derivative value):
         the stable-region mask data."""
         for p, a, v in zip(self.params, self.argmin, self.min_values):
             yield float(p), int(a), float(v)
-
-    def to_dict(self) -> dict:
-        return {
-            "covered": self.covered,
-            "status": self.status,
-            "v_min": self.v_min,
-            "coverage_margin": self.coverage_margin,
-            "uncovered_count": int(len(self.uncovered_indices)),
-            "threshold": self.threshold,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
 
 
 def _derivative_matrix(cand: LfhdCandidate, X: np.ndarray) -> np.ndarray:
@@ -214,7 +199,7 @@ def check_lfhd(
 
     D = _derivative_matrix(cand, X)
     if threshold is None:
-        threshold = 1e-8 * max(1.0, float(np.max(np.abs(D))))
+        threshold = _pos_threshold(float(np.max(np.abs(D))))
     min_values = np.min(D, axis=0)
     argmin = np.argmin(D, axis=0) + 1
     uncovered = np.nonzero(min_values >= -threshold)[0]
@@ -269,19 +254,6 @@ class ScanResult:
     sample_count: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible_count": len(self.feasible),
-            "interval": self.interval,
-            "best_lambda": self.best_lambda.to_list(),
-            "best_value": self.best_value,
-            "grid_step": self.grid_step,
-            "threshold": self.threshold,
-            "total_points": self.total_points,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-
 
 def scan_combinations(
     sys: SwitchedSystem,
@@ -306,7 +278,7 @@ def scan_combinations(
     X = sphere_samples(d, count, seed)
     D = _derivative_matrix(cand, X)
     if threshold is None:
-        threshold = 1e-8 * max(1.0, float(np.max(np.abs(D))))
+        threshold = _pos_threshold(float(np.max(np.abs(D))))
 
     grid = _simplex_grid(sys.count, grid_step)
     maxima = np.concatenate([np.max(grid[s:s + 512] @ D, axis=1)
@@ -343,15 +315,6 @@ class SynthesisResult:
     threshold: float
     ok: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": True,
-            "lambdas": self.combination.to_list(),
-            "certificate": self.certificate.to_json(),
-            "max_derivative": self.max_derivative,
-            "threshold": self.threshold,
-        }
-
 
 def synthesize_combination_n2(
     sys: SwitchedSystem,
@@ -383,7 +346,7 @@ def synthesize_combination_n2(
         count = _default_count(d.n)
     Xv = _fresh_samples(d, count, seed + 1)
     vals = lam[0] * cand.derivatives[0].evaluate(Xv) + lam[1] * cand.derivatives[1].evaluate(Xv)
-    thr = 1e-8 * max(1.0, float(np.max(np.abs(vals))))
+    thr = _pos_threshold(float(np.max(np.abs(vals))))
     worst = float(np.max(vals))
     if worst >= -thr:
         raise VerificationError(
@@ -400,10 +363,10 @@ def synthesize_combination_n2(
 # --------------------------------------------------------------- eigencheck
 
 
-def linear_combination_eigencheck(matrices, lambdas, P=None) -> float:
-    """Largest eigenvalue of the symmetric part of P @ sum(lambda_i A_i).
+def linear_combination_eigencheck(matrices, lambdas) -> float:
+    """Largest eigenvalue of the symmetric part of A = sum(lambda_i A_i).
 
-    Negative return certifies quadratic Lyapunov decrease of x'Px along
+    Negative return certifies quadratic Lyapunov decrease of x'x along
     the combined linear system.
     """
     mats = [np.asarray(a, dtype=float) for a in matrices]
@@ -416,14 +379,8 @@ def linear_combination_eigencheck(matrices, lambdas, P=None) -> float:
     lam = list(lambdas)
     if len(lam) != len(mats):
         raise ValueError("one weight per matrix is required")
-    if P is None:
-        P = np.eye(n)
-    P = np.asarray(P, dtype=float)
-    if P.shape != (n, n):
-        raise ValueError("P must match the matrix size")
     A = sum(l * a for l, a in zip(lam, mats))
-    M = P @ A
-    S = (M + M.T) / 2.0
+    S = (A + A.T) / 2.0
     return float(np.max(np.linalg.eigvalsh(S)))
 
 
@@ -462,17 +419,6 @@ class Trajectory:
         for t, x, sigma, v in zip(self.t.tolist(), self.x.tolist(),
                                   self.sigma.tolist(), self.v.tolist()):
             yield (t, *x, sigma, v)
-
-    def to_dict(self) -> dict:
-        return {
-            "steps": int(len(self.t) - 1),
-            "dt": self.dt,
-            "dwell": self.dwell,
-            "v_initial": float(self.v[0]),
-            "v_final": float(self.v[-1]),
-            "final_state": [float(c) for c in self.x[-1]],
-            "switch_count": len(self.switch_times),
-        }
 
 
 def _field_value(comps, x: tuple) -> tuple:

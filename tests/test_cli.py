@@ -4,11 +4,20 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from slemma.cli import COMMANDS, main
 from slemma.homog_core import DEFAULT_SEED
+from slemma.image_analysis import (
+    CopositivityReport,
+    ImageSummary,
+    ShsConditionReport,
+    ZeroMargin,
+)
+from slemma.s_lemma import MultiplierCertificate, MultiplierFailure
+from slemma.switched_systems import SynthesisResult
 
 
 def run(tmp_path, *argv):
@@ -233,6 +242,34 @@ def test_eigencheck_exit_codes(tmp_path, problems_dir):
                "--lambdas", "0.5,0.5") == 2  # nonlinear subsystems
 
 
+def _names(cls, drop=(), add=()):
+    return {f.name for f in fields(cls)} - set(drop) | set(add)
+
+
+@pytest.mark.parametrize("command, problem, report", [
+    ("zeros", "switch_sextic.json", ZeroMargin),
+    ("copositive", "switch_sextic.json", CopositivityReport),
+    ("shs-check", "switch_sextic.json", ShsConditionReport),
+    ("shs-xi", "switch_sextic.json", MultiplierCertificate),
+    ("shs-xi", "cubic_shared_zero.json", MultiplierFailure),
+    ("combo-synth", "switch_sextic.json", SynthesisResult),
+])
+def test_result_keys_are_the_report_fields(tmp_path, problems_dir, command, problem, report):
+    """One key per report field, apart from the exceptions docs/schema.md lists."""
+    run(tmp_path, command, str(problems_dir / problem))
+    result = read_payload(tmp_path, f"{command}_{problem}")["result"]
+    if report is SynthesisResult:
+        assert set(result) == _names(report, drop=("combination",), add=("lambdas",))
+        assert set(result["certificate"]) == _names(MultiplierCertificate)
+    else:
+        assert set(result) == _names(report)
+    if report is ShsConditionReport:
+        assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter"),
+                                              add=("direction_count",))
+    if report is MultiplierFailure:
+        assert result["ok"] is False and result["reason"] == "COMMON_ZERO"
+
+
 # -------------------------------------------------------------- error paths
 
 
@@ -240,9 +277,10 @@ def test_missing_problem_file(tmp_path):
     assert run(tmp_path, "zeros", str(tmp_path / "absent.json")) == 2
 
 
-def test_csv_not_available_everywhere(tmp_path, problems_dir):
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_csv_not_available_everywhere(tmp_path, problems_dir, fmt):
     code = run(tmp_path, "zeros", str(problems_dir / "switch_sextic.json"),
-               "--format", "csv")
+               "--format", fmt)
     assert code == 2
     assert not (tmp_path / "zeros_switch_sextic.json").exists()
 
@@ -349,6 +387,15 @@ def test_overflow_is_an_internal_failure_naming_its_stage(tmp_path, problems_dir
     assert run(tmp_path / "out", command, str(path)) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: overflow encountered in "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_convexity_probe_overflow_names_its_stage(tmp_path, problems_dir, capsys):
+    # the samples stay finite at this scale; only the probe's midpoints overflow
+    path = _scaled(tmp_path, problems_dir, "switch_sextic.json", 1e308 / 7)
+    assert run(tmp_path / "out", "image", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: convexity probe: overflow encountered in "), err
     assert not (tmp_path / "out").exists()
 
 
