@@ -9,7 +9,9 @@ Each run calls `slemma.cli.main` in process at the default seed and
 records its exit code and the sha256 of every artifact it writes.  The
 commands with CSV/SVG output run once with `--format csv` and once with
 `--format svg` (both also write the JSON report); the others run with
-`--format json`.  `image` also runs at a few non-default seeds, because
+`--format json`.  Three more runs pass the comma-separated vector flags
+(`--lambdas`, `--x0`, `--z1`/`--z2`), which the default runs leave
+unset.  `image` also runs at a few non-default seeds, because
 the pairs its convexity probe tests, and the local searches it starts
 from them, depend on the seed.  The n >= 3 samples come from NumPy ports of SciPy's
 scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
@@ -41,6 +43,13 @@ PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [
     Path(__file__).with_name("fixtures") / "quartic3_pair.json"]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 IMAGE_SEEDS = (1, 2, 3)
+# (command, problem, format, flags): runs that parse the vector flags
+VECTOR_RUNS = (
+    ("eigencheck", "switch_three_linear.json", "json", ["--lambdas", "0.634,0.183,0.183"]),
+    ("simulate", "switch_sextic.json", "csv", ["--x0", "1,-0.7", "--t-end", "2"]),
+    ("curve", "switch_sextic.json", "csv",
+     ["--z1", "1,0", "--z2", "0.6,0.8", "--steps", "64"]),
+)
 
 
 def _versions() -> dict:
@@ -59,10 +68,13 @@ def _runs():
         for seed in IMAGE_SEEDS:
             yield f"image {problem.name} json seed={seed}", [
                 "image", str(problem), "--format", "json", "--seed", str(seed)]
+    for command, name, fmt, flags in VECTOR_RUNS:
+        yield f"{command} {name} {fmt} {' '.join(flags)}", [
+            command, str(ROOT / "problems" / name), "--format", fmt, *flags]
 
 
 def sweep(out_root: Path) -> dict:
-    """{"<command> <problem> <format>[ seed=N]": {"exit": code, "artifacts": {name: sha256}}}"""
+    """{"<command> <problem> <format>[ seed=N| flags]": {"exit": code, "artifacts": {name: sha256}}}"""
     results = {}
     for key, argv in _runs():
         out = out_root / key.replace(" ", "_")
