@@ -8,11 +8,13 @@ every verification check it carries.
 
 from pathlib import Path
 
+import numpy as np
+
 from slemma import (
+    SampledPair,
     find_strict_multiplier,
     is_copositive,
     load_problem,
-    multiplier_margin,
     shs_condition,
 )
 
@@ -33,7 +35,9 @@ def main() -> None:
           f"(symmetrized uncovered arc: {shs.symmetrized_gap:.6f} rad)")
 
     # a hand-picked xi for comparison before the search
-    m2, where = multiplier_margin(f, g, 2.0, d)
+    pair = SampledPair.draw(f, g, d)
+    vals = pair.F - 2.0 * pair.G
+    m2, where = np.min(vals), pair.X[np.argmin(vals)]
     print(f"margin of f - 2 g on the sphere: {m2:.6f} at ({where[0]:+.4f}, {where[1]:+.4f})")
 
     cert = find_strict_multiplier(f, g, d)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slemma import load_problem, sample_image
+from slemma import SampledPair, load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -26,7 +26,7 @@ def main() -> None:
     for name in GALLERY:
         prob = load_problem(PROBLEMS / f"{name}.json")
         f, g = prob.pair()
-        s = sample_image(f, g, prob.dilation)
+        s = SampledPair.draw(f, g, prob.dilation).image()
         print(f"{name}:")
         print(f"  classification   {s.classification.value}")
         print(f"  sector angle     {s.phi / np.pi:.6f} pi")

@@ -34,20 +34,20 @@ def main() -> None:
     _, V = prob.first_lyapunov()
     cand = LfhdCandidate.build(V, system, prob.dilation)
 
-    rep = check_lfhd(system, cand)
+    rep = check_lfhd(cand)
     print(f"coverage: {rep.status} (margin {rep.coverage_margin:.6f})")
 
-    scan = scan_combinations(system, cand, grid_step=0.005)
+    scan = scan_combinations(cand, grid_step=0.005)
     lo, hi = scan.interval
     print(f"scan: {len(scan.feasible)} feasible combinations, "
           f"lambda_1 in [{lo:.3f}, {hi:.3f}]")
 
-    synth = synthesize_combination_n2(system, cand)
+    synth = synthesize_combination_n2(cand)
     lam = synth.combination.to_list()
     print(f"synthesis: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
           f"worst derivative {synth.max_derivative:.6f}")
 
-    traj = simulate_min_switching(system, cand, [1.0, -0.7], t_end=args.t_end)
+    traj = simulate_min_switching(cand, [1.0, -0.7], t_end=args.t_end)
     print(f"simulation: V {traj.v[0]:.6f} -> {traj.v[-1]:.6g} "
           f"with {len(traj.switch_times)} switches")
 

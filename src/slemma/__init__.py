@@ -21,11 +21,10 @@ from .image_analysis import (
     DegenerateImageError,
     ImageClass,
     ImageSummary,
+    SampledPair,
     ShsConditionReport,
     ZeroMargin,
-    convexity_probe,
     mixing_curve,
-    sample_image,
     zero_margin,
 )
 from .problems import Problem, ProblemError, load_problem
@@ -33,12 +32,10 @@ from .s_lemma import (
     MultiplierCertificate,
     MultiplierFailure,
     ReasonCode,
-    VerificationError,
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
     is_copositive,
-    multiplier_margin,
     shs_condition,
 )
 from .stp_poly import CoeffVecPolynomial, homogenize, index_to_multidegree
@@ -72,10 +69,9 @@ __all__ = [
     "DegenerateImageError",
     "ImageClass",
     "ImageSummary",
+    "SampledPair",
     "ZeroMargin",
-    "convexity_probe",
     "mixing_curve",
-    "sample_image",
     "zero_margin",
     "Problem",
     "ProblemError",
@@ -85,12 +81,10 @@ __all__ = [
     "MultiplierFailure",
     "ReasonCode",
     "ShsConditionReport",
-    "VerificationError",
     "find_nhs_multiplier",
     "find_nonstrict_multiplier",
     "find_strict_multiplier",
     "is_copositive",
-    "multiplier_margin",
     "shs_condition",
     "CoeffVecPolynomial",
     "homogenize",

@@ -38,7 +38,6 @@ from .problems import Problem, ProblemError, load_problem
 from .s_lemma import (
     MultiplierFailure,
     ReasonCode,
-    VerificationError,
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
@@ -228,7 +227,7 @@ def _candidate(problem: Problem):
     sys_name, system = problem.single_system()
     v_name, V = problem.first_lyapunov()
     cand = LfhdCandidate.build(V, system, problem.dilation)
-    return sys_name, system, v_name, cand
+    return sys_name, v_name, cand
 
 
 # ----------------------------------------------------------------- commands
@@ -340,8 +339,8 @@ def cmd_xi(args, problem: Problem) -> int:
 
 
 def cmd_lfhd(args, problem: Problem) -> int:
-    sys_name, system, v_name, cand = _candidate(problem)
-    rep = check_lfhd(system, cand, count=args.samples, seed=args.seed,
+    sys_name, v_name, cand = _candidate(problem)
+    rep = check_lfhd(cand, count=args.samples, seed=args.seed,
                      threshold=args.threshold)
     result = _fields(rep, drop=("uncovered_indices", "argmin", "min_values", "params"),
                      uncovered_count=len(rep.uncovered_indices), system=sys_name,
@@ -361,9 +360,8 @@ def cmd_lfhd(args, problem: Problem) -> int:
 
 
 def cmd_combo_synth(args, problem: Problem) -> int:
-    sys_name, system, v_name, cand = _candidate(problem)
-    res = synthesize_combination_n2(system, cand,
-                                    count=args.samples, seed=args.seed)
+    sys_name, v_name, cand = _candidate(problem)
+    res = synthesize_combination_n2(cand, count=args.samples, seed=args.seed)
     if isinstance(res, MultiplierFailure):
         _write_json(_out_path(args, "", "json"), _payload(args, problem, res))
         print(f"combo-synth: no certificate ({res.reason.value})")
@@ -377,9 +375,9 @@ def cmd_combo_synth(args, problem: Problem) -> int:
 
 
 def cmd_combo_scan(args, problem: Problem) -> int:
-    sys_name, system, v_name, cand = _candidate(problem)
+    sys_name, v_name, cand = _candidate(problem)
     step = 0.01 if args.grid_step is None else args.grid_step
-    scan = scan_combinations(system, cand, grid_step=step,
+    scan = scan_combinations(cand, grid_step=step,
                              count=args.samples, seed=args.seed,
                              threshold=args.threshold)
     result = _fields(scan, best_lambda=scan.best_lambda.to_list(),
@@ -395,11 +393,11 @@ def cmd_combo_scan(args, problem: Problem) -> int:
 
 
 def cmd_simulate(args, problem: Problem) -> int:
-    sys_name, system, v_name, cand = _candidate(problem)
+    sys_name, v_name, cand = _candidate(problem)
     x0 = (_parse_vector(args.x0, problem.n, "--x0") if args.x0
           else np.ones(problem.n))
     try:
-        traj = simulate_min_switching(system, cand, x0, dt=args.dt,
+        traj = simulate_min_switching(cand, x0, dt=args.dt,
                                       t_end=args.t_end, dwell=args.dwell)
     except DivergenceError as e:
         _write_json(_out_path(args, "", "json"),
@@ -532,9 +530,6 @@ def main(argv=None) -> int:
     except ProblemError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except VerificationError as e:
-        print(f"internal verification failure: {e}", file=sys.stderr)
-        return 3
     except FloatingPointError as e:
         print(f"error: {e} (the values leave the float64 range)", file=sys.stderr)
         return 3

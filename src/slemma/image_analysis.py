@@ -7,8 +7,10 @@ sector angle, classifies the image (singleton, line through the origin,
 angular sector, full plane), certifies the absence of common zeros, and
 probes midpoint convexity.  All of these, and the copositivity and SHS
 checks of the multiplier searches, are methods of a `SampledPair`, which
-evaluates f and g once on one sample set; the module-level functions
-draw a pair and run one method on it.
+evaluates f and g once on one sample set.  Only `zero_margin` here and
+`is_copositive` and `shs_condition` in `s_lemma` draw a pair for the
+caller: the `zeros`, `copositive` and `shs-check` commands call them,
+and the traced benchmark times them by name.
 
 Direction gaps are the load-bearing quantity.  A gap in the sampled set
 can be real (the pair of rays is genuinely missing) or an artifact of
@@ -38,7 +40,6 @@ from .homog_core import (
     sphere_samples,
     theta_grid,
     theta_point_scalar,
-    theta_points,
 )
 
 DEFAULT_COUNT_N2 = 4096
@@ -351,7 +352,7 @@ class SampledPair:
                 refined, cert = True, margin
             elif self.d.n == 2:
                 refined, cert = _certify_no_common_zero_n2(
-                    self.f, self.g, self.d, k, k, threshold
+                    self.f, self.g, self.d, k, threshold
                 )
         return ZeroMargin(
             margin=margin,
@@ -504,19 +505,6 @@ class SampledPair:
             return violations
 
 
-def sample_image(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    d: Dilation,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-    refine: bool = True,
-) -> ImageSummary:
-    """Sample U on the sphere and classify its direction set
-    (`SampledPair.image`)."""
-    return SampledPair.draw(f, g, d, count, seed).image(refine)
-
-
 # --------------------------------------------------------------- zero margin
 
 
@@ -572,9 +560,10 @@ def _abs_lower_bound(lo: float, hi: float) -> float:
     return 0.0
 
 
-def _certify_no_common_zero_n2(f, g, d, kf, kg, threshold):
+def _certify_no_common_zero_n2(f, g, d, k, threshold):
     """Branch and bound over theta cells; True when max(|f|,|g|) > threshold
-    everywhere on the sphere.  Returns (certified, worst certified bound)."""
+    everywhere on the sphere, f and g being homogeneous of degree k.
+    Returns (certified, worst certified bound)."""
     l = d.l
     r1, r2 = d.weights
     queue = _quadrant_cells()
@@ -596,8 +585,8 @@ def _certify_no_common_zero_n2(f, g, d, kf, kg, threshold):
             sa, sb = abs(math.sin(a)), abs(math.sin(b))
             rad_hi = max(ca, cb) ** l + max(sa, sb) ** l
             eps_lo = rad_hi ** (-1.0 / l)
-            lbf *= eps_lo ** kf
-            lbg *= eps_lo ** kg
+            lbf *= eps_lo ** k
+            lbg *= eps_lo ** k
         bound = max(lbf, lbg)
         if bound > threshold:
             worst = min(worst, bound)
@@ -748,17 +737,3 @@ def _direction_miss(f, g, d, X, dirs, target: float, tol: float, seed) -> float:
             if step < 1e-6:
                 break
     return best
-
-
-def convexity_probe(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    d: Dilation,
-    trials: int = 200,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-) -> list[dict]:
-    """Search for midpoints of image points that leave the image
-    (`SampledPair.convexity_probe`)."""
-    pair = SampledPair.draw(f, g, d, count, seed)
-    return pair.convexity_probe(pair.image(), trials)

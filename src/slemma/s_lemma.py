@@ -82,10 +82,6 @@ class ReasonCode(Enum):
     VERIFICATION_FAILED = "VERIFICATION_FAILED"
 
 
-class VerificationError(RuntimeError):
-    """An issued certificate failed its own re-verification."""
-
-
 @dataclass
 class MultiplierCertificate:
     xi: float
@@ -120,13 +116,11 @@ def _fresh_samples(d: Dilation, count: int, seed: int) -> np.ndarray:
     """Independent sample set for re-verification.
 
     The n = 2 grid is seed-free, so independence comes from a seeded
-    fractional rotation of the whole grid; other dimensions reseed the
-    low-discrepancy engine.
+    fractional rotation of the whole grid (other dimensions ignore the
+    offset); n >= 3 reseeds the low-discrepancy engine.
     """
-    if d.n == 2:
-        offset = float(np.random.default_rng(seed + 1).random())
-        return sphere_samples(d, count, seed + 1, offset=offset)
-    return sphere_samples(d, count, seed + 1)
+    offset = float(np.random.default_rng(seed + 1).random())
+    return sphere_samples(d, count, seed + 1, offset=offset)
 
 
 # ------------------------------------------------- copositivity, SHS condition
@@ -158,25 +152,6 @@ def shs_condition(
 
 
 # ------------------------------------------------------------ margin search
-
-
-def multiplier_margin(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    xi: float,
-    d: Dilation,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-    offset: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """min over sphere samples of f - xi*g, with the minimizing point."""
-    _common_degree(f, g, d)
-    if count is None:
-        count = _default_count(d.n)
-    X = sphere_samples(d, count, seed, offset=offset)
-    vals = f.evaluate(X) - xi * g.evaluate(X)
-    i = int(np.argmin(vals))
-    return float(vals[i]), X[i]
 
 
 def _margin_at(F: np.ndarray, G: np.ndarray, xi: float) -> float:

@@ -2,7 +2,8 @@
 stabilization, and min-derivative switching simulation.
 
 A candidate Lyapunov function V works through its derivatives along the
-subsystems, one generalized polynomial per subsystem.  Coverage means
+subsystems, one generalized polynomial per subsystem; an `LfhdCandidate`
+carries them with the system they were built for.  Coverage means
 that at every sampled sphere point at least one subsystem derivative is
 negative; combination feasibility means the single derivative along
 sum(lambda_i * f_i), which is linear in lambda, is negative everywhere.
@@ -25,7 +26,8 @@ from .image_analysis import _default_count, _pos_threshold
 from .s_lemma import (
     MultiplierCertificate,
     MultiplierFailure,
-    VerificationError,
+    ReasonCode,
+    _check,
     _fresh_samples,
     find_strict_multiplier,
 )
@@ -80,7 +82,7 @@ def derivative_along(V: GeneralizedPolynomial, field) -> GeneralizedPolynomial:
 @dataclass(frozen=True)
 class LfhdCandidate:
     V: GeneralizedPolynomial
-    grad_V: tuple
+    system: SwitchedSystem
     derivatives: tuple
     common_degree: float
     dilation: Dilation
@@ -91,7 +93,6 @@ class LfhdCandidate:
         homogeneous of one common degree with respect to the dilation."""
         if V.n != sys.n or d.n != sys.n:
             raise ValueError("V, system, and dilation dimensions must agree")
-        grad = tuple(V.gradient())
         derivs = tuple(derivative_along(V, f) for f in sys.fields)
         degree = None
         for i, dv in enumerate(derivs):
@@ -111,7 +112,7 @@ class LfhdCandidate:
                 raise ValueError("subsystem derivatives have different degrees")
         if degree is None:
             raise ValueError("all subsystem derivatives vanish identically")
-        return cls(V=V, grad_V=grad, derivatives=derivs,
+        return cls(V=V, system=sys, derivatives=derivs,
                    common_degree=float(degree), dilation=d)
 
 
@@ -164,12 +165,15 @@ class LfhdReport:
             yield float(p), int(a), float(v)
 
 
-def _derivative_matrix(cand: LfhdCandidate, X: np.ndarray) -> np.ndarray:
-    return np.vstack([dv.evaluate(X) for dv in cand.derivatives])
+def _derivative_samples(cand: LfhdCandidate, count: int | None, seed: int):
+    """Sphere samples X of the candidate's dilation and the matrix D of
+    subsystem derivatives on them, one row per subsystem."""
+    d = cand.dilation
+    X = sphere_samples(d, _default_count(d.n) if count is None else count, seed)
+    return X, np.vstack([dv.evaluate(X) for dv in cand.derivatives])
 
 
 def check_lfhd(
-    sys: SwitchedSystem,
     cand: LfhdCandidate,
     count: int | None = None,
     seed: int = DEFAULT_SEED,
@@ -177,13 +181,8 @@ def check_lfhd(
 ) -> LfhdReport:
     """Coverage check: at every sphere sample some subsystem derivative is
     below -threshold.  V must first be positive definite on the samples."""
-    if len(cand.derivatives) != sys.count:
-        raise ValueError("candidate was built for a different system")
-    d = cand.dilation
-    if count is None:
-        count = _default_count(d.n)
-    X = sphere_samples(d, count, seed)
-    params = (np.arctan2(X[:, 1], X[:, 0]) if d.n == 2
+    X, D = _derivative_samples(cand, count, seed)
+    params = (np.arctan2(X[:, 1], X[:, 0]) if cand.dilation.n == 2
               else np.arange(len(X), dtype=float))
 
     Vvals = cand.V.evaluate(X)
@@ -197,7 +196,6 @@ def check_lfhd(
             params=params, threshold=v_thr, sample_count=len(X), seed=seed,
         )
 
-    D = _derivative_matrix(cand, X)
     if threshold is None:
         threshold = _pos_threshold(float(np.max(np.abs(D))))
     min_values = np.min(D, axis=0)
@@ -256,7 +254,6 @@ class ScanResult:
 
 
 def scan_combinations(
-    sys: SwitchedSystem,
     cand: LfhdCandidate,
     grid_step: float = 0.01,
     count: int | None = None,
@@ -270,17 +267,11 @@ def scan_combinations(
     linearity, so the whole scan is one matrix product between the grid
     and the per-subsystem derivative samples.
     """
-    if len(cand.derivatives) != sys.count:
-        raise ValueError("candidate was built for a different system")
-    d = cand.dilation
-    if count is None:
-        count = _default_count(d.n)
-    X = sphere_samples(d, count, seed)
-    D = _derivative_matrix(cand, X)
+    X, D = _derivative_samples(cand, count, seed)
     if threshold is None:
         threshold = _pos_threshold(float(np.max(np.abs(D))))
 
-    grid = _simplex_grid(sys.count, grid_step)
+    grid = _simplex_grid(len(cand.derivatives), grid_step)
     maxima = np.concatenate([np.max(grid[s:s + 512] @ D, axis=1)
                              for s in range(0, len(grid), 512)])
 
@@ -288,7 +279,7 @@ def scan_combinations(
     feasible = [ConvexCombination(row) for row in grid[mask]]
     ib = int(np.argmin(maxima))
     interval = None
-    if sys.count == 2 and np.any(mask):
+    if grid.shape[1] == 2 and np.any(mask):
         lam1 = grid[mask][:, 0]
         interval = (float(np.min(lam1)), float(np.max(lam1)))
     return ScanResult(
@@ -317,7 +308,6 @@ class SynthesisResult:
 
 
 def synthesize_combination_n2(
-    sys: SwitchedSystem,
     cand: LfhdCandidate,
     count: int | None = None,
     seed: int = DEFAULT_SEED,
@@ -327,12 +317,11 @@ def synthesize_combination_n2(
     With xi > 0 and -dV1 - xi*dV2 > 0 off the origin, the weights
     lambda = (1, xi) / (1 + xi) make the combined derivative
     lambda_1 * (dV1 + xi*dV2) strictly negative.  The combination is
-    re-verified on an independent sample set before returning.
+    re-verified on an independent sample set; a failed re-check returns a
+    VERIFICATION_FAILED failure at stage "combination".
     """
-    if sys.count != 2:
-        raise ValueError("synthesis applies to systems with exactly 2 subsystems")
     if len(cand.derivatives) != 2:
-        raise ValueError("candidate was built for a different system")
+        raise ValueError("synthesis applies to systems with exactly 2 subsystems")
     f = -cand.derivatives[0]
     g = cand.derivatives[1]
     result = find_strict_multiplier(f, g, cand.dilation, count=count, seed=seed)
@@ -348,10 +337,13 @@ def synthesize_combination_n2(
     vals = lam[0] * cand.derivatives[0].evaluate(Xv) + lam[1] * cand.derivatives[1].evaluate(Xv)
     thr = _pos_threshold(float(np.max(np.abs(vals))))
     worst = float(np.max(vals))
-    if worst >= -thr:
-        raise VerificationError(
-            "synthesized combination failed the fresh-sample derivative check"
-        )
+    record, failure = _check("combination_verification", worst < -thr,
+                             ReasonCode.VERIFICATION_FAILED,
+                             "synthesized combination failed the fresh-sample derivative check",
+                             "combination", max_derivative=worst)
+    if failure is not None:
+        failure.checks = [*result.checks, record]
+        return failure
     return SynthesisResult(
         combination=lam,
         certificate=result,
@@ -426,7 +418,6 @@ def _field_value(comps, x: tuple) -> tuple:
 
 
 def simulate_min_switching(
-    sys: SwitchedSystem,
     cand: LfhdCandidate,
     x0,
     dt: float = 1e-3,
@@ -446,8 +437,7 @@ def simulate_min_switching(
     x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4); IEEE `+` and `*` round each
     operation alike on floats and on float64 arrays.
     """
-    if len(cand.derivatives) != sys.count:
-        raise ValueError("candidate was built for a different system")
+    n, fields = cand.system.n, cand.system.fields
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     if dwell is None:
@@ -458,18 +448,18 @@ def simulate_min_switching(
     steps = int(round(t_end / dt))
 
     x = np.array(x0, dtype=float)
-    if x.shape != (sys.n,):
+    if x.shape != (n,):
         raise ValueError("x0 has the wrong dimension")
     x = tuple(x.tolist())
 
     half, sixth = 0.5 * dt, dt / 6.0
     # Below this bound in every coordinate the norm is at most half the
     # limit, so np.linalg.norm is needed only past it (or on NaN).
-    coord_bound = STATE_NORM_LIMIT / (2 * sys.n)
+    coord_bound = STATE_NORM_LIMIT / (2 * n)
     # Allocated before the loop so that a step count too large for memory
     # fails at once instead of after the integration; filled at the end.
     t_arr = np.empty(steps + 1)
-    x_arr = np.empty((steps + 1, sys.n))
+    x_arr = np.empty((steps + 1, n))
     s_arr = np.empty(steps + 1, dtype=int)
     v_arr = np.empty(steps + 1)
     t_list, x_list, s_list, v_list = [], [], [], []
@@ -493,7 +483,7 @@ def simulate_min_switching(
         v_list.append(cand.V(x))
         if j == steps:
             break
-        comps = sys.fields[sigma - 1]
+        comps = fields[sigma - 1]
         k1 = _field_value(comps, x)
         k2 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k1)]))
         k3 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k2)]))

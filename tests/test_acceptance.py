@@ -26,16 +26,14 @@ from slemma import (
     MultiplierCertificate,
     Parity,
     ReasonCode,
+    SampledPair,
     check_lfhd,
-    convexity_probe,
     derivative_along,
     find_nonstrict_multiplier,
     find_strict_multiplier,
     is_copositive,
     linear_combination_eigencheck,
     linear_matrix,
-    multiplier_margin,
-    sample_image,
     scan_combinations,
     simulate_min_switching,
     synthesize_combination_n2,
@@ -69,7 +67,8 @@ def test_strict_multiplier_margin(capsys, sextic_pair, d2):
         f, g = sextic_pair
         theta = np.linspace(0.0, 2.0 * np.pi, 200001)
         oracle = 3.0 * float(np.min(np.cos(theta) ** 6 + np.sin(theta) ** 6))
-        margin2, _ = multiplier_margin(f, g, 2.0, d2, count=4096)
+        pair = SampledPair.draw(f, g, d2, count=4096)
+        margin2 = float(np.min(pair.F - 2.0 * pair.G))
         cert = find_strict_multiplier(f, g, d2, count=4096)
         elapsed = time.perf_counter() - t0
         ck.append(("margin at xi=2 equals 3*min(c^6+s^6) +- 1e-6",
@@ -84,8 +83,8 @@ def test_combination_interval(capsys, sextic_system, sextic_V, d2):
     with criterion(capsys, "simplex scan interval and synthesized weight") as ck:
         t0 = time.perf_counter()
         cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-        scan = scan_combinations(sextic_system, cand, grid_step=0.005)
-        synth = synthesize_combination_n2(sextic_system, cand)
+        scan = scan_combinations(cand, grid_step=0.005)
+        synth = synthesize_combination_n2(cand)
         elapsed = time.perf_counter() - t0
         ck.append(("scan is feasible", bool(scan.feasible)))
         lo, hi = scan.interval if scan.interval else (1.0, 0.0)
@@ -100,8 +99,8 @@ def test_fractional_dilation_stabilization(capsys, frac_system, frac_V, frac_dil
     with criterion(capsys, "fractional-power coverage and interval") as ck:
         t0 = time.perf_counter()
         cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
-        rep = check_lfhd(frac_system, cand)
-        scan = scan_combinations(frac_system, cand, grid_step=0.01)
+        rep = check_lfhd(cand)
+        scan = scan_combinations(cand, grid_step=0.01)
         elapsed = time.perf_counter() - t0
         ck.append(("coverage holds", rep.covered))
         lo, hi = scan.interval if scan.interval else (1.0, 0.0)
@@ -113,8 +112,8 @@ def test_covered_yet_infeasible(capsys, linear3_system, linear3_matrices, norm_V
     with criterion(capsys, "coverage without any stabilizing combination") as ck:
         t0 = time.perf_counter()
         cand = LfhdCandidate.build(norm_V, linear3_system, d2)
-        rep = check_lfhd(linear3_system, cand)
-        scan = scan_combinations(linear3_system, cand, grid_step=0.01)
+        rep = check_lfhd(cand)
+        scan = scan_combinations(cand, grid_step=0.01)
         r3 = np.sqrt(3.0)
         lam = np.array([2.0 * r3, 1.0, 1.0]) / (2.0 * r3 + 2.0)
         val = linear_combination_eigencheck(linear3_matrices, lam)
@@ -129,13 +128,14 @@ def test_covered_yet_infeasible(capsys, linear3_system, linear3_matrices, norm_V
 def test_sector_gallery_angles(capsys, sector_gallery, sextic_pair, d2):
     with criterion(capsys, "image sector angles across the gallery") as ck:
         pi = np.pi
-        phis = [sample_image(f, g, d2, count=4096).phi for f, g in sector_gallery]
+        phis = [SampledPair.draw(f, g, d2, count=4096).image().phi
+                for f, g in sector_gallery]
         ck.append(("pair 1: phi = pi +- 0.05", abs(phis[0] - pi) <= 0.05))
         ck.append(("pair 2: pi < phi < 3 pi / 2", pi < phis[1] < 1.5 * pi))
         ck.append(("pair 3: 3 pi / 2 < phi < 2 pi", 1.5 * pi < phis[2] < 2.0 * pi))
         ck.append(("pair 4: phi = 2 pi", phis[3] == pytest.approx(2.0 * pi)))
         f, g = sextic_pair
-        phi_d = sample_image(f, g, d2, count=4096).phi
+        phi_d = SampledPair.draw(f, g, d2, count=4096).image().phi
         ck.append(("derivative pair: phi < pi", phi_d < pi))
 
 
@@ -155,7 +155,8 @@ def test_shared_zero_negative_case(capsys, cubic_pair, d2):
         ck.append(("non-strict reason is a hypothesis violation",
                    getattr(nonstrict, "reason", None) in allowed))
 
-        summary = sample_image(f, g, d2)
+        pair = SampledPair.draw(f, g, d2)
+        summary = pair.image()
         targets = (np.arctan(0.5), np.arctan(7.0 / 6.0))
         hits = {t: False for t in targets}
         angles_ok = True
@@ -168,7 +169,7 @@ def test_shared_zero_negative_case(capsys, cubic_pair, d2):
         ck.append(("boundary angles match slopes 1/2 and 7/6 within 0.02",
                    angles_ok and all(hits.values())))
 
-        probe = convexity_probe(f, g, d2)
+        probe = pair.convexity_probe(summary)
         found = any(abs(v["midpoint"][0]) <= 1e-9
                     and abs(v["midpoint"][1] - 0.25) <= 1e-9 for v in probe)
         ck.append(("midpoint (0, 1/4) reported as a convexity violation", found))
@@ -235,7 +236,8 @@ def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilatio
             if zero_margin(qf, qg, d2, count=512).margin <= 1e-3:
                 continue
             accepted += 1
-            if convexity_probe(qf, qg, d2, trials=100, count=1024):
+            pair = SampledPair.draw(qf, qg, d2, count=1024)
+            if pair.convexity_probe(pair.image(), trials=100):
                 dines_ok = False
         ck.append(("no convexity violations for 50 quadratic pairs", dines_ok))
 
@@ -253,7 +255,7 @@ def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilatio
         for _ in range(20):
             x0 = rng.normal(size=2)
             x0 *= rng.uniform(0.6, 1.5) / np.linalg.norm(x0)
-            traj = simulate_min_switching(sextic_system, cand, x0, t_end=2.0)
+            traj = simulate_min_switching(cand, x0, t_end=2.0)
             if not (traj.v[-1] < 0.5 * traj.v[0]):
                 descent_ok = False
         ck.append(("simulation descends from 20 random states", descent_ok))

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -428,6 +429,23 @@ def test_verification_failures_map_to_exit_3():
     assert _multiplier_exit(bad) == 3
     neg = MultiplierFailure(reason=ReasonCode.NOT_COPOSITIVE, message="x")
     assert _multiplier_exit(neg) == 1
+
+
+def test_failed_combination_recheck_writes_a_failure_report(tmp_path, problems_dir,
+                                                           monkeypatch):
+    # an infinite threshold fails the fresh-sample derivative check of the
+    # synthesized combination; the strict search itself is untouched
+    monkeypatch.setattr("slemma.switched_systems._pos_threshold", lambda scale: math.inf)
+    assert run(tmp_path, "combo-synth", str(problems_dir / "switch_sextic.json")) == 3
+    res = read_payload(tmp_path, "combo-synth_switch_sextic.json")["result"]
+    assert res["ok"] is False
+    assert res["reason"] == "VERIFICATION_FAILED"
+    assert res["stage"] == "combination"
+    assert [c["check"] for c in res["checks"]] == [
+        "zero_margin", "strict_copositivity", "shs_condition",
+        "margin_maximization", "fresh_verification", "combination_verification"]
+    assert res["checks"][-1]["ok"] is False
+    assert res["checks"][-1]["max_derivative"] < 0
 
 
 def test_unexpected_exceptions_exit_3(tmp_path, problems_dir, monkeypatch, capsys):

@@ -16,9 +16,7 @@ from slemma.image_analysis import (
     REFINE_BUDGET,
     SampledPair,
     _direction_miss,
-    convexity_probe,
     mixing_curve,
-    sample_image,
     zero_margin,
 )
 from slemma.problems import load_problem
@@ -33,32 +31,32 @@ GP = GeneralizedPolynomial
 
 def test_sector_gallery_angles(sector_gallery, d2):
     p1, p2, p3, p4 = sector_gallery
-    s1 = sample_image(*p1, d2)
+    s1 = SampledPair.draw(*p1, d2).image()
     assert s1.phi == pytest.approx(np.pi, abs=0.05)
     assert s1.classification is ImageClass.ANGULAR_SECTOR
 
-    s2 = sample_image(*p2, d2)
+    s2 = SampledPair.draw(*p2, d2).image()
     assert np.pi < s2.phi < 1.5 * np.pi
     assert s2.phi == pytest.approx(1.095677 * np.pi, abs=0.01)
 
-    s3 = sample_image(*p3, d2)
+    s3 = SampledPair.draw(*p3, d2).image()
     assert 1.5 * np.pi < s3.phi < 2.0 * np.pi
     assert s3.phi == pytest.approx(1.560830 * np.pi, abs=0.01)
 
-    s4 = sample_image(*p4, d2)
+    s4 = SampledPair.draw(*p4, d2).image()
     assert s4.phi == pytest.approx(2.0 * np.pi)
     assert s4.classification is ImageClass.FULL_PLANE
 
 
 def test_sextic_pair_sector_below_pi(sextic_pair, d2):
-    s = sample_image(*sextic_pair, d2)
+    s = SampledPair.draw(*sextic_pair, d2).image()
     assert s.classification is ImageClass.ANGULAR_SECTOR
     assert s.phi < np.pi
 
 
 def test_phi_plus_gap_is_full_circle(sector_gallery, sextic_pair, d2):
     for pair in (*sector_gallery, sextic_pair):
-        s = sample_image(*pair, d2)
+        s = SampledPair.draw(*pair, d2).image()
         if s.classification is ImageClass.ANGULAR_SECTOR:
             assert s.phi + s.largest_gap == pytest.approx(2.0 * np.pi, abs=1e-9)
         elif s.classification is ImageClass.FULL_PLANE:
@@ -70,8 +68,9 @@ def test_phi_plus_gap_is_full_circle(sector_gallery, sextic_pair, d2):
 def test_full_plane_needs_refinement(sector_gallery, d2):
     # the raw grid keeps a spurious gap that adaptive refinement closes
     _, _, _, p4 = sector_gallery
-    raw = sample_image(*p4, d2, refine=False)
-    refined = sample_image(*p4, d2, refine=True)
+    pair = SampledPair.draw(*p4, d2)
+    raw = pair.image(refine=False)
+    refined = pair.image()
     assert raw.phi < 2.0 * np.pi
     assert refined.phi == pytest.approx(2.0 * np.pi)
     assert 0 < refined.refinement_evals <= REFINE_BUDGET
@@ -79,8 +78,8 @@ def test_full_plane_needs_refinement(sector_gallery, d2):
 
 def test_phi_invariant_under_positive_scaling(sector_gallery, d2):
     f, g = sector_gallery[1]
-    base = sample_image(f, g, d2)
-    scaled = sample_image(3.7 * f, 3.7 * g, d2)
+    base = SampledPair.draw(f, g, d2).image()
+    scaled = SampledPair.draw(3.7 * f, 3.7 * g, d2).image()
     step = 2.0 * np.pi / base.sample_count
     assert abs(scaled.phi - base.phi) <= 2 * step
 
@@ -100,21 +99,21 @@ def test_ray_closure_directions(sextic_pair, d2):
 def test_line_through_origin():
     d1 = Dilation.standard(1)
     cube = GP.from_terms(1, [(1, (3,))])
-    s = sample_image(cube, cube, d1)
+    s = SampledPair.draw(cube, cube, d1).image()
     assert s.classification is ImageClass.LINE_THROUGH_ORIGIN
 
 
 def test_full_plane_odd_pair(d2):
     f = GP.from_terms(2, [(1, (3, 0))])
     g = GP.from_terms(2, [(1, (0, 3))])
-    s = sample_image(f, g, d2)
+    s = SampledPair.draw(f, g, d2).image()
     assert s.classification is ImageClass.FULL_PLANE
 
 
 def test_singleton_for_constants(d2):
     f = GP.constant(2, 2.0)
     g = GP.constant(2, -1.0)
-    s = sample_image(f, g, d2)
+    s = SampledPair.draw(f, g, d2).image()
     assert s.classification is ImageClass.SINGLETON
 
 
@@ -122,17 +121,17 @@ def test_degenerate_when_all_samples_vanish(d2):
     # both vanish on the axes; a 4-point aligned grid sees only zeros
     p = GP.from_terms(2, [(2, (3, 1)), (2, (1, 3))])
     with pytest.raises(DegenerateImageError):
-        sample_image(p, p, d2, count=4, refine=False)
+        SampledPair.draw(p, p, d2, count=4).image(refine=False)
 
 
 def test_zero_pair_rejected(d2):
     with pytest.raises(ValueError):
-        sample_image(GP.zero(2), GP.zero(2), d2)
+        SampledPair.draw(GP.zero(2), GP.zero(2), d2).image()
 
 
 def test_cubic_pair_boundary_slopes(cubic_pair, d2):
     # sector boundary rays have slopes 1/2 and 7/6 in the image plane
-    s = sample_image(*cubic_pair, d2)
+    s = SampledPair.draw(*cubic_pair, d2).image()
     targets = (np.arctan(0.5), np.arctan(7.0 / 6.0))
     assert len(s.boundary_angles) == 4
     for ang in s.boundary_angles:
@@ -236,7 +235,8 @@ def test_mixing_curve_rejects_tiny_step_count(sextic_pair, d2):
 
 
 def test_probe_finds_cubic_pair_violation(cubic_pair, d2):
-    violations = convexity_probe(*cubic_pair, d2)
+    pair = SampledPair.draw(*cubic_pair, d2)
+    violations = pair.convexity_probe(pair.image())
     assert violations
     first = violations[0]
     assert first["midpoint"] == pytest.approx([0.0, 0.25], abs=1e-12)
@@ -246,7 +246,8 @@ def test_probe_finds_cubic_pair_violation(cubic_pair, d2):
 
 def test_probe_empty_for_proportional_pair(d2):
     f = GP.from_terms(2, [(1, (4, 0)), (1, (0, 4))])
-    assert convexity_probe(f, f, d2) == []
+    pair = SampledPair.draw(f, f, d2)
+    assert pair.convexity_probe(pair.image()) == []
 
 
 def test_probe_empty_for_quadratic_forms():
@@ -260,7 +261,8 @@ def test_probe_empty_for_quadratic_forms():
         g = quad_form(random_symmetric(rng, 2))
         if zero_margin(f, g, d2, count=512).margin < 1e-3:
             continue
-        assert convexity_probe(f, g, d2, count=1024) == []
+        pair = SampledPair.draw(f, g, d2, count=1024)
+        assert pair.convexity_probe(pair.image()) == []
         checked += 1
 
 
@@ -274,7 +276,8 @@ def test_probe_empty_for_higher_dimension_quadratics():
             g = quad_form(random_symmetric(rng, n))
             if zero_margin(f, g, d, count=4096).margin < 1e-2:
                 continue
-            assert convexity_probe(f, g, d, count=8192) == []
+            pair = SampledPair.draw(f, g, d, count=8192)
+            assert pair.convexity_probe(pair.image()) == []
             checked += 1
 
 

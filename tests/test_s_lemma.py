@@ -14,12 +14,12 @@ from slemma import (
     Dilation,
     GeneralizedPolynomial,
     ReasonCode,
+    SampledPair,
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
     is_copositive,
     load_problem,
-    multiplier_margin,
     shs_condition,
 )
 from slemma import homog_core, s_lemma
@@ -103,10 +103,8 @@ def test_sextic_pair_gap_condition(sextic_pair, d2):
 
 
 def test_gap_condition_witness_avoids_image(sextic_pair, d2):
-    from slemma.image_analysis import sample_image
-
     rep = shs_condition(*sextic_pair, d2)
-    summary = sample_image(*sextic_pair, d2)
+    summary = SampledPair.draw(*sextic_pair, d2).image()
     a, b = rep.witness_direction
     for target in (np.arctan2(b, a), np.arctan2(-b, -a)):
         delta = np.abs((summary.directions - target + np.pi) % (2 * np.pi) - np.pi)
@@ -128,9 +126,10 @@ def test_gap_condition_requires_even_pair(cubic_pair, d2):
 
 
 def test_margin_at_fixed_multiplier(sextic_pair, d2):
-    margin, witness = multiplier_margin(*sextic_pair, 2.0, d2)
-    assert margin == pytest.approx(0.75, abs=1e-9)
-    assert np.hypot(*witness) == pytest.approx(1.0)
+    pair = SampledPair.draw(*sextic_pair, d2)
+    vals = pair.F - 2.0 * pair.G
+    assert np.min(vals) == pytest.approx(0.75, abs=1e-9)
+    assert np.hypot(*pair.X[np.argmin(vals)]) == pytest.approx(1.0)
 
 
 def test_sextic_pair_certificate(sextic_pair, d2):
@@ -174,8 +173,8 @@ def test_one_dimensional_certificate():
     d1 = Dilation.standard(1)
     f = GP.from_terms(1, [(1, (2,))])
     g = GP.from_terms(1, [(-1, (2,))])
-    margin, _ = multiplier_margin(f, g, 1.0, d1)
-    assert margin == pytest.approx(2.0)
+    pair = SampledPair.draw(f, g, d1)
+    assert np.min(pair.F - 1.0 * pair.G) == pytest.approx(2.0)
     cert = find_strict_multiplier(f, g, d1)
     assert cert.ok and cert.xi > 0 and cert.margin > 0
 
@@ -276,8 +275,8 @@ def test_sextic_pair_nonstrict_multiplier(sextic_pair):
     # the exact algebra: f - 2g collapses to 3(x^6 + y^6)
     target = GP.from_terms(2, [(3, (6, 0)), (3, (0, 6))])
     assert (f - 2.0 * g - target).is_zero
-    m2, _ = multiplier_margin(f, g, 2.0, Dilation.standard(2))
-    assert m2 == pytest.approx(0.75, abs=1e-9)
+    pair = SampledPair.draw(f, g, Dilation.standard(2))
+    assert np.min(pair.F - 2.0 * pair.G) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_shared_cube_line_pair():

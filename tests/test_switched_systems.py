@@ -84,8 +84,9 @@ def test_candidate_rejects_degree_mismatch():
 
 def test_sextic_coverage(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
+    assert cand.system is sextic_system
     assert cand.common_degree == pytest.approx(6.0)
-    rep = check_lfhd(sextic_system, cand)
+    rep = check_lfhd(cand)
     assert rep.covered and rep.status == "covered"
     assert rep.v_min > 0
     assert rep.coverage_margin > 0
@@ -96,14 +97,14 @@ def test_sextic_coverage(sextic_system, sextic_V, d2):
 def test_fractional_coverage(frac_system, frac_V, frac_dilation):
     cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
     assert cand.common_degree == pytest.approx(4.0)
-    rep = check_lfhd(frac_system, cand)
+    rep = check_lfhd(cand)
     assert rep.covered
     assert rep.coverage_margin == pytest.approx(0.5226, abs=0.01)
 
 
 def test_three_linear_coverage(linear3_system, norm_V, d2):
     cand = LfhdCandidate.build(norm_V, linear3_system, d2)
-    rep = check_lfhd(linear3_system, cand)
+    rep = check_lfhd(cand)
     assert rep.covered
     assert rep.coverage_margin > 0.3
 
@@ -113,7 +114,7 @@ def test_uncovered_system(d2):
     sys = SwitchedSystem((up, up))
     V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
     cand = LfhdCandidate.build(V, sys, d2)
-    rep = check_lfhd(sys, cand)
+    rep = check_lfhd(cand)
     assert not rep.covered and rep.status == "uncovered"
     assert len(rep.uncovered_indices) == rep.sample_count
 
@@ -121,14 +122,14 @@ def test_uncovered_system(d2):
 def test_indefinite_v_is_rejected(sextic_system, d2):
     V = GP.from_terms(2, [(0.25, (4, 0)), (-0.25, (0, 4))])
     cand = LfhdCandidate.build(V, sextic_system, d2)
-    rep = check_lfhd(sextic_system, cand)
+    rep = check_lfhd(cand)
     assert not rep.covered
     assert rep.status == "v_not_positive_definite"
 
 
 def test_region_rows_shape(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    rep = check_lfhd(sextic_system, cand, count=64)
+    rep = check_lfhd(cand, count=64)
     rows = list(rep.region_rows())
     assert len(rows) == 64
     for p, a, v in rows:
@@ -163,7 +164,7 @@ def test_convex_combination_validation():
 
 def test_sextic_scan_interval(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    res = scan_combinations(sextic_system, cand, grid_step=0.005)
+    res = scan_combinations(cand, grid_step=0.005)
     assert res.feasible
     lo, hi = res.interval
     assert lo == pytest.approx(0.17, abs=1e-12)
@@ -174,7 +175,7 @@ def test_sextic_scan_interval(sextic_system, sextic_V, d2):
 
 def test_fractional_scan_interval(frac_system, frac_V, frac_dilation):
     cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
-    res = scan_combinations(frac_system, cand, grid_step=0.01)
+    res = scan_combinations(cand, grid_step=0.01)
     lo, hi = res.interval
     assert lo == pytest.approx(0.38, abs=1e-12)
     assert hi == pytest.approx(0.60, abs=1e-12)
@@ -183,7 +184,7 @@ def test_fractional_scan_interval(frac_system, frac_V, frac_dilation):
 
 def test_three_linear_scan_is_empty(linear3_system, norm_V, d2):
     cand = LfhdCandidate.build(norm_V, linear3_system, d2)
-    res = scan_combinations(linear3_system, cand, grid_step=0.01)
+    res = scan_combinations(cand, grid_step=0.01)
     assert not res.feasible
     assert res.interval is None
     assert res.total_points == 5151
@@ -195,7 +196,7 @@ def test_three_linear_scan_is_empty(linear3_system, norm_V, d2):
 
 def test_sextic_synthesis(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    res = synthesize_combination_n2(sextic_system, cand)
+    res = synthesize_combination_n2(cand)
     assert res.ok
     lam = res.combination
     # lambda_1 = 1 / (1 + xi) for the certified xi
@@ -203,17 +204,17 @@ def test_sextic_synthesis(sextic_system, sextic_V, d2):
     assert lam[0] + lam[1] == pytest.approx(1.0)
     assert res.max_derivative < 0
     # the synthesized point lies inside the scanned feasible interval
-    scan = scan_combinations(sextic_system, cand, grid_step=0.005)
+    scan = scan_combinations(cand, grid_step=0.005)
     lo, hi = scan.interval
     assert lo <= lam[0] <= hi
 
 
 def test_fractional_synthesis(frac_system, frac_V, frac_dilation):
     cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
-    res = synthesize_combination_n2(frac_system, cand)
+    res = synthesize_combination_n2(cand)
     assert res.ok
     assert res.combination[0] == pytest.approx(0.4755929990694682, rel=1e-9)
-    scan = scan_combinations(frac_system, cand, grid_step=0.01)
+    scan = scan_combinations(cand, grid_step=0.01)
     lo, hi = scan.interval
     assert lo <= res.combination[0] <= hi
 
@@ -223,14 +224,14 @@ def test_synthesis_failure_passthrough(d2):
     sys = SwitchedSystem((up, up))
     V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
     cand = LfhdCandidate.build(V, sys, d2)
-    res = synthesize_combination_n2(sys, cand)
+    res = synthesize_combination_n2(cand)
     assert not res.ok  # multiplier failure is forwarded, not raised
 
 
 def test_synthesis_needs_two_subsystems(linear3_system, norm_V, d2):
     cand = LfhdCandidate.build(norm_V, linear3_system, d2)
     with pytest.raises(ValueError):
-        synthesize_combination_n2(linear3_system, cand)
+        synthesize_combination_n2(cand)
 
 
 # ---------------------------------------------------------------- eigencheck
@@ -273,7 +274,7 @@ def test_linear_matrix_rejects_nonlinear(sextic_system):
 
 def test_simulation_descends(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    traj = simulate_min_switching(sextic_system, cand, [1.0, -0.7], t_end=3.0)
+    traj = simulate_min_switching(cand, [1.0, -0.7], t_end=3.0)
     assert traj.v[-1] < 0.05 * traj.v[0]
     assert set(np.unique(traj.sigma)) <= {1, 2}
     assert traj.switch_times  # the law actually switches
@@ -282,8 +283,7 @@ def test_simulation_descends(sextic_system, sextic_V, d2):
 def test_descent_between_switches(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
     dt = 1e-3
-    traj = simulate_min_switching(sextic_system, cand, [0.9, 0.4],
-                                  dt=dt, t_end=2.0)
+    traj = simulate_min_switching(cand, [0.9, 0.4], dt=dt, t_end=2.0)
     switch_steps = {int(round(t / dt)) for t in traj.switch_times}
     slack = 10.0 * dt * dt * max(1.0, float(np.max(traj.v)))
     for j in range(len(traj.v) - 1):
@@ -299,14 +299,14 @@ def test_exponential_decay_matches_closed_form():
     from slemma import Dilation
 
     cand = LfhdCandidate.build(V, sys, Dilation.standard(1))
-    traj = simulate_min_switching(sys, cand, [1.0], dt=1e-3, t_end=1.0)
+    traj = simulate_min_switching(cand, [1.0], dt=1e-3, t_end=1.0)
     assert np.all(traj.sigma == 1)  # ties break to the first subsystem
     assert traj.x[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
 
 
 def test_zero_state_stays_at_rest(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    traj = simulate_min_switching(sextic_system, cand, [0.0, 0.0], t_end=0.5)
+    traj = simulate_min_switching(cand, [0.0, 0.0], t_end=0.5)
     assert np.allclose(traj.x, 0.0)
 
 
@@ -316,14 +316,13 @@ def test_divergence_raises(d2):
     V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
     cand = LfhdCandidate.build(V, sys, d2)
     with pytest.raises(DivergenceError):
-        simulate_min_switching(sys, cand, [1.0, 1.0], dt=0.01, t_end=40.0)
+        simulate_min_switching(cand, [1.0, 1.0], dt=0.01, t_end=40.0)
 
 
 def test_dwell_time_spacing(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
     dt, dwell = 1e-3, 5e-2
-    traj = simulate_min_switching(sextic_system, cand, [1.0, -0.7],
-                                  dt=dt, t_end=1.0, dwell=dwell)
+    traj = simulate_min_switching(cand, [1.0, -0.7], dt=dt, t_end=1.0, dwell=dwell)
     assert traj.dwell == pytest.approx(dwell)
     for t in traj.switch_times:
         steps = t / dt
@@ -333,7 +332,7 @@ def test_dwell_time_spacing(sextic_system, sextic_V, d2):
 
 def test_trajectory_rows(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
-    traj = simulate_min_switching(sextic_system, cand, [0.5, 0.5], t_end=0.1)
+    traj = simulate_min_switching(cand, [0.5, 0.5], t_end=0.1)
     rows = list(traj.rows())
     assert len(rows) == len(traj.t)
     t0, x0, y0, s0, v0 = rows[0]
@@ -348,15 +347,16 @@ def test_non_finite_state_diverges(sextic_system, sextic_V, d2):
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
     for x0 in ([3e6, 1.0], [1e100, 1.0]):
         with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
-            simulate_min_switching(sextic_system, cand, x0, t_end=0.1)
+            simulate_min_switching(cand, x0, t_end=0.1)
 
 
 # ------------------------------------------ float loop against the array loop
 
 
-def _reference_simulation(sys, cand, x0, dt=1e-3, t_end=10.0, dwell=None):
+def _reference_simulation(cand, x0, dt=1e-3, t_end=10.0, dwell=None):
     """simulate_min_switching's RK4 loop on a float64 ndarray state: the
     reference its loop on tuples of floats must match bit for bit."""
+    sys = cand.system
     if dwell is None:
         dwell = 10.0 * dt
     dwell_steps = max(1, int(round(dwell / dt)))
@@ -399,9 +399,9 @@ def _reference_simulation(sys, cand, x0, dt=1e-3, t_end=10.0, dwell=None):
     return t_arr, x_arr, s_arr, v_arr, switch_times
 
 
-def _assert_bit_equal(sys, cand, x0, **kwargs):
-    traj = simulate_min_switching(sys, cand, x0, **kwargs)
-    t, x, sigma, v, switch_times = _reference_simulation(sys, cand, x0, **kwargs)
+def _assert_bit_equal(cand, x0, **kwargs):
+    traj = simulate_min_switching(cand, x0, **kwargs)
+    t, x, sigma, v, switch_times = _reference_simulation(cand, x0, **kwargs)
     assert traj.t.tobytes() == t.tobytes()
     assert traj.x.tobytes() == x.tobytes()
     assert traj.sigma.tobytes() == sigma.tobytes()
@@ -418,15 +418,13 @@ def test_float_loop_matches_the_array_loop(problems_dir, name):
     _, system = problem.single_system()
     _, V = problem.first_lyapunov()
     cand = LfhdCandidate.build(V, system, problem.dilation)
-    _assert_bit_equal(system, cand, np.ones(problem.n))
+    _assert_bit_equal(cand, np.ones(problem.n))
 
 
 def test_float_loop_matches_with_other_settings(frac_system, frac_V, frac_dilation):
     cand = LfhdCandidate.build(frac_V, frac_system, frac_dilation)
-    _assert_bit_equal(frac_system, cand, [-0.73, 1.9], dt=2.5e-3, t_end=3.0,
-                      dwell=7.5e-3)
-    _assert_bit_equal(frac_system, cand, [1.3, -0.2], dt=1e-3, t_end=1.5,
-                      dwell=1.7e-2)
+    _assert_bit_equal(cand, [-0.73, 1.9], dt=2.5e-3, t_end=3.0, dwell=7.5e-3)
+    _assert_bit_equal(cand, [1.3, -0.2], dt=1e-3, t_end=1.5, dwell=1.7e-2)
 
 
 def test_float_loop_matches_in_three_dimensions():
@@ -445,7 +443,7 @@ def test_float_loop_matches_in_three_dimensions():
     from slemma import Dilation
 
     cand = LfhdCandidate.build(V, sys3, Dilation.standard(3))
-    traj = _assert_bit_equal(sys3, cand, [0.8, -0.5, 0.3], t_end=2.0)
+    traj = _assert_bit_equal(cand, [0.8, -0.5, 0.3], t_end=2.0)
     assert traj.x.shape == (2001, 3)
 
 
@@ -470,4 +468,4 @@ def test_oversized_horizon_fails_before_integrating(sextic_system, sextic_V, d2)
     # that must surface at once, not after integrating.
     cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
     with pytest.raises(MemoryError):
-        simulate_min_switching(sextic_system, cand, [1.0, -0.7], t_end=1e12)
+        simulate_min_switching(cand, [1.0, -0.7], t_end=1e12)
