@@ -396,6 +396,9 @@ def cmd_simulate(args, problem: Problem) -> int:
     sys_name, v_name, cand = _candidate(problem)
     x0 = (_parse_vector(args.x0, problem.n, "--x0") if args.x0
           else np.ones(problem.n))
+    if round(args.t_end / args.dt) < 1:
+        raise ProblemError(f"--t-end {args.t_end:g} / --dt {args.dt:g} rounds to 0 steps; "
+                           "--t-end must exceed half of --dt")
     try:
         traj = simulate_min_switching(cand, x0, dt=args.dt,
                                       t_end=args.t_end, dwell=args.dwell)

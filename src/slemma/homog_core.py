@@ -261,6 +261,11 @@ class GeneralizedPolynomial:
         where NumPy returns inf; such a point is evaluated again as NumPy
         scalars, so both give the same value.  That value is inf or nan,
         and the caller decides what it means, so NumPy does not warn.
+
+        `expression` writes these operations out as straight-line code,
+        which `simulate_min_switching` fuses into its RK4 steps; where
+        that code overflows or is not finite, the simulation evaluates
+        here again.
         """
         total = 0.0
         try:
@@ -298,6 +303,33 @@ class GeneralizedPolynomial:
                     t = t * np.sign(col)
             out += t
         return out[0] if single else out
+
+    def expression(self, names: Sequence[str]) -> str:
+        """Python source of `__call__`'s arithmetic with variable i named
+        names[i].
+
+        The terms are summed in `terms` order as ((0.0 + t1) + t2) ...,
+        each term is ((c * a1) * a2) ... over `_compile`'s factors, and a
+        factor is abs(xi) ** p, negated when xi < 0 on a signed factor.
+        Beside the names, only `repr` of finite floats enters the text.
+        It differs from `__call__` only in not stopping a term at zero:
+        where every factor is finite that changes at most the sign of a
+        zero term, which the sum from 0.0 absorbs; otherwise the result
+        is not finite or the code raises OverflowError.
+        """
+        if len(names) != self.n or not all(v.isidentifier() for v in names):
+            raise ValueError(f"need {self.n} identifiers, got {names!r}")
+        total = "0.0"
+        for coeff, items in self._compile():
+            term = repr(coeff)
+            for i, p, signed in items:
+                xi = names[i]
+                a = f"abs({xi}) ** {p!r}"
+                if signed:
+                    a = f"(-({a}) if {xi} < 0.0 else {a})"
+                term += f" * {a}"
+            total += f" + {term}"
+        return total
 
     # ------------------------------------------------------------ structure
 

@@ -11,6 +11,7 @@ sum(lambda_i * f_i), which is linear in lambda, is negative everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,17 +228,17 @@ def _simplex_grid(N: int, step: float) -> np.ndarray:
     if N == 2:
         lam1 = np.arange(m + 1) / m
         return np.column_stack([lam1, 1.0 - lam1])
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining / m])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i / m], remaining - i, slots - 1)
-
-    rec([], m, N)
-    return np.array(rows)
+    # The compositions of m into N parts, first part slowest: each row
+    # with r units left branches into r + 1 rows that take 0, ..., r next.
+    head = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([m])
+    for _ in range(N - 1):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        take = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        head = np.column_stack([head[parent], take])
+        left = left[parent] - take
+    return np.column_stack([head, left]) / m
 
 
 @dataclass
@@ -413,8 +414,67 @@ class Trajectory:
             yield (t, *x, sigma, v)
 
 
-def _field_value(comps, x: tuple) -> tuple:
-    return tuple([c(x) for c in comps])
+def _rk4_step(comps, x: tuple, dt: float) -> tuple:
+    """One RK4 step of the field `comps` through `__call__`, combined one
+    component at a time in the order of the vector form
+    x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def f(xc):
+        return tuple([c(xc) for c in comps])
+
+    k1 = f(x)
+    k2 = f(tuple([a + half * k for a, k in zip(x, k1)]))
+    k3 = f(tuple([a + half * k for a, k in zip(x, k2)]))
+    k4 = f(tuple([a + dt * k for a, k in zip(x, k3)]))
+    return tuple([a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
+                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
+
+
+def _step_source(comps, dt: float) -> str:
+    """Source of `f(x0, ..., x{n-1})`: `_rk4_step` of `comps` as straight-line
+    code with the same operations in the same order."""
+    n = len(comps)
+    x = [f"x{i}" for i in range(n)]
+    lines, args = [], x
+    for s, scale in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt), (4, None)):
+        lines += [f"k{s}_{i} = {c.expression(args)}" for i, c in enumerate(comps)]
+        if scale is not None:
+            args = [f"y{s}_{i}" for i in range(n)]
+            lines += [f"y{s}_{i} = x{i} + {scale!r} * k{s}_{i}" for i in range(n)]
+    sixth = dt / 6.0
+    lines.append("return (" + "".join(
+        f"x{i} + {sixth!r} * (((k1_{i} + 2.0 * k2_{i}) + 2.0 * k3_{i}) + k4_{i}), "
+        for i in range(n)) + ")")
+    return _function_source(x, lines)
+
+
+def _function_source(args, lines) -> str:
+    return f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _straight_line_sources(cand: LfhdCandidate, dt: float):
+    """The sources `simulate_min_switching` compiles: the RK4 step of
+    each subsystem, V, and the tuple of derivatives that `pick` reads.
+    Their only names are x*, y*, k* and abs; their only constants are
+    `repr` of finite floats."""
+    x = [f"x{i}" for i in range(cand.system.n)]
+    derivs = "".join(f"{dv.expression(x)}, " for dv in cand.derivatives)
+    return ([_step_source(comps, dt) for comps in cand.system.fields],
+            _function_source(x, [f"return {cand.V.expression(x)}"]),
+            _function_source(x, [f"return ({derivs})"]))
+
+
+def _compile_function(source: str, slow):
+    """The function `source` defines, seeing no builtin but abs; `slow`
+    when a polynomial is too long for one expression."""
+    try:
+        code = compile(source, "<straight-line>", "exec")
+    except RecursionError:
+        return slow
+    namespace = {"__builtins__": {"abs": abs}}
+    exec(code, namespace)
+    return namespace["f"]
 
 
 def simulate_min_switching(
@@ -435,7 +495,14 @@ def simulate_min_switching(
     The state and the stages are tuples of Python floats, combined one
     component at a time in the order of the vector form
     x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4); IEEE `+` and `*` round each
-    operation alike on floats and on float64 arrays.
+    operation alike on floats and on float64 arrays.  Each subsystem's
+    whole step, V and the derivative vector run as straight-line code
+    from `GeneralizedPolynomial.expression`, with the same operations in
+    the same order.  That code differs from `__call__` only past a zero
+    factor, where it raises OverflowError or gives a value that is not
+    finite; such a step or derivative vector, and a V whose code raises,
+    is evaluated again through `__call__` (`_rk4_step` for a step), so
+    the trajectory is the same bytes either way.
     """
     n, fields = cand.system.n, cand.system.fields
     if dt <= 0 or t_end <= 0:
@@ -446,16 +513,17 @@ def simulate_min_switching(
         raise ValueError("dwell must be positive")
     dwell_steps = max(1, int(round(dwell / dt)))
     steps = int(round(t_end / dt))
+    if steps < 1:
+        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} rounds to no step")
 
     x = np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError("x0 has the wrong dimension")
     x = tuple(x.tolist())
 
-    half, sixth = 0.5 * dt, dt / 6.0
-    # Below this bound in every coordinate the norm is at most half the
-    # limit, so np.linalg.norm is needed only past it (or on NaN).
-    coord_bound = STATE_NORM_LIMIT / (2 * n)
+    # Below this Euclidean norm (to within an ulp) np.linalg.norm is at
+    # most the limit, so it is needed only past it (or on NaN).
+    norm_gate = 0.5 * STATE_NORM_LIMIT
     # Allocated before the loop so that a step count too large for memory
     # fails at once instead of after the integration; filled at the end.
     t_arr = np.empty(steps + 1)
@@ -465,9 +533,21 @@ def simulate_min_switching(
     t_list, x_list, s_list, v_list = [], [], [], []
     switch_times = []
 
+    step_sources, v_source, d_source = _straight_line_sources(cand, dt)
+    fused = [_compile_function(src, lambda *xc, comps=comps: _rk4_step(comps, xc, dt))
+             for src, comps in zip(step_sources, fields)]
+    v_line = _compile_function(v_source, lambda *xc: cand.V(xc))
+    d_line = _compile_function(
+        d_source, lambda *xc: tuple([dv(xc) for dv in cand.derivatives]))
+
     def pick(xc):
-        vals = [dv(xc) for dv in cand.derivatives]
-        return int(np.argmin(vals)) + 1
+        try:
+            vals = d_line(*xc)
+        except OverflowError:
+            vals = (math.nan,)
+        if not all(map(math.isfinite, vals)):
+            return int(np.argmin([dv(xc) for dv in cand.derivatives])) + 1
+        return vals.index(min(vals)) + 1
 
     sigma = pick(x)
     for j in range(steps + 1):
@@ -480,22 +560,27 @@ def simulate_min_switching(
         t_list.append(t)
         x_list.append(x)
         s_list.append(sigma)
-        v_list.append(cand.V(x))
+        # x is finite here (a step to a state that is not ends the run), so
+        # straight-line code can differ from __call__ only by raising.
+        try:
+            v_list.append(v_line(*x))
+        except OverflowError:
+            v_list.append(cand.V(x))
         if j == steps:
             break
-        comps = fields[sigma - 1]
-        k1 = _field_value(comps, x)
-        k2 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k1)]))
-        k3 = _field_value(comps, tuple([a + half * k for a, k in zip(x, k2)]))
-        k4 = _field_value(comps, tuple([a + dt * k for a, k in zip(x, k3)]))
-        x = tuple([a + sixth * (((b1 + 2 * b2) + 2 * b3) + b4)
-                   for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-        if not all(abs(c) <= coord_bound for c in x):
-            norm = np.linalg.norm(x)
+        try:
+            x_new = fused[sigma - 1](*x)
+        except OverflowError:
+            x_new = (math.nan,)
+        if not math.hypot(*x_new) <= norm_gate:
+            if not all(map(math.isfinite, x_new)):
+                x_new = _rk4_step(fields[sigma - 1], x, dt)
+            norm = np.linalg.norm(x_new)
             if not norm <= STATE_NORM_LIMIT:
                 what = (f"exceeded {STATE_NORM_LIMIT:g}" if norm > STATE_NORM_LIMIT
                         else "is not finite")
                 raise DivergenceError(f"state norm {what} at t = {t + dt:.6g}")
+        x = x_new
     t_arr[:], x_arr[:], s_arr[:], v_arr[:] = t_list, x_list, s_list, v_list
     return Trajectory(t=t_arr, x=x_arr, sigma=s_arr, v=v_arr,
                       dt=dt, dwell=dwell, switch_times=switch_times)

@@ -292,6 +292,17 @@ def test_bad_anchor_vector(tmp_path, problems_dir):
     assert run(tmp_path, "curve", prob, "--z1", "1,2,3") == 2
 
 
+@pytest.mark.parametrize("dt,t_end", [("5", "1"), ("2", "1")])
+def test_simulate_without_a_step_is_a_usage_error(tmp_path, problems_dir, capsys, dt, t_end):
+    # t_end / dt rounds to 0 steps: no trajectory, so no V to report.
+    code = run(tmp_path, "simulate", str(problems_dir / "switch_sextic.json"),
+               "--dt", dt, "--t-end", t_end)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--dt" in err and "--t-end" in err
+    assert not (tmp_path / "simulate_switch_sextic.json").exists()
+
+
 def test_lfhd_needs_a_system(tmp_path, problems_dir):
     assert run(tmp_path, "lfhd", str(problems_dir / "cubic_shared_zero.json")) == 2
 

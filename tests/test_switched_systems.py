@@ -1,5 +1,10 @@
 """Coverage checks, simplex scans, synthesis, eigenchecks, and simulation."""
 
+import ast
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,7 +23,13 @@ from slemma import (
     synthesize_combination_n2,
 )
 from slemma.problems import load_problem
-from slemma.switched_systems import STATE_NORM_LIMIT, _simplex_grid
+from slemma.switched_systems import (
+    STATE_NORM_LIMIT,
+    _compile_function,
+    _rk4_step,
+    _simplex_grid,
+    _straight_line_sources,
+)
 
 GP = GeneralizedPolynomial
 
@@ -147,6 +158,31 @@ def test_simplex_grid_two_and_three():
     assert g3.shape == (5151, 3)
     assert np.allclose(g3.sum(axis=1), 1.0)
     assert (g3 >= 0).all()
+
+
+def _recursive_simplex_grid(N, step):
+    """The N >= 3 grid as a recursion over the first part, each entry
+    i / m on Python ints: the reference `_simplex_grid` matches bytewise."""
+    m = int(round(1.0 / step))
+    rows = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            rows.append(prefix + [remaining / m])
+            return
+        for i in range(remaining + 1):
+            rec(prefix + [i / m], remaining - i, slots - 1)
+
+    rec([], m, N)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("N,step", [(3, 1.0), (3, 1 / 3), (3, 0.01), (3, 0.005),
+                                    (4, 0.25), (4, 0.02), (5, 0.05), (6, 0.2)])
+def test_simplex_grid_matches_the_recursive_build(N, step):
+    got, want = _simplex_grid(N, step), _recursive_simplex_grid(N, step)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_convex_combination_validation():
@@ -427,6 +463,30 @@ def test_float_loop_matches_with_other_settings(frac_system, frac_V, frac_dilati
     _assert_bit_equal(cand, [1.3, -0.2], dt=1e-3, t_end=1.5, dwell=1.7e-2)
 
 
+def _abs_flag_candidate():
+    """Planar pair of degree-2 fields; the first field carries the term
+    0.8 |x1|^(5/3) x2^(1/3), an abs flag on an odd numerator."""
+    def sq(c, i):  # c * x_i |x_i|
+        return (c, (2, 0) if i == 0 else (0, 2), (i == 0, i == 1))
+
+    s1 = (GP.from_terms(2, [sq(-1.0, 0), (0.8, ((5, 3), (1, 3)), (False, True))]),
+          GP.from_terms(2, [sq(1.5, 0), sq(-0.4, 1)]))
+    s2 = (GP.from_terms(2, [sq(-0.3, 0), sq(1.0, 1)]),
+          GP.from_terms(2, [sq(-1.0, 0), sq(-0.2, 1)]))
+    V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
+    from slemma import Dilation
+
+    return LfhdCandidate.build(V, SwitchedSystem((s1, s2)), Dilation.standard(2))
+
+
+def test_float_loop_matches_with_an_abs_flag_on_an_odd_numerator():
+    cand = _abs_flag_candidate()
+    key = ((Fraction(5, 3), Fraction(1, 3)), (False, True))
+    assert cand.system.fields[0][0].terms[key] == 0.8
+    _assert_bit_equal(cand, [0.9, -0.6], t_end=3.0)
+    _assert_bit_equal(cand, [-1.0, 0.5], dt=2e-3, t_end=2.0, dwell=6e-3)
+
+
 def test_float_loop_matches_in_three_dimensions():
     def field(rows):
         return tuple(GP.from_terms(3, [(c, tuple((5, 3) if k == i else 0
@@ -461,6 +521,115 @@ def test_scalar_call_on_floats_matches_the_array_call(sextic_system, sextic_V,
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     with np.errstate(all="ignore"):
         assert sextic_V((1e100, 1.0)) == np.inf
+
+
+def test_straight_line_overflow_is_evaluated_again_by_the_loop(d2):
+    # At (0, 1e200) __call__ stops each term with a factor x1 at that zero,
+    # while straight-line code still takes 1e200 ** 2.0 and raises
+    # OverflowError, in the step of subsystem 1, in V and in the derivative
+    # of V along subsystem 2.  Each is evaluated again through __call__,
+    # and the run stops where the loop stops it.
+    s1 = (GP.from_terms(2, [(-1, (3, 0)), (1, (1, 2))]), GP.from_terms(2, [(-1, (2, 1))]))
+    s2 = (GP.from_terms(2, [(-1, (3, 0))]), GP.from_terms(2, [(-1, (2, 1))]))
+    V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
+    cand = LfhdCandidate.build(V, SwitchedSystem((s1, s2)), d2)
+    x0 = (0.0, 1e200)
+    steps, v_source, d_source = _straight_line_sources(cand, 1e-3)
+    for source in (steps[0], v_source, d_source):
+        with pytest.raises(OverflowError):
+            _compile_function(source, None)(*x0)
+    assert _rk4_step(s1, x0, 1e-3) == x0
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+        simulate_min_switching(cand, x0, t_end=0.1)
+    assert str(exc.value) == "state norm exceeded 1e+06 at t = 0.001"
+
+
+def test_a_stage_that_is_not_finite_is_evaluated_again_by_the_loop(d2):
+    # From (0, 1.7e308) with dt = 1 the first stage reaches x2 = inf.  There
+    # __call__ stops the term |x1|^(2/3) x2^(1/3) at its zero factor, while
+    # straight-line code gives 0 * inf = nan: without re-evaluation the
+    # state would read (nan, inf) instead of (0, inf).
+    s1 = (GP.from_terms(2, [(-1, (1, 0)), (1, ((2, 3), (1, 3)), (False, True))]),
+          GP.from_terms(2, [(0.6, (0, 1))]))
+    V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
+    cand = LfhdCandidate.build(V, SwitchedSystem((s1, s1)), d2)
+    x0 = (0.0, 1.7e308)
+    fused = _compile_function(_straight_line_sources(cand, 1.0)[0][0], None)
+    assert math.isnan(fused(*x0)[0])
+    assert _rk4_step(s1, x0, 1.0) == (0.0, math.inf)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
+        simulate_min_switching(cand, x0, dt=1.0, t_end=1.0)
+    assert str(exc.value) == "state norm exceeded 1e+06 at t = 1"
+
+
+def test_pick_keeps_the_nan_rule_of_argmin(d2):
+    # At (100, 100) the derivative along subsystem 1 is -inf and along
+    # subsystem 2 it is inf - inf = nan; np.argmin takes the NaN.
+    V = GP.from_terms(2, [(1e300, (4, 0)), (1e300, (0, 4))])
+    s1 = (GP.from_terms(2, [(-1, (1, 0))]), GP.from_terms(2, [(-1, (0, 1))]))
+    s2 = (GP.from_terms(2, [(1, (1, 0))]), GP.from_terms(2, [(-1, (0, 1))]))
+    cand = LfhdCandidate.build(V, SwitchedSystem((s1, s2)), d2)
+    traj = simulate_min_switching(cand, [100.0, 100.0], t_end=0.05)
+    with np.errstate(all="ignore"):
+        _, x, sigma, _, _ = _reference_simulation(cand, [100.0, 100.0], t_end=0.05)
+    assert np.all(traj.sigma == 2)
+    assert traj.sigma.tobytes() == sigma.tobytes() and traj.x.tobytes() == x.tobytes()
+
+
+def test_expression_matches_call_bit_for_bit(sextic_system, sextic_V, frac_system, frac_V):
+    polys = [sextic_V, frac_V, *sextic_system.fields[0], *frac_system.fields[1],
+             *_abs_flag_candidate().system.fields[0], GP.zero(2), GP.constant(2, -1.5)]
+    rng = np.random.default_rng(11)
+    points = [*rng.normal(scale=3.0, size=(200, 2)).tolist(), [0.0, -0.0], [-0.0, 2.0]]
+    for p in polys:
+        f = _compile_function(f"def f(a, b):\n    return {p.expression(['a', 'b'])}\n", None)
+        for x in points:
+            assert np.float64(f(*x)).tobytes() == np.float64(p(tuple(x))).tobytes()
+
+
+def test_a_polynomial_too_long_for_one_expression_runs_through_the_loop(
+        monkeypatch, sextic_system, sextic_V, d2):
+    long = GP.from_terms(1, [(1.0 + i, (i + 1,)) for i in range(20000)])
+    source = f"def f(x0):\n    return {long.expression(['x0'])}\n"
+    assert _compile_function(source, "slow") == "slow"
+    # With every source too long, the loop alone gives the same bytes.
+    monkeypatch.setattr("slemma.switched_systems._compile_function",
+                        lambda source, slow: slow)
+    _assert_bit_equal(LfhdCandidate.build(sextic_V, sextic_system, d2), [1.0, -0.7], t_end=1.0)
+
+
+# Every node, name and constant that generated code may hold: a problem
+# file supplies coefficients and exponents, which reach it only as floats.
+_GENERATED_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
+                    ast.Return, ast.Tuple, ast.Name, ast.Load, ast.Store, ast.Constant,
+                    ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.UnaryOp, ast.USub,
+                    ast.IfExp, ast.Compare, ast.Lt, ast.Call)
+
+
+@pytest.mark.parametrize("name", ["switch_sextic", "switch_fractional",
+                                  "switch_three_linear", None])
+def test_generated_sources_hold_only_generated_names_and_floats(problems_dir, name):
+    if name is None:
+        cand = _abs_flag_candidate()
+    else:
+        problem = load_problem(problems_dir / f"{name}.json")
+        cand = LfhdCandidate.build(problem.first_lyapunov()[1], problem.single_system()[1],
+                                   problem.dilation)
+    steps, v_source, d_source = _straight_line_sources(cand, 2.5e-3)
+    for source in (*steps, v_source, d_source):
+        tree = ast.parse(source)
+        assert [type(node) for node in tree.body] == [ast.FunctionDef]
+        assert tree.body[0].name == "f"
+        for node in ast.walk(tree):
+            assert isinstance(node, _GENERATED_NODES), ast.dump(node)
+            if isinstance(node, ast.arg):
+                assert re.fullmatch(r"x\d+", node.arg)
+            if isinstance(node, ast.Name):
+                assert re.fullmatch(r"abs|x\d+|[yk][1-4]_\d+", node.id), node.id
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is float and math.isfinite(node.value)
+            if isinstance(node, ast.Call):
+                assert node.func.id == "abs" and len(node.args) == 1 and not node.keywords
 
 
 def test_oversized_horizon_fails_before_integrating(sextic_system, sextic_V, d2):
