@@ -13,7 +13,9 @@ commands with CSV/SVG output run once with `--format csv` and once with
 (`--lambdas`, `--x0`, `--z1`/`--z2`), which the default runs leave
 unset.  `image` also runs at a few non-default seeds, because
 the pairs its convexity probe tests, and the local searches it starts
-from them, depend on the seed.  The n >= 3 samples come from NumPy ports of SciPy's
+from them, depend on the seed; at 1,024 samples the probe reports
+violations on the three problems of `PROBE_PROBLEMS`, so those runs
+freeze the violation lists too.  The n >= 3 samples come from NumPy ports of SciPy's
 scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
 random stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
@@ -43,6 +45,10 @@ PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [
     Path(__file__).with_name("fixtures") / "quartic3_pair.json"]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 IMAGE_SEEDS = (1, 2, 3)
+# image runs at --samples 1024, where the convexity probe reports violations
+PROBE_PROBLEMS = ("cubic_shared_zero.json", "sector_sextic_wide.json",
+                  "sector_quartic_wide.json")
+PROBE_SEEDS = range(4, 10)
 # (command, problem, format, flags): runs that parse the vector flags
 VECTOR_RUNS = (
     ("eigencheck", "switch_three_linear.json", "json", ["--lambdas", "0.634,0.183,0.183"]),
@@ -68,6 +74,11 @@ def _runs():
         for seed in IMAGE_SEEDS:
             yield f"image {problem.name} json seed={seed}", [
                 "image", str(problem), "--format", "json", "--seed", str(seed)]
+    for name in PROBE_PROBLEMS:
+        for seed in PROBE_SEEDS:
+            yield f"image {name} json seed={seed} --samples 1024", [
+                "image", str(ROOT / "problems" / name), "--format", "json",
+                "--seed", str(seed), "--samples", "1024"]
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
