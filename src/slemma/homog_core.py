@@ -260,7 +260,9 @@ class GeneralizedPolynomial:
         library's `pow` as a NumPy scalar does, but raises OverflowError
         where NumPy returns inf; such a point is evaluated again as NumPy
         scalars, so both give the same value.  That value is inf or nan,
-        and the caller decides what it means, so NumPy does not warn.
+        and the caller decides what it means, so NumPy does not warn; it
+        is returned as a Python float (exactly), so the caller's own
+        arithmetic on it does not warn either.
 
         `expression` writes these operations out as straight-line code,
         which `simulate_min_switching` fuses into its RK4 steps; where
@@ -282,7 +284,7 @@ class GeneralizedPolynomial:
                 total += v
         except OverflowError:
             with np.errstate(over="ignore", invalid="ignore"):
-                return self(np.asarray(x, dtype=float))
+                return float(self(np.asarray(x, dtype=float)))
         return total
 
     def evaluate(self, X) -> np.ndarray:

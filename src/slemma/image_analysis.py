@@ -444,6 +444,16 @@ class SampledPair:
         reflect thin direction sampling.  Quadratic form pairs, whose image
         is convex, produce an empty list.  A float64 overflow anywhere in
         the probe raises FloatingPointError naming the stage.
+
+        Midpoints whose directions round to one multiple of the clearance
+        share one search, aimed at the first of them in pair order.  The
+        pairs are scanned for these targets first; `_direction_misses`
+        then runs the searches in lockstep on stacked proposals, relying
+        on `evaluate`, `radius` and `scale` rounding each row alone, and
+        runs them again one at a time if that raises.  If a midpoint
+        overflows, the searches of the earlier pairs run before the
+        error is raised, so the probe returns and raises what a scan
+        that searched in pair order would.
         """
         if not summary.gaps:
             return []
@@ -475,34 +485,41 @@ class SampledPair:
 
             X_kept = self.X[keep]
             dirs = np.arctan2(pts[:, 1], pts[:, 0])
-            attained_cache: dict = {}
 
-            violations = []
-            for u, v in pairs:
-                mid = 0.5 * (u + v)
-                if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
-                    continue
-                direction = math.atan2(mid[1], mid[0])
-                hit = _inside_gap(direction, summary.gaps, clearance)
-                if hit is None:
-                    continue
-                key = int(round(direction / clearance))
-                if key not in attained_cache:
-                    attained_cache[key] = _direction_miss(
-                        f, g, d, X_kept, dirs, direction, clearance, seed
-                    ) <= clearance
-                if attained_cache[key]:
-                    continue
-                violations.append(
-                    {
-                        "u": [float(u[0]), float(u[1])],
-                        "v": [float(v[0]), float(v[1])],
-                        "midpoint": [float(mid[0]), float(mid[1])],
-                        "direction": direction,
-                        "gap": [hit[0], hit[1]],
-                    }
-                )
-            return violations
+            # pairs whose midpoint falls in a gap, and the first midpoint
+            # direction of each search key, which is that search's target
+            in_gap, targets = [], {}
+            try:
+                for u, v in pairs:
+                    mid = 0.5 * (u + v)
+                    if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
+                        continue
+                    direction = math.atan2(mid[1], mid[0])
+                    hit = _inside_gap(direction, summary.gaps, clearance)
+                    if hit is None:
+                        continue
+                    key = int(round(direction / clearance))
+                    targets.setdefault(key, direction)
+                    in_gap.append((u, v, mid, direction, hit, key))
+            except FloatingPointError:
+                # a scan in pair order would have run the earlier searches first
+                _direction_misses(f, g, d, X_kept, dirs, list(targets.values()), clearance, seed)
+                raise
+            misses = _direction_misses(
+                f, g, d, X_kept, dirs, list(targets.values()), clearance, seed)
+            attained = {key: miss <= clearance for key, miss in zip(targets, misses)}
+
+            return [
+                {
+                    "u": [float(u[0]), float(u[1])],
+                    "v": [float(v[0]), float(v[1])],
+                    "midpoint": [float(mid[0]), float(mid[1])],
+                    "direction": direction,
+                    "gap": [hit[0], hit[1]],
+                }
+                for u, v, mid, direction, hit, key in in_gap
+                if not attained[key]
+            ]
 
 
 # --------------------------------------------------------------- zero margin
@@ -664,76 +681,121 @@ def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float]
     return None
 
 
-def _direction_miss(f, g, d, X, dirs, target: float, tol: float, seed) -> float:
-    """Local search for a sphere point whose image direction hits target.
+class _Search:
+    """One local direction search between speculative batches: its point
+    x, step length, sweeps taken and the six proposals of the current
+    sweep, of which those from index k on are still to be tried."""
 
-    Returns the smallest angular distance to target that the search
-    reached; it stops as soon as that distance is <= tol.  A confirmed gap
-    can be spurious where the pushforward density of directions vanishes
-    (sector boundaries without the n = 2 adaptive refinement); a gap
-    direction reachable by a short descent is not evidence that the
-    midpoint left the image.
+    def __init__(self, index: int, target: float, x: np.ndarray, seed):
+        self.index, self.target, self.x = index, target, x
+        self.rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
+        self.step, self.sweeps = 0.3, 0
+        self.new_sweep()
 
-    Each step draws six proposals x + step*scale*prop with one
+    def new_sweep(self):
+        self.props = self.rng.normal(size=(6, len(self.x)))
+        self.k, self.moved = 0, False
+
+
+def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float]:
+    """Local searches for sphere points whose image directions hit targets.
+
+    Returns, for each target, the smallest angular distance to it that its
+    search reached; a search stops as soon as that distance is <= tol.  A
+    confirmed gap can be spurious where the pushforward density of
+    directions vanishes (sector boundaries without the n = 2 adaptive
+    refinement); a gap direction reachable by a short descent is not
+    evidence that the midpoint left the image.
+
+    Each search starts at the sample whose direction is nearest its
+    target and draws its steps from its own generator, seeded by (seed,
+    target).  A sweep draws six proposals x + step*scale*prop with one
     `rng.normal(size=(6, n))` and moves x to the first one, in index
-    order, that improves the miss.  The proposals are projected and
-    evaluated speculatively as one batch: every proposal after an
-    accepted one is built again from the new x, and the rest of the old
-    batch is discarded.  This takes the same draws and the same steps, and
-    reaches bit for bit the same points, as projecting and evaluating
-    one proposal at a time (tests/test_image_analysis.py keeps that
-    one-row search as its reference), because
-    - NumPy's array `**` in `radius`, `scale` and `evaluate` rounds each
-      entry the same at every array length (checked with NumPy 2.4 on
-      AVX-512);
+    order, that improves the miss; a sweep without a move shrinks the
+    step.  The proposals are projected and evaluated speculatively: every
+    proposal after an accepted one is built again from the new x, and the
+    rest of the old batch is discarded.  The searches run in lockstep:
+    each round stacks the pending proposals of every live search and
+    calls `radius`, `scale` and `f.evaluate`/`g.evaluate` once on the
+    stack.  This takes the same draws and the same steps, and reaches bit
+    for bit the same points, as running the searches one after another
+    and projecting and evaluating one proposal at a time
+    (tests/test_image_analysis.py keeps that one-row search as its
+    reference), because
+    - NumPy's array `**`, `abs`, `sign` and sum over the last axis in
+      `radius`, `scale` and `evaluate` round each row the same whatever
+      the other rows of the array are (checked with NumPy 2.4 on AVX-512,
+      and by a property test over the shipped problems);
     - the projection factor rad**(-1/l) is still taken one row at a time
       on NumPy scalars, as `Dilation.project` takes it for a single point
       (the array `**` rounds it differently in about 5% of rows);
     - the miss is still scalar `math.atan2` and `math.remainder`
       (`np.arctan2` rounds differently);
     - a nonzero proposal whose radius underflows to 0 raises in
-      `project` only if the scan reaches it.
+      `project` only if its search's scan reaches it.
+    If a round raises (an overflow under `overflow_guard`, or such a
+    projection), the searches run again one at a time in target order,
+    so the first target whose search raises on its own raises, with the
+    same exception as the one-at-a-time searches.  With one target this
+    is that one search.
     """
-    gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
-    best_i = int(np.argmin(gap))
-    best = float(gap[best_i])
-    if best <= tol:
-        return best
-    x = X[best_i].copy()
-    rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
-    scale = max(1.0, float(np.max(np.abs(X))))
-    power = -1.0 / d.l
-    step = 0.3
-    for _ in range(60):
-        moved = False
-        props = rng.normal(size=(6, X.shape[1]))
-        k = 0
-        while k < len(props):
-            Y = x + step * scale * props[k:]
-            rows = np.flatnonzero(np.any(Y, axis=1))
-            rad = d.radius(Y[rows])
-            zero = np.flatnonzero(rad <= 0)
-            reach = int(zero[0]) if len(zero) else len(rows)
-            P = d.scale(np.array([r ** power for r in rad[:reach]]), Y[rows[:reach]])
+    misses, live = [], []
+    try:
+        for index, target in enumerate(targets):
+            gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
+            nearest = int(np.argmin(gap))
+            misses.append(float(gap[nearest]))
+            if misses[index] > tol:
+                live.append(_Search(index, target, X[nearest].copy(), seed))
+        scale = max(1.0, float(np.max(np.abs(X))))
+        power = -1.0 / d.l
+        while live:
+            batches = []
+            for s in live:
+                Y = s.x + s.step * scale * s.props[s.k:]
+                batches.append((Y, np.flatnonzero(np.any(Y, axis=1))))
+            rad = d.radius(np.concatenate([Y[rows] for Y, rows in batches]))
+            reaches, eps, start = [], [], 0
+            for Y, rows in batches:
+                r = rad[start:start + len(rows)]
+                start += len(rows)
+                zero = np.flatnonzero(r <= 0)
+                reaches.append(int(zero[0]) if len(zero) else len(rows))
+                eps += [v ** power for v in r[:reaches[-1]]]
+            P = d.scale(np.array(eps), np.concatenate(
+                [Y[rows[:reach]] for (Y, rows), reach in zip(batches, reaches)]))
             U, V = f.evaluate(P), g.evaluate(P)
-            next_k = len(props)
-            for j in range(reach):
-                u, v = float(U[j]), float(V[j])
-                if math.hypot(u, v) <= 1e-12:
+            still, start = [], 0
+            for s, (Y, rows), reach in zip(live, batches, reaches):
+                next_k, done = len(s.props), False
+                for j in range(reach):
+                    u, v = float(U[start + j]), float(V[start + j])
+                    if math.hypot(u, v) <= 1e-12:
+                        continue
+                    cand = abs(math.remainder(math.atan2(v, u) - s.target, TWO_PI))
+                    if cand < misses[s.index]:
+                        misses[s.index], s.x, s.moved = cand, P[start + j].copy(), True
+                        done = cand <= tol
+                        next_k = s.k + int(rows[j]) + 1
+                        break
+                else:
+                    if reach < len(rows):
+                        d.project(Y[rows[reach]])  # raises, as the one-row scan would here
+                start += reach
+                if done:
                     continue
-                cand = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
-                if cand < best:
-                    best, x, moved = cand, P[j], True
-                    if best <= tol:
-                        return best
-                    next_k = k + int(rows[j]) + 1
-                    break
-            else:
-                if reach < len(rows):
-                    d.project(Y[rows[reach]])  # raises, as the one-row scan would here
-            k = next_k
-        if not moved:
-            step *= 0.6
-            if step < 1e-6:
-                break
-    return best
+                s.k = next_k
+                if s.k == len(s.props):
+                    if not s.moved:
+                        s.step *= 0.6
+                    s.sweeps += 1
+                    if s.step < 1e-6 or s.sweeps == 60:
+                        continue
+                    s.new_sweep()
+                still.append(s)
+            live = still
+    except Exception:
+        if len(targets) == 1:
+            raise
+        return [_direction_misses(f, g, d, X, dirs, [t], tol, seed)[0] for t in targets]
+    return misses

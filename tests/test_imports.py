@@ -31,3 +31,34 @@ def test_no_unused_module_imports():
     unused = [item for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for item in unused_imports(path)]
     assert unused == []
+
+
+def unreferenced_definitions(paths: list[Path]) -> list[str]:
+    """`<file>:<line> <name>` for each top-level function or class of the
+    modules in `paths` that no code of those modules refers to outside the
+    definition itself.  Importing a name counts as a reference, so the
+    package's exports in `__init__.py` do."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    defined, used = {}, set()
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno} {node.name}"
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return [where for name, where in defined.items() if name not in used]
+
+
+def test_every_top_level_definition_is_referenced():
+    assert unreferenced_definitions(sorted(SRC.glob("*.py"))) == []
