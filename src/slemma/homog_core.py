@@ -89,8 +89,8 @@ class Dilation:
             raise ValueError(f"sphere exponent l must be positive, got {self.l}")
 
     @classmethod
-    def standard(cls, n: int, l: float = 2.0) -> "Dilation":
-        return cls((1.0,) * n, l)
+    def standard(cls, n: int) -> "Dilation":
+        return cls((1.0,) * n)
 
     @property
     def n(self) -> int:

@@ -273,25 +273,26 @@ class SampledPair:
             params = np.arange(len(self.X), dtype=float)
         scatter = np.column_stack([params[: len(F)], F, G])
 
-        ztol = 1e-12 * self.scale
-        nz = np.hypot(F, G) > ztol
-        if not np.any(nz):
-            raise DegenerateImageError("every sample maps to (0, 0)")
+        with overflow_guard("image classification"):
+            ztol = 1e-12 * self.scale
+            nz = np.hypot(F, G) > ztol
+            if not np.any(nz):
+                raise DegenerateImageError("every sample maps to (0, 0)")
 
-        dirs = np.arctan2(G[nz], F[nz])
-        gap_tol = GAP_FACTOR * TWO_PI / count
+            dirs = np.arctan2(G[nz], F[nz])
+            gap_tol = GAP_FACTOR * TWO_PI / count
 
-        evals, complete = 0, True
-        if refine and n == 2:
-            extras, evals, complete = _refine_directions(
-                self.f, self.g, self.d, params, F, G, gap_tol
-            )
-            if len(extras):
-                dirs = np.concatenate([dirs, extras])
+            evals, complete = 0, True
+            if refine and n == 2:
+                extras, evals, complete = _refine_directions(
+                    self.f, self.g, self.d, params, F, G, gap_tol
+                )
+                if len(extras):
+                    dirs = np.concatenate([dirs, extras])
 
-        dirs = np.sort(dirs)
-        gaps, starts = _gap_list(dirs)
-        largest = float(np.max(gaps))
+            dirs = np.sort(dirs)
+            gaps, starts = _gap_list(dirs)
+            largest = float(np.max(gaps))
 
         confirmed = [
             (float(starts[i]), float(starts[i] + gaps[i]))
@@ -449,11 +450,8 @@ class SampledPair:
         share one search, aimed at the first of them in pair order.  The
         pairs are scanned for these targets first; `_direction_misses`
         then runs the searches in lockstep on stacked proposals, relying
-        on `evaluate`, `radius` and `scale` rounding each row alone, and
-        runs them again one at a time if that raises.  If a midpoint
-        overflows, the searches of the earlier pairs run before the
-        error is raised, so the probe returns and raises what a scan
-        that searched in pair order would.
+        on `evaluate`, `radius` and `scale` rounding each row alone, so
+        the probe returns what a scan that searched in pair order would.
         """
         if not summary.gaps:
             return []
@@ -489,22 +487,17 @@ class SampledPair:
             # pairs whose midpoint falls in a gap, and the first midpoint
             # direction of each search key, which is that search's target
             in_gap, targets = [], {}
-            try:
-                for u, v in pairs:
-                    mid = 0.5 * (u + v)
-                    if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
-                        continue
-                    direction = math.atan2(mid[1], mid[0])
-                    hit = _inside_gap(direction, summary.gaps, clearance)
-                    if hit is None:
-                        continue
-                    key = int(round(direction / clearance))
-                    targets.setdefault(key, direction)
-                    in_gap.append((u, v, mid, direction, hit, key))
-            except FloatingPointError:
-                # a scan in pair order would have run the earlier searches first
-                _direction_misses(f, g, d, X_kept, dirs, list(targets.values()), clearance, seed)
-                raise
+            for u, v in pairs:
+                mid = 0.5 * (u + v)
+                if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
+                    continue
+                direction = math.atan2(mid[1], mid[0])
+                hit = _inside_gap(direction, summary.gaps, clearance)
+                if hit is None:
+                    continue
+                key = int(round(direction / clearance))
+                targets.setdefault(key, direction)
+                in_gap.append((u, v, mid, direction, hit, key))
             misses = _direction_misses(
                 f, g, d, X_kept, dirs, list(targets.values()), clearance, seed)
             attained = {key: miss <= clearance for key, miss in zip(targets, misses)}
@@ -731,71 +724,53 @@ def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float
       (the array `**` rounds it differently in about 5% of rows);
     - the miss is still scalar `math.atan2` and `math.remainder`
       (`np.arctan2` rounds differently);
-    - a nonzero proposal whose radius underflows to 0 raises in
-      `project` only if its search's scan reaches it.
-    If a round raises (an overflow under `overflow_guard`, or such a
-    projection), the searches run again one at a time in target order,
-    so the first target whose search raises on its own raises, with the
-    same exception as the one-at-a-time searches.  With one target this
-    is that one search.
+    - a proposal whose radius is 0, exactly or by underflow, cannot be
+      projected, and both pass over it.
+    An overflow under the caller's `overflow_guard` raises from the round
+    it happens in.
     """
     misses, live = [], []
-    try:
-        for index, target in enumerate(targets):
-            gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
-            nearest = int(np.argmin(gap))
-            misses.append(float(gap[nearest]))
-            if misses[index] > tol:
-                live.append(_Search(index, target, X[nearest].copy(), seed))
-        scale = max(1.0, float(np.max(np.abs(X))))
-        power = -1.0 / d.l
-        while live:
-            batches = []
-            for s in live:
-                Y = s.x + s.step * scale * s.props[s.k:]
-                batches.append((Y, np.flatnonzero(np.any(Y, axis=1))))
-            rad = d.radius(np.concatenate([Y[rows] for Y, rows in batches]))
-            reaches, eps, start = [], [], 0
-            for Y, rows in batches:
-                r = rad[start:start + len(rows)]
-                start += len(rows)
-                zero = np.flatnonzero(r <= 0)
-                reaches.append(int(zero[0]) if len(zero) else len(rows))
-                eps += [v ** power for v in r[:reaches[-1]]]
-            P = d.scale(np.array(eps), np.concatenate(
-                [Y[rows[:reach]] for (Y, rows), reach in zip(batches, reaches)]))
-            U, V = f.evaluate(P), g.evaluate(P)
-            still, start = [], 0
-            for s, (Y, rows), reach in zip(live, batches, reaches):
-                next_k, done = len(s.props), False
-                for j in range(reach):
-                    u, v = float(U[start + j]), float(V[start + j])
-                    if math.hypot(u, v) <= 1e-12:
-                        continue
-                    cand = abs(math.remainder(math.atan2(v, u) - s.target, TWO_PI))
-                    if cand < misses[s.index]:
-                        misses[s.index], s.x, s.moved = cand, P[start + j].copy(), True
-                        done = cand <= tol
-                        next_k = s.k + int(rows[j]) + 1
-                        break
-                else:
-                    if reach < len(rows):
-                        d.project(Y[rows[reach]])  # raises, as the one-row scan would here
-                start += reach
-                if done:
+    for index, target in enumerate(targets):
+        gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
+        nearest = int(np.argmin(gap))
+        misses.append(float(gap[nearest]))
+        if misses[index] > tol:
+            live.append(_Search(index, target, X[nearest].copy(), seed))
+    scale = max(1.0, float(np.max(np.abs(X))))
+    power = -1.0 / d.l
+    while live:
+        Y = np.concatenate([s.x + s.step * scale * s.props[s.k:] for s in live])
+        ks = np.concatenate([np.arange(s.k, len(s.props)) for s in live])
+        rad = d.radius(Y)
+        rows = np.flatnonzero(rad > 0)
+        P = d.scale(np.array([v ** power for v in rad[rows]]), Y[rows])
+        U, V = f.evaluate(P), g.evaluate(P)
+        # each search's projected rows end where its proposal rows of Y end
+        ends = np.searchsorted(rows, np.cumsum([len(s.props) - s.k for s in live]))
+        still, start = [], 0
+        for s, end in zip(live, ends):
+            next_k, done = len(s.props), False
+            for j in range(start, end):
+                u, v = float(U[j]), float(V[j])
+                if math.hypot(u, v) <= 1e-12:
                     continue
-                s.k = next_k
-                if s.k == len(s.props):
-                    if not s.moved:
-                        s.step *= 0.6
-                    s.sweeps += 1
-                    if s.step < 1e-6 or s.sweeps == 60:
-                        continue
-                    s.new_sweep()
-                still.append(s)
-            live = still
-    except Exception:
-        if len(targets) == 1:
-            raise
-        return [_direction_misses(f, g, d, X, dirs, [t], tol, seed)[0] for t in targets]
+                cand = abs(math.remainder(math.atan2(v, u) - s.target, TWO_PI))
+                if cand < misses[s.index]:
+                    misses[s.index], s.x, s.moved = cand, P[j].copy(), True
+                    done = cand <= tol
+                    next_k = int(ks[rows[j]]) + 1
+                    break
+            start = end
+            if done:
+                continue
+            s.k = next_k
+            if s.k == len(s.props):
+                if not s.moved:
+                    s.step *= 0.6
+                s.sweeps += 1
+                if s.step < 1e-6 or s.sweeps == 60:
+                    continue
+                s.new_sweep()
+            still.append(s)
+        live = still
     return misses

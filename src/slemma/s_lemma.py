@@ -542,11 +542,11 @@ def _nonstrict_chain(pair: SampledPair):
 # ----------------------------------------------------------- NHS multiplier
 
 
-def _affine_samples(n: int, radius: float, count: int, seed: int) -> np.ndarray:
-    """Deterministic point set spanning a box, mixing radial shells of
-    sphere directions with the origin."""
+def _affine_samples(n: int, count: int, seed: int) -> np.ndarray:
+    """Deterministic point set spanning a box of radius NHS_BOX_RADIUS,
+    mixing radial shells of sphere directions with the origin."""
     dirs = sphere_samples(Dilation.standard(n), count, seed)
-    radii = np.geomspace(0.05, radius, 16)
+    radii = np.geomspace(0.05, NHS_BOX_RADIUS, 16)
     X = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     return np.vstack([np.zeros((1, n)), X])
 
@@ -556,7 +556,6 @@ def find_nhs_multiplier(
     g: GeneralizedPolynomial,
     count: int | None = None,
     seed: int = DEFAULT_SEED,
-    box_radius: float = NHS_BOX_RADIUS,
 ):
     """Multiplier search for non-homogeneous polynomial pairs.
 
@@ -579,14 +578,14 @@ def find_nhs_multiplier(
         raise ValueError("degree must be at least 1")
     if count is None:
         count = min(_default_count(n), 16384)
-    affine = SampledPair(f, g, _affine_samples(n, box_radius, count, seed), count, seed)
-    return _run_chain(_nhs_chain(lift, k, affine, box_radius))
+    affine = SampledPair(f, g, _affine_samples(n, count, seed), count, seed)
+    return _run_chain(_nhs_chain(lift, k, affine))
 
 
-def _nhs_chain(lift, k, affine: SampledPair, box_radius: float):
+def _nhs_chain(lift, k, affine: SampledPair):
     n, seed = affine.f.n, affine.seed
     # zero thresholds relative to the sampled scale: box values grow like
-    # box_radius**k, so an absolute floor would mean nothing here
+    # NHS_BOX_RADIUS**k, so an absolute floor would mean nothing here
     yield _zero_check("affine_zero_margin", affine.zero_margin(1e-9 * affine.scale),
                       "f and g share a zero", "affine")
     yield _copositivity_check("affine_copositivity", affine.is_copositive(),
@@ -631,7 +630,7 @@ def _nhs_chain(lift, k, affine: SampledPair, box_radius: float):
     yield _check("t1_slice_verification", m_slice >= -tol_slice, ReasonCode.VERIFICATION_FAILED,
                  "the lifted multiplier failed on the t = 1 slice", "t1_slice",
                  witness=list(affine.X[int(np.argmin(slice_vals))]),
-                 margin=m_slice, box_radius=box_radius)
+                 margin=m_slice, box_radius=NHS_BOX_RADIUS)
 
     return MultiplierCertificate(
         xi=lifted.xi,
@@ -642,6 +641,6 @@ def _nhs_chain(lift, k, affine: SampledPair, box_radius: float):
         dilation=lifted.dilation,
         threshold=lifted.threshold,
         margin_derivation=lifted.margin_derivation,
-        details={"t1_margin": m_slice, "box_radius": box_radius,
+        details={"t1_margin": m_slice, "box_radius": NHS_BOX_RADIUS,
                  "lift_degree": k},
     )

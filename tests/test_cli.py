@@ -390,18 +390,33 @@ def _scaled(tmp_path, problems_dir, problem, factor):
     return path
 
 
-@pytest.mark.parametrize("command, problem, stage", [
-    ("shs-xi", "switch_sextic.json", "margin scan"),
-    ("hs-xi", "switch_sextic.json", "margin scan"),
-    ("nhs-xi", "affine_sextic_shift.json", "sample evaluation"),
+@pytest.mark.parametrize("command, problem, stage, factor", [
+    ("shs-xi", "switch_sextic.json", "margin scan", 1e306),
+    ("hs-xi", "switch_sextic.json", "margin scan", 1e306),
+    ("nhs-xi", "affine_sextic_shift.json", "sample evaluation", 1e306),
+    # largest coefficient 1.7e308/1.05: the samples stay finite, their hypot does not
+    ("image", "cubic_shared_zero.json", "image classification", 1.7e308 / 1.05),
 ])
 def test_overflow_is_an_internal_failure_naming_its_stage(tmp_path, problems_dir, capsys,
-                                                          command, problem, stage):
-    path = _scaled(tmp_path, problems_dir, problem, 1e306)
+                                                          command, problem, stage, factor):
+    path = _scaled(tmp_path, problems_dir, problem, factor)
     assert run(tmp_path / "out", command, str(path)) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: overflow encountered in "), err
     assert not (tmp_path / "out").exists()
+
+
+def test_image_passes_over_probe_proposals_whose_radius_underflows(tmp_path, problems_dir):
+    # at l = 1000 some proposals of the probe's local search have radius 0
+    # by underflow; they cannot be projected onto the sphere
+    raw = json.loads((problems_dir / "sector_quartic_wide.json").read_text())
+    raw["dilation"]["l"] = 1000
+    path = tmp_path / "wide_l1000.json"
+    path.write_text(json.dumps(raw))
+    assert run(tmp_path / "out", "image", str(path)) == 0
+    payload = read_payload(tmp_path / "out", "image_wide_l1000.json")
+    assert payload["config"]["dilation"]["l"] == 1000.0
+    assert payload["result"]["convexity_violations"]
 
 
 def test_convexity_probe_overflow_names_its_stage(tmp_path, problems_dir, capsys):

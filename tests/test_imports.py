@@ -2,10 +2,14 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.
+lists the imported names that nothing in the module refers to.  Two
+more guards read the same trees: every top-level function or class is
+referenced, and no `except` clause but the last resort of `cli.main`
+catches every exception.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "slemma"
@@ -62,3 +66,33 @@ def unreferenced_definitions(paths: list[Path]) -> list[str]:
 
 def test_every_top_level_definition_is_referenced():
     assert unreferenced_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+
+def broad_handlers(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each `except` clause of `path` that
+    is bare or catches `Exception` or `BaseException`, alone or in a
+    tuple; <function> is the innermost function or class holding it."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type
+                names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                if caught is None or any(isinstance(name, ast.Name) and name.id in (
+                        "Exception", "BaseException") for name in names):
+                    found.append(f"{path.name}:{child.lineno} {owner}")
+            scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            visit(child, child.name if isinstance(child, scope) else owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_no_broad_exception_handlers():
+    # only the last-resort handler in cli.main may catch everything: it
+    # turns an unexpected exception into exit 3; elsewhere a broad handler
+    # hides a bug or replays work to disguise one
+    broad = [item for path in sorted(SRC.glob("*.py")) for item in broad_handlers(path)]
+    assert [item for item in broad if not re.fullmatch(r"cli\.py:\d+ main", item)] == []
