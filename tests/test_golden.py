@@ -15,7 +15,12 @@ unset.  `image` also runs at a few non-default seeds, because
 the pairs its convexity probe tests, and the local searches it starts
 from them, depend on the seed; at 1,024 samples the probe reports
 violations on the three problems of `PROBE_PROBLEMS`, so those runs
-freeze the violation lists too.  The n >= 3 samples come from NumPy ports of SciPy's
+freeze the violation lists too.  f >= 0 on `quartic3_pair`'s samples, so
+its non-strict chain takes xi = 0 without a margin scan; `MARGIN_RUNS`
+cover the n >= 3 scan at several seeds, with `hs-xi` on a second
+generated quartic pair (`fixtures/quartic3_margin.json`, written by
+`bench/workloads.n3_pair(random.Random("quartic3-margin:1"))`) and with
+`nhs-xi` on the lifted sextic.  The n >= 3 samples come from NumPy ports of SciPy's
 scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
 random stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
@@ -41,8 +46,8 @@ import pytest
 from slemma.cli import COMMANDS, CSV_COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [
-    Path(__file__).with_name("fixtures") / "quartic3_pair.json"]
+FIXTURES = Path(__file__).with_name("fixtures")
+PROBLEMS = sorted((ROOT / "problems").glob("*.json")) + [FIXTURES / "quartic3_pair.json"]
 MANIFEST = Path(__file__).with_name("golden_manifest.json")
 IMAGE_SEEDS = (1, 2, 3)
 # image runs at --samples 1024, where the convexity probe reports violations
@@ -55,6 +60,12 @@ VECTOR_RUNS = (
     ("simulate", "switch_sextic.json", "csv", ["--x0", "1,-0.7", "--t-end", "2"]),
     ("curve", "switch_sextic.json", "csv",
      ["--z1", "1,0", "--z2", "0.6,0.8", "--steps", "64"]),
+)
+# (command, problem, seeds; None is the default seed): n >= 3 runs whose
+# non-strict chain reaches the margin scan with xi > 0
+MARGIN_RUNS = (
+    ("hs-xi", FIXTURES / "quartic3_margin.json", (None, 1, 2, 3)),
+    ("nhs-xi", ROOT / "problems" / "affine_sextic_shift.json", (1, 2, 3)),
 )
 
 
@@ -82,6 +93,14 @@ def _runs():
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
+    for command, problem, seeds in MARGIN_RUNS:
+        for seed in seeds:
+            key = f"{command} {problem.name} json"
+            argv = [command, str(problem), "--format", "json"]
+            if seed is not None:
+                key += f" seed={seed}"
+                argv += ["--seed", str(seed)]
+            yield key, argv
 
 
 def sweep(out_root: Path) -> dict:
