@@ -29,6 +29,10 @@ DEFAULT_SEED = 170453
 
 TWO_PI = 2.0 * math.pi
 
+# Rows per block of `GeneralizedPolynomial.evaluate`: a multiple of every
+# SIMD width, and small enough that one block's arrays stay in cache.
+EVALUATE_BLOCK = 4096
+
 
 @contextmanager
 def overflow_guard(stage: str):
@@ -134,7 +138,7 @@ TermKey = tuple[tuple[Fraction, ...], tuple[bool, ...]]
 class GeneralizedPolynomial:
     """Sparse sum of signed-power terms c * prod |x_i|^p_i * sgn(x_i)^s_i."""
 
-    __slots__ = ("n", "terms", "_compiled")
+    __slots__ = ("n", "terms", "_compiled", "_frees")
 
     def __init__(self, n: int, terms: dict[TermKey, float] | None = None):
         if n < 1:
@@ -155,6 +159,7 @@ class GeneralizedPolynomial:
         cutoff = 1e-15 * max(1.0, cmax)
         self.terms = {k: c for k, c in merged.items() if abs(c) > cutoff}
         self._compiled = None
+        self._frees = None
 
     # ---------------------------------------------------------------- build
 
@@ -253,6 +258,18 @@ class GeneralizedPolynomial:
             self._compiled = compiled
         return self._compiled
 
+    def _plan_frees(self):
+        """For each compiled term, the keys (i, p) of the powers |x_i| ** p
+        and i of the signs sgn(x_i) that no later term uses."""
+        if self._frees is None:
+            later, last = set(), []
+            for _, items in reversed(self._compile()):
+                keys = {(i, p) for i, p, _ in items} | {i for i, _, signed in items if signed}
+                last.append(keys - later)
+                later |= keys
+            self._frees = last[::-1]
+        return self._frees
+
     def __call__(self, x) -> float:
         """Evaluate at a single point (fast scalar path).
 
@@ -288,7 +305,24 @@ class GeneralizedPolynomial:
         return total
 
     def evaluate(self, X) -> np.ndarray:
-        """Vectorized evaluation on an (m, n) array of points."""
+        """Vectorized evaluation on an (m, n) array of points.
+
+        The rows are taken in blocks of `EVALUATE_BLOCK`, so that each
+        block's arrays stay in cache and its allocations are reused.  In
+        a block, each term is a column of its coefficient multiplied in
+        place by its factors in `_compile` order, |x_i| ** p and then
+        sgn(x_i) on a signed factor, and the terms are summed into zeros
+        in `terms` order.  Each distinct |x_i| ** p and sgn(x_i) is
+        computed once per block, at its first use, and reused by later
+        terms: every operation left out repeats an earlier one exactly.
+        Every row's value is thus that of evaluating each factor afresh
+        on the whole array (a block is a multiple of every SIMD width).
+
+        An input of more than one block is evaluated with overflow
+        ignored; where a value is then not finite, all rows are evaluated
+        again in one block under the caller's `np.errstate`, so that the
+        first operation to overflow raises, or warns, as in one pass.
+        """
         X = np.asarray(X, dtype=float)
         single = X.ndim == 1
         if single:
@@ -296,15 +330,38 @@ class GeneralizedPolynomial:
         if X.shape[1] != self.n:
             raise ValueError(f"points have {X.shape[1]} coordinates, expected {self.n}")
         out = np.zeros(X.shape[0])
-        for coeff, items in self._compile():
-            t = np.full(X.shape[0], coeff)
-            for i, p, signed in items:
-                col = X[:, i]
-                t = t * np.abs(col) ** p
-                if signed:
-                    t = t * np.sign(col)
-            out += t
+        if len(X) > EVALUATE_BLOCK:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in range(0, len(X), EVALUATE_BLOCK):
+                    self._accumulate(X[s:s + EVALUATE_BLOCK], out[s:s + EVALUATE_BLOCK])
+            if np.isfinite(out).all():
+                return out
+            out[:] = 0.0
+        self._accumulate(X, out)
         return out[0] if single else out
+
+    def _accumulate(self, X, out) -> None:
+        """out += the value of each term at the rows of X, in `terms` order.
+
+        A power or sign leaves the table after the last term that uses it,
+        so that later arrays can take its memory."""
+        table = {}
+        t = np.empty(len(X))
+        for (coeff, items), last in zip(self._compile(), self._plan_frees()):
+            t.fill(coeff)
+            for i, p, signed in items:
+                a = table.get((i, p))
+                if a is None:
+                    a = table[i, p] = np.abs(X[:, i]) ** p
+                t *= a
+                if signed:
+                    sg = table.get(i)
+                    if sg is None:
+                        sg = table[i] = np.sign(X[:, i])
+                    t *= sg
+            out += t
+            for key in last:
+                del table[key]
 
     def expression(self, names: Sequence[str]) -> str:
         """Python source of `__call__`'s arithmetic with variable i named

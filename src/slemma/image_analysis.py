@@ -637,7 +637,8 @@ def mixing_curve(
 
     Returns an (steps+1, 2) array of (f, g) values with the last point
     repeating the first.  For odd f and g the curve in the image plane is
-    centrally symmetric: point(t + pi) = -point(t).
+    centrally symmetric: point(t + pi) = -point(t).  A float64 overflow
+    or invalid value raises FloatingPointError naming the mixing curve.
     """
     if steps < 4:
         raise ValueError("steps must be at least 4")
@@ -648,8 +649,9 @@ def mixing_curve(
     t = np.linspace(0.0, TWO_PI, steps + 1)
     r = np.array(d.weights)
     c, s = np.cos(t)[:, None], np.sin(t)[:, None]
-    X = z1 * np.abs(c) ** r * np.sign(c) + z2 * np.abs(s) ** r * np.sign(s)
-    return np.column_stack([f.evaluate(X), g.evaluate(X)])
+    with overflow_guard("mixing curve"):
+        X = z1 * np.abs(c) ** r * np.sign(c) + z2 * np.abs(s) ** r * np.sign(s)
+        return np.column_stack([f.evaluate(X), g.evaluate(X)])
 
 
 # ----------------------------------------------------------- convexity probe

@@ -183,13 +183,44 @@ def _golden_max(fun, a: float, b: float) -> tuple[float, float]:
     return best_x, best_f
 
 
+def _deciding_rows(F, G, xi_max):
+    """The rows of (F, G) that can set min(F - xi*G) for 0 <= xi <= xi_max,
+    in their original order.
+
+    A row j with some other row k at F_k <= F_j and G_k >= G_j never sets
+    it: IEEE rounding is monotone, so fl(F_k - fl(xi*G_k)) <= fl(F_j -
+    fl(xi*G_j)), and every minimum over the rest is bit-identical.  In
+    the order of F, a row whose G does not exceed every G before it has
+    such a k, and is dropped; ties in F may keep a dominated row, but
+    never drop one that is not.  Two cases keep all rows: a non-finite
+    F or G, and an F of -0.0, the only way to a -0.0 result, since which
+    signed zero `np.min` returns then depends on the rows it sees.  Rows
+    with F - xi_max*G not finite are kept too: they are the only rows that
+    overflow at any xi <= xi_max, so a scan raises where the full one does.
+    """
+    if not (np.isfinite(F).all() and np.isfinite(G).all()) or np.any(np.signbit(F) & (F == 0)):
+        return F, G
+    order = np.argsort(F)
+    Gs = G[order]
+    keep = np.zeros(len(F), dtype=bool)
+    keep[order[:1]] = True
+    keep[order[1:][Gs[1:] > np.maximum.accumulate(Gs)[:-1]]] = True
+    with np.errstate(over="ignore"):
+        keep |= ~np.isfinite(F - xi_max * G)
+    return F[keep], G[keep]
+
+
 def _maximize_margin(F, G, extra_candidates=(), allow_zero=False):
-    """Globally maximize m(xi) = min(F - xi*G) over the xi search space."""
+    """Globally maximize m(xi) = min(F - xi*G) over the xi search space.
+
+    Only the rows that can set a minimum are scanned (`_deciding_rows`),
+    so every margin is that of the full scan, bit for bit."""
     cands = list(np.geomspace(XI_GRID_LO, XI_GRID_HI, XI_GRID_POINTS))
     cands.extend(x for x in extra_candidates if x is not None and x > 0)
     if allow_zero:
         cands.append(0.0)
     xis = np.array(sorted(set(cands)))
+    F, G = _deciding_rows(F, G, xis[-1])
     margins = np.empty(len(xis))
     for s in range(0, len(xis), 32):
         blk = xis[s:s + 32]

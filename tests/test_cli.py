@@ -428,6 +428,16 @@ def test_convexity_probe_overflow_names_its_stage(tmp_path, problems_dir, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_curve_overflow_names_its_stage(tmp_path, problems_dir, capsys):
+    # f and g stay finite on the unit anchors; at |x| = 10 their sextic terms overflow
+    path = _scaled(tmp_path, problems_dir, "switch_sextic.json", 1e306)
+    assert run(tmp_path / "out", "curve", str(path), "--z1", "10,0", "--z2", "0,10",
+               "--format", "csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: mixing curve: overflow encountered in "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("problem, function", [
     ("switch_sextic.json", "f"),

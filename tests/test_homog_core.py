@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
 from slemma.homog_core import (
-    _first_primes, _ndtri, _scrambled_halton, sphere_samples, theta_grid, theta_points,
+    EVALUATE_BLOCK, _first_primes, _ndtri, _scrambled_halton, overflow_guard, sphere_samples,
+    theta_grid, theta_points,
 )
 
 from conftest import COEFFS, coordinates
@@ -339,6 +340,108 @@ def test_evaluate_rows_match_the_scalar_call(data):
     rows = f.evaluate(X)
     calls = np.array([f(x) for x in X])
     assert np.all(np.abs(rows - calls) <= 1e-12 * _term_size(f, X))
+
+
+def _reference_evaluate(f, X):
+    """`evaluate` without its power table: every factor's |x_i| ** p and
+    sgn(x_i) afresh, into a new array per product.  The reference it must
+    match bit for bit, raises included."""
+    X = np.asarray(X, dtype=float)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    out = np.zeros(X.shape[0])
+    for coeff, items in f._compile():
+        t = np.full(X.shape[0], coeff)
+        for i, p, signed in items:
+            col = X[:, i]
+            t = t * np.abs(col) ** p
+            if signed:
+                t = t * np.sign(col)
+        out += t
+    return out[0] if single else out
+
+
+def _layouts(X):
+    """X as C order, Fortran order, and a strided view of a larger array."""
+    big = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+    big[::2, 1::2] = X
+    return [np.ascontiguousarray(X), np.asfortranarray(X), big[::2, 1::2]]
+
+
+def _assert_same_values(f, X):
+    for Y in _layouts(X) + [X[0], X[:1]]:
+        assert np.asarray(f.evaluate(Y)).tobytes() == np.asarray(_reference_evaluate(f, Y)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_is_the_per_term_loop_bit_for_bit(data):
+    n = data.draw(st.integers(1, 4))
+    _assert_same_values(data.draw(polynomials(n)), data.draw(_points(n, 5.0)))
+
+
+def test_evaluate_reuses_fractional_repeated_and_signed_factors_bit_for_bit():
+    third, five_thirds = Fraction(1, 3), Fraction(5, 3)
+    f = GP.from_terms(3, [
+        (2.5, (2, third, 0)),
+        (-1.25, (2, third, 1)),                              # repeats x1^2, x2^(1/3)
+        (0.75, (five_thirds, 0, 1), (True, False, True)),
+        (-0.5, (five_thirds, 0, 1), (False, False, False)),  # the same powers, unsigned
+        (1.5, (0, third, Fraction(2, 3)), (False, True, False)),
+        (3.0, (0, 0, 0)),                                    # the constant term
+    ])
+    X = np.random.default_rng(3).normal(0.0, 2.0, (50, 3))
+    X[::7, 1] = 0.0
+    X[::5, 0] = -0.0
+    _assert_same_values(f, X)
+    # past one block of rows, with a short last block
+    Y = np.random.default_rng(4).normal(0.0, 2.0, (2 * EVALUATE_BLOCK + 5, 3))
+    assert f.evaluate(Y).tobytes() == _reference_evaluate(f, Y).tobytes()
+
+
+def test_evaluate_keeps_each_power_and_sign_until_its_last_term():
+    # x1^2 x2, then x1^2, then x2: |x1|^2 is last used by the second term,
+    # |x2|^1 and sgn(x2) by the third
+    f = GP.from_terms(2, [(1.0, (2, 1)), (2.0, (2, 0)), (3.0, (0, 1))])
+    assert f._plan_frees() == [set(), {(0, 2.0)}, {(1, 1.0), 1}]
+
+
+@pytest.mark.parametrize("terms, x, op", [
+    # the first term's product overflows before the second term's power would
+    ([(1e300, (2, 0)), (1e290, (0, 400))], (1e5, 10.0), "multiply"),
+    ([(1e290, (400, 0)), (1e300, (400, 2))], (10.0, 1e5), "power"),
+    # the second term overflows on the first term's |x1|^2 and |x2|^2
+    ([(1e290, (2, 0)), (1e290, (2, 2)), (1e290, (0, 2))], (1e5, 1e5), "multiply"),
+    ([(1e308, (1, 0)), (1e308, (0, 1))], (1.5, 1.5), "add"),
+])
+@pytest.mark.parametrize("rows", [1, 2 * EVALUATE_BLOCK])
+def test_evaluate_overflow_raises_what_the_per_term_loop_raises(terms, x, op, rows):
+    f = GP.from_terms(2, terms)
+    # with more than one block, the row that overflows comes last
+    X = np.vstack([np.full((rows, 2), 0.5), x])
+    messages = []
+    for evaluate in (f.evaluate, lambda Y: _reference_evaluate(f, Y)):
+        with pytest.raises(FloatingPointError) as e:
+            with overflow_guard("test stage"):
+                evaluate(X)
+        messages.append(str(e.value))
+    assert messages == [f"test stage: overflow encountered in {op}"] * 2
+
+
+def test_evaluate_overflow_raises_in_term_order_across_blocks():
+    # one pass over all rows overflows first in the first term's product, on
+    # the last row; the first block alone would overflow first in the second
+    # term's power, on its first row
+    f = GP.from_terms(2, [(1e300, (2, 0)), (1e290, (0, 400))])
+    X = np.full((2 * EVALUATE_BLOCK + 1, 2), 0.5)
+    X[0, 1] = 10.0
+    X[-1, 0] = 1e5
+    with pytest.raises(FloatingPointError, match="^test stage: overflow encountered in multiply$"):
+        with overflow_guard("test stage"):
+            f.evaluate(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert f.evaluate(X).tobytes() == _reference_evaluate(f, X).tobytes()
 
 
 @st.composite

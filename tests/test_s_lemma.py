@@ -159,6 +159,113 @@ def test_certificate_scaling_invariance(sextic_pair, d2):
     assert scaled.margin == pytest.approx(5.0 * base.margin, rel=1e-6)
 
 
+# ---------------------------------------------------------------- margin scan
+
+
+def _reference_maximize_margin(F, G, extra_candidates=(), allow_zero=False):
+    """`_maximize_margin` scanning every row: the reference its filtered
+    scan must match bit for bit, raises included."""
+    cands = list(np.geomspace(s_lemma.XI_GRID_LO, s_lemma.XI_GRID_HI, s_lemma.XI_GRID_POINTS))
+    cands.extend(x for x in extra_candidates if x is not None and x > 0)
+    if allow_zero:
+        cands.append(0.0)
+    xis = np.array(sorted(set(cands)))
+    margins = np.empty(len(xis))
+    for s in range(0, len(xis), 32):
+        blk = xis[s:s + 32]
+        margins[s:s + 32] = np.min(F[None, :] - blk[:, None] * G[None, :], axis=1)
+    i = int(np.argmax(margins))
+    lo = xis[max(i - 1, 0)]
+    hi = xis[min(i + 1, len(xis) - 1)]
+    xi_star, m_star = s_lemma._golden_max(lambda x: float(np.min(F - x * G)),
+                                          float(lo), float(hi))
+    if margins[i] > m_star:
+        xi_star, m_star = float(xis[i]), float(margins[i])
+    return xi_star, m_star
+
+
+def _scan_outcome(search, F, G, **kw):
+    """The bytes of (xi, margin), or the message of the scan's overflow."""
+    try:
+        with homog_core.overflow_guard("margin scan"):
+            return np.array(search(F, G, **kw), dtype=float).tobytes()
+    except FloatingPointError as e:
+        return str(e)
+
+
+def _assert_same_scan(F, G, **kw):
+    F, G = np.asarray(F, dtype=float), np.asarray(G, dtype=float)
+    assert (_scan_outcome(s_lemma._maximize_margin, F, G, **kw)
+            == _scan_outcome(_reference_maximize_margin, F, G, **kw))
+
+
+EXTRA_XI = st.sampled_from([(), (None,), (0.37,), (2.5e6,), (-1.0, 4.0)])
+
+
+@st.composite
+def margin_rows(draw):
+    """(F, G) of up to 300 rows: continuous values, or values on a coarse
+    lattice (ties in F and in G), with exact repeats of rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 300))
+    F = rng.normal(draw(st.sampled_from([-1.0, 0.0, 1.0])), 1.0, m)
+    G = rng.normal(0.0, 1.0, m)
+    if draw(st.booleans()):
+        F, G = np.round(4.0 * F) / 4.0, np.round(4.0 * G) / 4.0
+    repeat = rng.integers(0, m, draw(st.integers(0, m)))
+    return np.concatenate([F, F[repeat]]), np.concatenate([G, G[repeat]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(margin_rows(), EXTRA_XI, st.booleans())
+def test_margin_scan_matches_the_full_scan(FG, extra, allow_zero):
+    _assert_same_scan(*FG, extra_candidates=extra, allow_zero=allow_zero)
+
+
+@pytest.mark.parametrize("F, G", [
+    ([0.0, 1.0, 2.0, 0.0], [0.0, -1.0, 0.5, 0.0]),  # +0.0 from several rows
+    ([0.0, 0.0], [1.0, -1.0]),                     # +0.0 at xi = 0 only
+    ([-0.0, -0.0], [1.0, -1.0]),                   # -0.0 and +0.0 at xi = 0
+    ([-0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),           # both zeros at every xi
+    ([-0.0, 1.0, 3.0], [0.0, 1.0, -2.0]),          # -0.0 beside 1 - 1*1 = +0.0
+    ([-0.0, 0.0, 2.0], [-0.0, 0.0, -1.0]),         # signed zeros in G
+    ([-0.0], [0.0]),                               # -0.0 alone
+])
+@pytest.mark.parametrize("allow_zero", [False, True])
+def test_margin_scan_keeps_the_sign_of_a_zero_margin(F, G, allow_zero):
+    _assert_same_scan(F, G, allow_zero=allow_zero)
+    _assert_same_scan(F, G, extra_candidates=(1.0,), allow_zero=allow_zero)
+
+
+# Each overflowing row is dominated by (0, 0) or by the first row, so a
+# filter that dropped it would not raise, or raise in a later xi block.
+@pytest.mark.parametrize("F, G, extra, message", [
+    # xi*G overflows from xi ~ 1.8e5
+    ([0.0, 5.0], [0.0, -1e303], (), "multiply"),
+    # F - xi*G overflows from xi ~ 1.3e3, before the first row's xi*G does
+    ([0.0, 1.7e308], [1e303, -1e304], (), "subtract"),
+    # only the candidate above XI_GRID_HI reaches the overflow
+    ([0.0, 5.0], [0.0, -1e302], (1e7,), "multiply"),
+    ([0.0, 5.0], [0.0, -1e302], (), None),
+])
+def test_margin_scan_overflows_where_the_full_scan_does(F, G, extra, message):
+    F, G = np.array(F), np.array(G)
+    got = _scan_outcome(s_lemma._maximize_margin, F, G, extra_candidates=extra)
+    assert got == _scan_outcome(_reference_maximize_margin, F, G, extra_candidates=extra)
+    if message is not None:
+        assert got == f"margin scan: overflow encountered in {message}"
+
+
+def test_deciding_rows_are_few_and_in_their_original_order():
+    rng = np.random.default_rng(5)
+    F, G = rng.normal(size=4096), rng.normal(size=4096)
+    Fk, Gk = s_lemma._deciding_rows(F, G, s_lemma.XI_GRID_HI)
+    rows = {(f, g): j for j, (f, g) in enumerate(zip(F, G))}
+    kept = [rows[f, g] for f, g in zip(Fk, Gk)]
+    assert 0 < len(kept) < 100
+    assert kept == sorted(kept)
+
+
 def test_certificate_fresh_seed_soundness(sextic_pair, d2):
     f, g = sextic_pair
     cert = find_strict_multiplier(f, g, d2)
