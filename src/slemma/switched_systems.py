@@ -35,6 +35,11 @@ from .s_lemma import (
 
 STATE_NORM_LIMIT = 1e6
 
+# Rows of the simplex grid per block of `scan_combinations`: at the n = 2
+# default of 4,096 samples a block of grid @ D is 512 KiB, so it stays in
+# cache and its memory is reused instead of being mapped and zeroed anew.
+SCAN_BLOCK = 16
+
 
 class DivergenceError(RuntimeError):
     """A simulated trajectory left the norm ball of radius 1e6 or its state
@@ -273,8 +278,8 @@ def scan_combinations(
         threshold = _pos_threshold(float(np.max(np.abs(D))))
 
     grid = _simplex_grid(len(cand.derivatives), grid_step)
-    maxima = np.concatenate([np.max(grid[s:s + 512] @ D, axis=1)
-                             for s in range(0, len(grid), 512)])
+    maxima = np.concatenate([np.max(grid[s:s + SCAN_BLOCK] @ D, axis=1)
+                             for s in range(0, len(grid), SCAN_BLOCK)])
 
     mask = maxima < -threshold
     feasible = [ConvexCombination(row) for row in grid[mask]]

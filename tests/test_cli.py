@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact files, payload shape."""
 
 import csv
+import ctypes
 import json
 import math
 import subprocess
@@ -545,3 +546,40 @@ def test_n2_run_loads_no_scipy_and_halton_bytes_hold(tmp_path, problems_dir):
     assert report["n2"] == ""
     assert report["n3"] == ""
     assert report["sha256"] == HALTON_3D_SHA256
+
+
+# ------------------------------------------------------------ allocator
+
+ALLOCATOR_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from slemma.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+assert main(["zeros", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+size = libc.mallinfo2().fordblks + (1 << 20)  # more than the heap holds free
+block = np.ones(2 * size // 8)  # mapped; freeing it raises a free-running threshold
+del block
+mapped = libc.mallinfo2().hblkhd
+a = np.ones(size // 8)
+print("mapped:", libc.mallinfo2().hblkhd - mapped >= a.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+                    reason="glibc's mallinfo2 reports the mapped blocks")
+def test_a_block_past_the_free_heap_is_mapped_after_a_larger_one_is_freed(tmp_path,
+                                                                          problems_dir):
+    # A fresh interpreter, so that no earlier test has shaped its heap.
+    proc = subprocess.run(
+        [sys.executable, "-c", ALLOCATOR_SCRIPT,
+         str(problems_dir / "switch_sextic.json"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "mapped: True" in proc.stdout.splitlines()
