@@ -20,9 +20,13 @@ its non-strict chain takes xi = 0 without a margin scan; `MARGIN_RUNS`
 cover the n >= 3 scan at several seeds, with `hs-xi` on a second
 generated quartic pair (`fixtures/quartic3_margin.json`, written by
 `bench/workloads.n3_pair(random.Random("quartic3-margin:1"))`) and with
-`nhs-xi` on the lifted sextic.  The n >= 3 samples come from NumPy ports of SciPy's
-scrambled Halton sequence and `ndtri`, so their bytes follow NumPy's
-random stream and no artifact depends on SciPy; the manifest records the
+`nhs-xi` on the lifted sextic.  No shipped problem has a sphere
+exponent l != 2, so `SPHERE_RUNS` run `image` on `sector_quartic_wide`
+with l = 3 (`fixtures/sector_quartic_wide_l3.json`), where every point
+of the theta grid and of direction refinement is projected onto the
+sphere.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
+Halton sequence and `ndtri`, so their bytes follow NumPy's random
+stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
 other versions.
 
@@ -67,6 +71,10 @@ MARGIN_RUNS = (
     ("hs-xi", FIXTURES / "quartic3_margin.json", (None, 1, 2, 3)),
     ("nhs-xi", ROOT / "problems" / "affine_sextic_shift.json", (1, 2, 3)),
 )
+# runs on a sphere with l != 2, where theta points are projected
+SPHERE_RUNS = (
+    ("image", FIXTURES / "sector_quartic_wide_l3.json", (None, *IMAGE_SEEDS)),
+)
 
 
 def _versions() -> dict:
@@ -93,7 +101,7 @@ def _runs():
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
-    for command, problem, seeds in MARGIN_RUNS:
+    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS:
         for seed in seeds:
             key = f"{command} {problem.name} json"
             argv = [command, str(problem), "--format", "json"]
