@@ -282,9 +282,9 @@ class GeneralizedPolynomial:
         arithmetic on it does not warn either.
 
         `expression` writes these operations out as straight-line code,
-        which `simulate_min_switching` fuses into its RK4 steps; where
-        that code overflows or is not finite, the simulation evaluates
-        here again.
+        which `simulate_min_switching` fuses into its RK4 steps and
+        direction refinement evaluates at its midpoints; where that code
+        overflows or is not finite, both evaluate here again.
         """
         total = 0.0
         try:
@@ -548,6 +548,24 @@ class GeneralizedPolynomial:
                 factors.append(base)
             bits.append("*".join(factors))
         return " + ".join(bits)
+
+
+def _function_source(args, lines) -> str:
+    """Source of a function `f` of the names `args` whose body is `lines`."""
+    return f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _compile_function(source: str, slow):
+    """The function `source` defines, seeing no builtin but abs; `slow`
+    when a polynomial is too long for one expression.  This is the one
+    place in the package that turns text into code."""
+    try:
+        code = compile(source, "<straight-line>", "exec")
+    except RecursionError:
+        return slow
+    namespace = {"__builtins__": {"abs": abs}}
+    exec(code, namespace)
+    return namespace["f"]
 
 
 # ------------------------------------------------------------------ spheres

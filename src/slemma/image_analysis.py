@@ -36,6 +36,8 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    _compile_function,
+    _function_source,
     overflow_guard,
     sphere_samples,
     theta_grid,
@@ -152,6 +154,38 @@ def _gap_list(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gaps, dirs
 
 
+def _sample_splits(theta, F, G, ztol, gap_tol) -> list:
+    """Refinement's first stack: (theta_i, direction_i, theta_j,
+    direction_j) for each sample pair i, j = i + 1 (mod m) that splits,
+    in order of i, with None for the direction of a zero.
+
+    Each direction is math.atan2 (np.arctan2 may round differently) and
+    each zero test math.hypot <= ztol; the pairs are compared in NumPy
+    with `_circ_diff`'s `abs`, `%` and `minimum`, which round alike in
+    NumPy and on Python floats."""
+    m = len(theta)
+    # memoryviews yield Python floats one at a time, without a list per sample
+    Fv, Gv = memoryview(F), memoryview(G)
+    dirs = np.fromiter(map(math.atan2, Gv, Fv), float, m)
+    zero = np.fromiter(map(ztol.__ge__, map(math.hypot, Fv, Gv)), bool, m)
+    diff = np.abs(dirs - np.roll(dirs, -1))
+    with np.errstate(invalid="ignore"):  # a NaN direction stays NaN
+        np.remainder(diff, TWO_PI, out=diff)
+    cut = np.minimum(diff, TWO_PI - diff, out=diff) > gap_tol
+    cut |= zero
+    cut |= np.roll(zero, -1)
+
+    def end(i):
+        return None if zero[i] else float(dirs[i])
+
+    stack = []
+    for i in np.flatnonzero(cut).tolist():
+        j = (i + 1) % m
+        tb = float(theta[j]) + (TWO_PI if j == 0 else 0.0)
+        stack.append((float(theta[i]), end(i), tb, end(j)))
+    return stack
+
+
 def _refine_directions(f, g, d, theta, F, G, gap_tol):
     """Bisect steep direction jumps between consecutive theta samples.
 
@@ -159,40 +193,47 @@ def _refine_directions(f, g, d, theta, F, G, gap_tol):
     work queue drained within budget.  Segments whose endpoints include an
     image zero are refined unconditionally: the zero severs the direction
     path, and the bisection pins down the limiting directions on each side.
+
+    Each sample's and each midpoint's direction is taken once with
+    math.atan2, and its zero test math.hypot(f, g) <= ztol once; a stack
+    entry carries (theta, direction) for each end, with None for a zero.
+    A segment splits when an end is a zero or its ends lie more than
+    `gap_tol` apart by `_circ_diff`, so an end whose value is NaN (not a
+    zero, direction NaN) never splits a segment by itself.  f and g at a
+    midpoint come from straight-line code of their `expression`s, and
+    through `__call__` where that code raises OverflowError or is not
+    finite, so each value is `__call__`'s.
     """
     scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
     ztol = 1e-12 * scale
-    m = len(theta)
-
-    def needs_split(fa, ga, fb, gb):
-        ra, rb = math.hypot(fa, ga), math.hypot(fb, gb)
-        if ra <= ztol or rb <= ztol:
-            return True
-        return _circ_diff(math.atan2(ga, fa), math.atan2(gb, fb)) > gap_tol
-
-    stack = []
-    for i in range(m):
-        j = (i + 1) % m
-        tb = theta[j] + (TWO_PI if j == 0 else 0.0)
-        if needs_split(F[i], G[i], F[j], G[j]):
-            stack.append((theta[i], F[i], G[i], tb, F[j], G[j]))
-
+    names = ("x0", "x1")
+    pair = _compile_function(
+        _function_source(names, [f"return ({f.expression(names)}, {g.expression(names)})"]),
+        lambda *x: (f(x), g(x)))
+    stack = _sample_splits(theta, F, G, ztol, gap_tol)
     extras = []
     evals = 0
     while stack and evals < REFINE_BUDGET:
-        ta, fa, ga, tb, fb, gb = stack.pop()
+        ta, da, tb, db = stack.pop()
         tm = 0.5 * (ta + tb)
         x = theta_point_scalar(tm, d)
-        fm, gm = f(x), g(x)
+        try:
+            fm, gm = pair(*x)
+        except OverflowError:
+            fm = gm = math.nan
+        if not (math.isfinite(fm) and math.isfinite(gm)):
+            fm, gm = f(x), g(x)
         evals += 1
-        if math.hypot(fm, gm) > ztol:
-            extras.append(math.atan2(gm, fm))
+        r = math.hypot(fm, gm)
+        dm = None if r <= ztol else math.atan2(gm, fm)
+        if r > ztol:
+            extras.append(dm)
         if tb - ta <= 2.0 * REFINE_WIDTH_FLOOR:
             continue
-        if needs_split(fa, ga, fm, gm):
-            stack.append((ta, fa, ga, tm, fm, gm))
-        if needs_split(fm, gm, fb, gb):
-            stack.append((tm, fm, gm, tb, fb, gb))
+        if da is None or dm is None or _circ_diff(da, dm) > gap_tol:
+            stack.append((ta, da, tm, dm))
+        if dm is None or db is None or _circ_diff(dm, db) > gap_tol:
+            stack.append((tm, dm, tb, db))
     return np.array(extras), evals, not stack
 
 

@@ -21,6 +21,8 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    _compile_function,
+    _function_source,
     sphere_samples,
 )
 from .image_analysis import _default_count, _pos_threshold
@@ -454,10 +456,6 @@ def _step_source(comps, dt: float) -> str:
     return _function_source(x, lines)
 
 
-def _function_source(args, lines) -> str:
-    return f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
-
-
 def _straight_line_sources(cand: LfhdCandidate, dt: float):
     """The sources `simulate_min_switching` compiles: the RK4 step of
     each subsystem, V, and the tuple of derivatives that `pick` reads.
@@ -468,18 +466,6 @@ def _straight_line_sources(cand: LfhdCandidate, dt: float):
     return ([_step_source(comps, dt) for comps in cand.system.fields],
             _function_source(x, [f"return {cand.V.expression(x)}"]),
             _function_source(x, [f"return ({derivs})"]))
-
-
-def _compile_function(source: str, slow):
-    """The function `source` defines, seeing no builtin but abs; `slow`
-    when a polynomial is too long for one expression."""
-    try:
-        code = compile(source, "<straight-line>", "exec")
-    except RecursionError:
-        return slow
-    namespace = {"__builtins__": {"abs": abs}}
-    exec(code, namespace)
-    return namespace["f"]
 
 
 def simulate_min_switching(

@@ -9,17 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slemma.image_analysis as image_analysis
 from slemma import Dilation, GeneralizedPolynomial
-from slemma.homog_core import DEFAULT_SEED, TWO_PI, overflow_guard
+from slemma.homog_core import (
+    DEFAULT_SEED,
+    TWO_PI,
+    overflow_guard,
+    sphere_samples,
+    theta_grid,
+    theta_point_scalar,
+)
 from slemma.image_analysis import (
     GAP_FACTOR,
     DegenerateImageError,
     ImageClass,
     REFINE_BUDGET,
+    REFINE_WIDTH_FLOOR,
     SampledPair,
     _axis_points,
+    _circ_diff,
     _direction_misses,
     _inside_gap,
+    _refine_directions,
     mixing_curve,
     zero_margin,
 )
@@ -494,6 +505,217 @@ def test_a_midpoint_overflow_raises_what_the_pair_order_scan_raises():
         with pytest.raises(FloatingPointError) as want, overflow_guard("convexity probe"):
             _reference_probe(pair, summary, trials=200)
         assert str(got.value) == str(want.value), seed
+
+
+# ------------------------------------------------------- direction refinement
+
+
+def _reference_refine_directions(f, g, d, theta, F, G, gap_tol):
+    """Refinement as it was before directions were carried on the stack:
+    every split test takes math.hypot and math.atan2 of both ends again,
+    and f and g at a midpoint are `__call__`'s.  `_refine_directions`
+    must match it bit for bit."""
+    scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
+    ztol = 1e-12 * scale
+    m = len(theta)
+
+    def needs_split(fa, ga, fb, gb):
+        ra, rb = math.hypot(fa, ga), math.hypot(fb, gb)
+        if ra <= ztol or rb <= ztol:
+            return True
+        return _circ_diff(math.atan2(ga, fa), math.atan2(gb, fb)) > gap_tol
+
+    stack = []
+    for i in range(m):
+        j = (i + 1) % m
+        tb = theta[j] + (TWO_PI if j == 0 else 0.0)
+        if needs_split(F[i], G[i], F[j], G[j]):
+            stack.append((theta[i], F[i], G[i], tb, F[j], G[j]))
+
+    extras = []
+    evals = 0
+    while stack and evals < image_analysis.REFINE_BUDGET:
+        ta, fa, ga, tb, fb, gb = stack.pop()
+        tm = 0.5 * (ta + tb)
+        x = theta_point_scalar(tm, d)
+        fm, gm = f(x), g(x)
+        evals += 1
+        if math.hypot(fm, gm) > ztol:
+            extras.append(math.atan2(gm, fm))
+        if tb - ta <= 2.0 * REFINE_WIDTH_FLOOR:
+            continue
+        if needs_split(fa, ga, fm, gm):
+            stack.append((ta, fa, ga, tm, fm, gm))
+        if needs_split(fm, gm, fb, gb):
+            stack.append((tm, fm, gm, tb, fb, gb))
+    return np.array(extras), evals, not stack
+
+
+def _assert_refines_as_reference(f, g, d, theta, F, G, gap_tol):
+    """Run both refinements; return (evals, complete)."""
+    got = _refine_directions(f, g, d, theta, F, G, gap_tol)
+    want = _reference_refine_directions(f, g, d, theta, F, G, gap_tol)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+    return got[1:]
+
+
+def _grid_inputs(problem, count, offset=0.0):
+    """(f, g, d, theta, F, G, gap_tol) for the theta grid rotated by
+    `offset` grid spacings, as `SampledPair.image` passes them at 0."""
+    f, g = problem.pair()
+    d = problem.dilation
+    theta = theta_grid(count) + offset * (TWO_PI / count)
+    X = sphere_samples(d, count, offset=offset)
+    return f, g, d, theta, f.evaluate(X), g.evaluate(X), GAP_FACTOR * TWO_PI / count
+
+
+# the planar pairs of IMAGE_PROBLEMS, and one on a sphere with l = 3
+REFINE_PROBLEMS = IMAGE_PROBLEMS[:-1] + [
+    ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"]
+
+
+@pytest.mark.parametrize("path", REFINE_PROBLEMS, ids=lambda p: p.stem)
+def test_refinement_matches_the_reference_on_every_planar_pair(path):
+    # the n = 2 grid is the same at every seed, so seeds 1-3 rotate it by
+    # a quarter spacing each; seed 0 is the grid every command uses
+    problem = load_problem(path)
+    for count in (64, 1024):
+        for seed in range(4):
+            evals, complete = _assert_refines_as_reference(
+                *_grid_inputs(problem, count, offset=seed / 4))
+            assert evals > 0 and complete
+
+
+def test_refinement_stops_mid_stack_where_the_reference_does(monkeypatch):
+    for name in ("sector_quartic_wide", "cubic_shared_zero"):
+        inputs = _grid_inputs(load_problem(ROOT / "problems" / f"{name}.json"), 64)
+        for budget in (1, 2, 17, 40):
+            monkeypatch.setattr(image_analysis, "REFINE_BUDGET", budget)
+            assert _assert_refines_as_reference(*inputs) == (budget, False)
+
+
+def test_nan_inf_and_zero_samples_refine_as_the_reference_does(monkeypatch):
+    # A NaN end is not a zero, and its NaN direction never splits a
+    # segment by itself: not at 5, and not in the halves of the segment
+    # that the zero at 21 splits.  An infinite sample makes every end a
+    # zero, so those runs split until the budget, lowered for them, ends.
+    monkeypatch.setattr(image_analysis, "REFINE_BUDGET", 3000)
+    f, g, d, theta, F0, G0, gap_tol = _grid_inputs(
+        load_problem(ROOT / "problems" / "switch_sextic.json"), 64)
+    cases = {
+        "nan f": {5: (math.nan, None)},
+        "nan g beside a zero": {20: (None, math.nan), 21: (0.0, 0.0)},
+        "nan beside nan": {30: (math.nan, math.nan), 31: (math.nan, 1.0)},
+        "zeros": {40: (0.0, 0.0), 41: (-0.0, 0.0), 63: (0.0, -0.0)},
+        "inf": {50: (math.inf, None), 51: (None, -math.inf)},
+        "nan and inf": {10: (math.nan, math.inf)},
+    }
+    for name, entries in cases.items():
+        F, G = F0.copy(), G0.copy()
+        for i, (u, v) in entries.items():
+            F[i] = F[i] if u is None else u
+            G[i] = G[i] if v is None else v
+        evals, complete = _assert_refines_as_reference(f, g, d, theta, F, G, gap_tol)
+        assert complete == (name not in ("inf", "nan and inf")), name
+
+
+def test_a_direction_difference_on_the_split_threshold_splits_as_the_reference_does(
+        monkeypatch, d2):
+    # Two samples with gap_tol at their math.atan2 direction difference,
+    # and one ulp below it: directions that round differently from
+    # math.atan2 (NumPy's arctan2 does in a few percent of entries) move
+    # the difference across the threshold.  Whether the samples split is
+    # what counts here, so a low budget keeps small tolerances short.
+    monkeypatch.setattr(image_analysis, "REFINE_BUDGET", 40)
+    f, g = load_problem(ROOT / "problems" / "switch_sextic.json").pair()
+    theta = theta_grid(2)
+    rng = np.random.default_rng(23)
+    splits = 0
+    for F, G in rng.normal(size=(200, 2, 2)) * 10.0 ** rng.integers(-3, 4, size=(200, 2, 1)):
+        diff = _circ_diff(math.atan2(G[0], F[0]), math.atan2(G[1], F[1]))
+        for gap_tol in (diff, math.nextafter(diff, 0.0)):
+            evals, _ = _assert_refines_as_reference(f, g, d2, theta, F, G, gap_tol)
+            splits += evals > 0
+    assert 0 < splits < 400
+
+
+def test_midpoints_that_straight_line_code_cannot_give_are_called(monkeypatch):
+    # On the sphere no |x_i| exceeds 1, so no power overflows; with the
+    # largest coefficient at the float64 maximum the sums do, near the sample whose
+    # value was infinite (set to a zero here, so that refinement goes
+    # there).  Those midpoints are not finite, and `__call__` gives them.
+    calls = [0]
+    call = GP.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return call(self, x)
+
+    for name in ("cubic_shared_zero", "sector_quartic_wide"):
+        problem = load_problem(ROOT / "problems" / f"{name}.json")
+        f, g = problem.pair()
+        top = max(abs(c) for p in (f, g) for c in p.terms.values())
+        f, g = (GP(p.n, {key: c / top * np.finfo(float).max for key, c in p.terms.items()})
+                for p in (f, g))
+        X = sphere_samples(problem.dilation, 64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F, G = f.evaluate(X), g.evaluate(X)
+        lost = ~(np.isfinite(F) & np.isfinite(G))
+        assert lost.any()
+        F[lost] = G[lost] = 0.0
+        args = (f, g, problem.dilation, theta_grid(64), F, G, GAP_FACTOR * TWO_PI / 64)
+        with monkeypatch.context() as patch:
+            patch.setattr(GP, "__call__", counted)
+            got = _refine_directions(*args)
+        assert calls[0] > 0
+        calls[0] = 0
+        want = _reference_refine_directions(*args)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("compiled", ["overflows", "not finite", "too long"])
+def test_refinement_falls_back_to_call_where_straight_line_code_fails(monkeypatch, compiled):
+    # straight-line code that raises OverflowError, gives NaN, or could not
+    # be compiled, at every midpoint
+    def broken(*x):
+        if compiled == "overflows":
+            raise OverflowError("math range error")
+        return math.nan, 0.0
+
+    monkeypatch.setattr(image_analysis, "_compile_function",
+                        lambda source, slow: slow if compiled == "too long" else broken)
+    for name in ("sector_quartic_wide_l3", "switch_fractional"):
+        path = ROOT / ("tests/fixtures" if name.endswith("l3") else "problems") / f"{name}.json"
+        _assert_refines_as_reference(*_grid_inputs(load_problem(path), 64))
+
+
+class _NanWhereX0Positive:
+    """A polynomial whose `__call__` gives NaN where x0 > 0; its sample
+    values come from the polynomial itself."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def expression(self, names):
+        return self.p.expression(names)
+
+    def __call__(self, x):
+        return math.nan if x[0] > 0.0 else self.p(x)
+
+
+def test_nan_midpoints_refine_as_the_reference_does(monkeypatch):
+    # through `__call__` alone, as for a polynomial too long to compile; a
+    # NaN midpoint is not a zero and never splits a half by itself
+    monkeypatch.setattr(image_analysis, "_compile_function", lambda source, slow: slow)
+    for name, nan_f in (("sector_quartic_wide", True), ("switch_sextic", False)):
+        f, g, *rest = _grid_inputs(load_problem(ROOT / "problems" / f"{name}.json"), 64)
+        if nan_f:
+            f = _NanWhereX0Positive(f)
+        else:
+            g = _NanWhereX0Positive(g)
+        evals, complete = _assert_refines_as_reference(f, g, *rest)
+        assert evals > 0 and complete
 
 
 # ------------------------------------ the row-wise rounding the batches rely on

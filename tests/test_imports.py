@@ -2,10 +2,11 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.  Two
+lists the imported names that nothing in the module refers to.  Three
 more guards read the same trees: every top-level function or class is
-referenced, and no `except` clause but the last resort of `cli.main`
-catches every exception.
+referenced, no `except` clause but the last resort of `cli.main`
+catches every exception, and only `homog_core._compile_function` turns
+text into code.
 """
 
 import ast
@@ -69,24 +70,33 @@ def test_every_top_level_definition_is_referenced():
 
 
 
+def owned_nodes(path: Path) -> list[tuple[ast.AST, str]]:
+    """(node, owner) for every node of `path`'s syntax tree; owner is the
+    innermost function or class holding the node, or `<module>`."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            found.append((child, owner))
+            scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            visit(child, child.name if isinstance(child, scope) else owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
 def broad_handlers(path: Path) -> list[str]:
     """`<file>:<line> <function>` for each `except` clause of `path` that
     is bare or catches `Exception` or `BaseException`, alone or in a
     tuple; <function> is the innermost function or class holding it."""
     found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type
-                names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
-                if caught is None or any(isinstance(name, ast.Name) and name.id in (
-                        "Exception", "BaseException") for name in names):
-                    found.append(f"{path.name}:{child.lineno} {owner}")
-            scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            visit(child, child.name if isinstance(child, scope) else owner)
-
-    visit(ast.parse(path.read_text()), "<module>")
+    for node, owner in owned_nodes(path):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            if caught is None or any(isinstance(name, ast.Name) and name.id in (
+                    "Exception", "BaseException") for name in names):
+                found.append(f"{path.name}:{node.lineno} {owner}")
     return found
 
 
@@ -96,3 +106,21 @@ def test_no_broad_exception_handlers():
     # hides a bug or replays work to disguise one
     broad = [item for path in sorted(SRC.glob("*.py")) for item in broad_handlers(path)]
     assert [item for item in broad if not re.fullmatch(r"cli\.py:\d+ main", item)] == []
+
+
+def code_generation_calls(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each call of the builtins `compile`,
+    `exec` or `eval` in `path`; <function> is the innermost function or
+    class holding it."""
+    return [f"{path.name}:{node.lineno} {owner}" for node, owner in owned_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("compile", "exec", "eval")]
+
+
+def test_straight_line_code_is_compiled_in_one_place():
+    # generated source reaches the interpreter only through the compiler
+    # that sees no builtin but abs, so a second copy cannot drift from it
+    calls = [item for path in sorted(SRC.glob("*.py")) for item in code_generation_calls(path)]
+    assert [item for item in calls
+            if not re.fullmatch(r"homog_core\.py:\d+ _compile_function", item)] == []
+    assert len(calls) == 2

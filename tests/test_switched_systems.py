@@ -22,10 +22,10 @@ from slemma import (
     simulate_min_switching,
     synthesize_combination_n2,
 )
+from slemma.homog_core import _compile_function
 from slemma.problems import load_problem
 from slemma.switched_systems import (
     STATE_NORM_LIMIT,
-    _compile_function,
     _rk4_step,
     _simplex_grid,
     _straight_line_sources,
