@@ -13,6 +13,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    UsageError,
     sphere_samples,
     theta_grid,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "Dilation",
     "GeneralizedPolynomial",
     "Parity",
+    "UsageError",
     "sphere_samples",
     "theta_grid",
     "DegenerateImageError",

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .homog_core import DEFAULT_SEED, TWO_PI
+from .homog_core import DEFAULT_SEED, TWO_PI, UsageError
 from .image_analysis import (
     DegenerateImageError,
     SampledPair,
@@ -563,15 +563,12 @@ def main(argv=None) -> int:
         _check_format(args)
         problem = load_problem(args.problem)
         return COMMANDS[args.command](args, problem)
-    except ProblemError as e:
+    except (ProblemError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except FloatingPointError as e:
         print(f"error: {e} (the values leave the float64 range)", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:  # a bug, not a finding: keep exit 1 for negative answers
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -46,6 +46,11 @@ def overflow_guard(stage: str):
         raise FloatingPointError(f"{stage}: {e}") from None
 
 
+class UsageError(ValueError):
+    """A flag value or a problem that the command cannot take: the CLI
+    exits 2 on it, and 3 on any other ValueError, which is a bug."""
+
+
 class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
@@ -105,11 +110,18 @@ class Dilation:
         return all(w == 1.0 for w in self.weights)
 
     def scale(self, eps, x):
-        """Apply the dilation: component i is scaled by eps^(r_i)."""
+        """Apply the dilation: component i is scaled by eps^(r_i).
+
+        A component of weight 1 is scaled by eps itself, which is what
+        eps ** 1.0 gives for any pow within 1 ULP."""
         x = np.asarray(x, dtype=float)
-        eps = np.asarray(eps, dtype=float)
-        r = np.array(self.weights)
-        return (eps[..., None] ** r) * x
+        eps = np.asarray(eps, dtype=float)[..., None]
+        heavy = [i for i, r in enumerate(self.weights) if r != 1.0]
+        if not heavy:
+            return eps * x
+        factor = np.repeat(eps, self.n, axis=-1)
+        factor[..., heavy] = eps ** np.array(self.weights)[heavy]
+        return factor * x
 
     def radius(self, x) -> np.ndarray:
         """sum_i |x_i|^(l/r_i), the quantity that equals 1 on the sphere."""
@@ -444,7 +456,7 @@ class GeneralizedPolynomial:
         if d.n != self.n:
             raise ValueError("dilation arity does not match polynomial")
         if not self.terms:
-            raise ValueError("the zero polynomial has no well-defined degree")
+            raise UsageError("the zero polynomial has no well-defined degree")
         degs = [
             sum(w * float(p) for w, p in zip(d.weights, powers))
             for (powers, _) in self.terms
@@ -472,12 +484,12 @@ class GeneralizedPolynomial:
             if p == 0:
                 continue
             if p < 1:
-                raise ValueError(
+                raise UsageError(
                     f"term with exponent {p} on variable {i} is not C^1 at 0"
                 )
             s = signed[i]
             if not s and p == 1:
-                raise ValueError(
+                raise UsageError(
                     f"|x_{i}| term is not differentiable at 0; use a signed power"
                 )
             new_p = p - 1
@@ -651,6 +663,13 @@ def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+# `_ndtri`'s block size; whether `_libm_log` takes x87 long-double logs
+# (a 64-bit significand in 16 bytes); and how near a float64 rounding
+# midpoint, in ULPs, a long-double log is taken again with math.log.
+NDTRI_BLOCK = 32768
+LONG_DOUBLE_LOG = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+MIDPOINT_WINDOW = 1.0 / 32
+
 # Cephes ndtri: the central rational approximation for |y - 1/2| below
 # 1/2 - exp(-2) and the tail one for exp(-32) < y <= exp(-2).  Each Q has
 # the leading 1 that Cephes' p1evl leaves implicit.
@@ -675,39 +694,60 @@ _Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
 
 
 def _horner(x: np.ndarray, coef: Sequence[float]) -> np.ndarray:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    """((coef[0] * x + coef[1]) * x + coef[2]) ..., in place in one array."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
 def _libm_log(a: np.ndarray) -> np.ndarray:
-    """Elementwise math.log, the C library's log; np.log may round differently."""
-    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+    """Elementwise math.log (the C library's log, which np.log may round
+    differently) of a 1-d array of positive normal values.
+
+    With x87 long doubles it is np.log in long double rounded to float64,
+    and math.log where the 11 significand bits float64 drops lie within
+    2048 * MIDPOINT_WINDOW of 1024, a rounding midpoint: glibc's log is
+    within about 0.52 ULP, so it can miss the correct rounding only within
+    about 0.02 ULP of a midpoint, and logl is far more accurate than that.
+    """
+    if not LONG_DOUBLE_LOG:
+        return np.fromiter(map(math.log, a.tolist()), float, a.size)
+    wide = np.log(a.astype(np.longdouble))
+    out = wide.astype(float)
+    low = (wide.view(np.uint64)[::2] & 0x7FF).astype(np.int64)
+    near = np.flatnonzero(np.abs(low - 1024) <= 2048 * MIDPOINT_WINDOW)
+    out[near] = [math.log(v) for v in a[near].tolist()]
+    return out
 
 
 def _ndtri(y0: np.ndarray) -> np.ndarray:
     """Standard normal quantile for y0 in [1e-12, 1 - 1e-12].
 
     Cephes' algorithm step for step, so |result| < 8 and the tail needs
-    only its first approximation.
+    only its first approximation.  The entries are taken in blocks of
+    `NDTRI_BLOCK`, each split once into central and tail indices; the
+    operations and their order are Cephes', and the tail's logarithms
+    are the C library's (`_libm_log`), so every entry has SciPy's bytes.
     """
-    upper = y0 > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - y0, y0)
-    out = np.empty_like(y)
-
-    central = y > _EXP_M2
-    yc = y[central] - 0.5
-    y2 = yc * yc
-    out[central] = (yc + yc * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
-
-    tail = ~central
-    x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    x0 = x - _libm_log(x) / x
-    z = 1.0 / x
-    x = x0 - z * _horner(z, _P1) / _horner(z, _Q1)
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
+    flat = np.ravel(y0)
+    out = np.empty(flat.size)
+    for s in range(0, flat.size, NDTRI_BLOCK):
+        y = flat[s:s + NDTRI_BLOCK]
+        upper = y > 1.0 - _EXP_M2
+        y = np.where(upper, 1.0 - y, y)
+        central = y > _EXP_M2
+        ci, ti = np.flatnonzero(central), np.flatnonzero(~central)
+        yc = y[ci] - 0.5
+        y2 = yc * yc
+        out[s + ci] = (yc + yc * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+        x = np.sqrt(-2.0 * _libm_log(y[ti]))
+        z = 1.0 / x
+        x = (x - _libm_log(x) / x) - z * _horner(z, _P1) / _horner(z, _Q1)
+        out[s + ti] = np.where(upper[ti], x, -x)
+    return out.reshape(np.shape(y0))
 
 
 def sphere_samples(
@@ -723,8 +763,10 @@ def sphere_samples(
 
     The n >= 3 points reproduce SciPy 1.17 bit for bit: its
     `stats.qmc.Halton(d=n, scramble=True, seed=seed).random(count)`
-    mapped through its `special.ndtri`.  That is why `_ndtri` takes its
-    logarithms with math.log: SciPy calls the same C library log.
+    mapped through its `special.ndtri`.  SciPy takes the quantile's tail
+    logarithms with the C library's log, and so does `_ndtri`: `_libm_log`
+    rounds long-double logs to float64 and calls math.log only near a
+    float64 rounding midpoint, where the two could differ.
     """
     n = d.n
     if n == 1:

@@ -36,6 +36,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    UsageError,
     _compile_function,
     _function_source,
     overflow_guard,
@@ -136,9 +137,9 @@ def _common_degree(f: GeneralizedPolynomial, g: GeneralizedPolynomial, d: Dilati
     kf = f.homogeneity_degree(d)
     kg = g.homogeneity_degree(d)
     if kf is None or kg is None:
-        raise ValueError("f and g must both be homogeneous for image analysis")
+        raise UsageError("f and g must both be homogeneous for image analysis")
     if abs(kf - kg) > 1e-9 * max(1.0, abs(kf)):
-        raise ValueError(f"degrees differ: {kf} vs {kg}")
+        raise UsageError(f"degrees differ: {kf} vs {kg}")
     return kf
 
 
@@ -444,9 +445,9 @@ class SampledPair:
         (f, g) = t(a, b) nor (f, g) = -t(a, b) appears attainable.
         """
         if self.f.parity() is not Parity.EVEN or self.g.parity() is not Parity.EVEN:
-            raise ValueError("the condition is defined for even f and g")
+            raise UsageError("the condition is defined for even f and g")
         if self.degree <= 0:
-            raise ValueError("degree must be positive")
+            raise UsageError("degree must be positive")
         summary = self.image()
 
         dirs = summary.directions
@@ -682,7 +683,7 @@ def mixing_curve(
     or invalid value raises FloatingPointError naming the mixing curve.
     """
     if steps < 4:
-        raise ValueError("steps must be at least 4")
+        raise UsageError("steps must be at least 4")
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     if z1.shape != (d.n,) or z2.shape != (d.n,):

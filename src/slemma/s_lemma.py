@@ -46,6 +46,7 @@ from .homog_core import (
     TWO_PI,
     Dilation,
     GeneralizedPolynomial,
+    UsageError,
     overflow_guard,
     sphere_samples,
 )
@@ -525,11 +526,11 @@ def find_nonstrict_multiplier(
     if d is None:
         d = Dilation.standard(f.n)
     if not d.is_standard:
-        raise ValueError("the non-strict search is defined for the standard dilation")
+        raise UsageError("the non-strict search is defined for the standard dilation")
     if not (f.has_integer_powers() and g.has_integer_powers()):
-        raise ValueError("the non-strict search needs integer powers")
+        raise UsageError("the non-strict search needs integer powers")
     if _common_degree(f, g, d) < 1.0 - 1e-12:
-        raise ValueError("degree must be at least 1")
+        raise UsageError("degree must be at least 1")
     return _run_chain(_nonstrict_chain(SampledPair.draw(f, g, d, count, seed)))
 
 
@@ -606,7 +607,7 @@ def find_nhs_multiplier(
     k = int(max(f.total_degree() or 0, g.total_degree() or 0))
     lift = homogenize(f, k), homogenize(g, k)
     if k < 1:
-        raise ValueError("degree must be at least 1")
+        raise UsageError("degree must be at least 1")
     if count is None:
         count = min(_default_count(n), 16384)
     affine = SampledPair(f, g, _affine_samples(n, count, seed), count, seed)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .homog_core import GeneralizedPolynomial
+from .homog_core import GeneralizedPolynomial, UsageError
 
 
 def index_to_multidegree(index: int, n: int, m: int) -> tuple[int, ...]:
@@ -95,9 +95,9 @@ def homogenize(p: GeneralizedPolynomial, k: int) -> GeneralizedPolynomial:
     terms = {}
     for (powers, signed), coeff in p.terms.items():
         if any(q.denominator != 1 for q in powers):
-            raise ValueError("homogenization needs integer powers")
+            raise UsageError("homogenization needs integer powers")
         if signed != tuple(q.numerator % 2 == 1 for q in powers):
-            raise ValueError("homogenization needs plain monomials, not |x| factors")
+            raise UsageError("homogenization needs plain monomials, not |x| factors")
         pad = k - sum(powers, Fraction(0))
         terms[(powers + (pad,), signed + (pad % 2 == 1,))] = coeff
     degree = p.total_degree()

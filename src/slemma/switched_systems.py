@@ -21,6 +21,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     Parity,
+    UsageError,
     _compile_function,
     _function_source,
     sphere_samples,
@@ -107,19 +108,19 @@ class LfhdCandidate:
             if dv.is_zero:
                 continue
             if dv.parity() is not Parity.EVEN:
-                raise ValueError(f"derivative along subsystem {i + 1} is not even")
+                raise UsageError(f"derivative along subsystem {i + 1} is not even")
             k = dv.homogeneity_degree(d)
             if k is None:
-                raise ValueError(
+                raise UsageError(
                     f"derivative along subsystem {i + 1} is not homogeneous "
                     "for the given dilation"
                 )
             if degree is None:
                 degree = k
             elif abs(k - degree) > 1e-9 * max(1.0, abs(degree)):
-                raise ValueError("subsystem derivatives have different degrees")
+                raise UsageError("subsystem derivatives have different degrees")
         if degree is None:
-            raise ValueError("all subsystem derivatives vanish identically")
+            raise UsageError("all subsystem derivatives vanish identically")
         return cls(V=V, system=sys, derivatives=derivs,
                    common_degree=float(degree), dilation=d)
 
@@ -231,7 +232,7 @@ def check_lfhd(
 def _simplex_grid(N: int, step: float) -> np.ndarray:
     m = int(round(1.0 / step))
     if m < 1:
-        raise ValueError("grid step must be in (0, 1]")
+        raise UsageError("grid step must be in (0, 1]")
     if N == 2:
         lam1 = np.arange(m + 1) / m
         return np.column_stack([lam1, 1.0 - lam1])
@@ -329,7 +330,7 @@ def synthesize_combination_n2(
     VERIFICATION_FAILED failure at stage "combination".
     """
     if len(cand.derivatives) != 2:
-        raise ValueError("synthesis applies to systems with exactly 2 subsystems")
+        raise UsageError("synthesis applies to systems with exactly 2 subsystems")
     f = -cand.derivatives[0]
     g = cand.derivatives[1]
     result = find_strict_multiplier(f, g, cand.dilation, count=count, seed=seed)
@@ -497,15 +498,15 @@ def simulate_min_switching(
     """
     n, fields = cand.system.n, cand.system.fields
     if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+        raise UsageError("dt and t_end must be positive")
     if dwell is None:
         dwell = 10.0 * dt
     if dwell <= 0:
-        raise ValueError("dwell must be positive")
+        raise UsageError("dwell must be positive")
     dwell_steps = max(1, int(round(dwell / dt)))
     steps = int(round(t_end / dt))
     if steps < 1:
-        raise ValueError(f"t_end / dt = {t_end:g} / {dt:g} rounds to no step")
+        raise UsageError(f"t_end / dt = {t_end:g} / {dt:g} rounds to no step")
 
     x = np.array(x0, dtype=float)
     if x.shape != (n,):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from slemma.cli import COMMANDS, main
@@ -494,6 +495,29 @@ def test_unexpected_exceptions_exit_3(tmp_path, problems_dir, monkeypatch, capsy
     monkeypatch.setitem(COMMANDS, "zeros", broken)
     assert run(tmp_path, "zeros", str(problems_dir / "switch_sextic.json")) == 3
     assert capsys.readouterr().err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_internal_value_errors_exit_3(tmp_path, problems_dir, monkeypatch, capsys):
+    # a NumPy ValueError inside a command is a bug, not a usage error
+    def broken(*args, **kwargs):
+        return np.zeros(3) + np.zeros(2)
+
+    monkeypatch.setattr("slemma.cli.zero_margin", broken)
+    assert run(tmp_path, "zeros", str(problems_dir / "switch_sextic.json")) == 3
+    assert capsys.readouterr().err.startswith("internal error: ValueError: operands")
+
+
+@pytest.mark.parametrize("command, problem, flags", [
+    ("curve", "switch_sextic.json", ["--steps", "3"]),
+    ("combo-scan", "switch_sextic.json", ["--grid-step", "3"]),
+    ("combo-synth", "switch_three_linear.json", []),
+    ("hs-xi", "switch_fractional.json", []),
+    ("image", "affine_sextic_shift.json", []),
+])
+def test_flags_and_problems_a_command_cannot_take_exit_2(tmp_path, problems_dir, capsys,
+                                                        command, problem, flags):
+    assert run(tmp_path, command, str(problems_dir / problem), *flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ------------------------------------------------------------- determinism

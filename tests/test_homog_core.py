@@ -1,5 +1,6 @@
 """Polynomial container, dilations, and sphere sampling."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
+from slemma import homog_core
 from slemma.homog_core import (
-    EVALUATE_BLOCK, _first_primes, _ndtri, _scrambled_halton, overflow_guard, sphere_samples,
-    theta_grid, theta_points,
+    EVALUATE_BLOCK, NDTRI_BLOCK, _first_primes, _libm_log, _ndtri, _scrambled_halton,
+    overflow_guard, sphere_samples, theta_grid, theta_points,
 )
 
 from conftest import COEFFS, coordinates
@@ -292,6 +294,42 @@ def test_ndtri_matches_scipy_at_branch_edges():
     y = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     y = np.clip(y, 1e-12, 1.0 - 1e-12)
     assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_ndtri_matches_scipy_at_block_edges(n):
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    B = NDTRI_BLOCK
+    for count in (1, 2, B - 1, B, B + 1, 3 * B + 7):
+        u = np.clip(_scrambled_halton(n, count, DEFAULT_SEED), 1e-12, 1.0 - 1e-12)
+        # count rows of n, and count entries in all
+        for y in (u, u.ravel()[:count]):
+            assert _ndtri(y).tobytes() == ndtri(y).tobytes(), (count, y.shape)
+
+
+def _math_log(a):
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
+
+
+def test_libm_log_is_math_log_bit_for_bit():
+    # both ranges the quantile's tail takes logs over: y and x = sqrt(-2 log y)
+    rng = np.random.default_rng(20240601)
+    a = np.concatenate([np.exp(rng.uniform(math.log(1e-12), -2.0, 1_000_000)),
+                        rng.uniform(2.0, 7.5, 1_000_000), [1e-12, math.exp(-2.0), 2.0, 7.5]])
+    want = _math_log(a)
+    # long double rounded to float64 misses the C library's log on some
+    # entries near a rounding midpoint: those are the ones under test
+    plain = np.log(a.astype(np.longdouble)).astype(float)
+    assert np.count_nonzero(plain != want) >= 200
+    assert _libm_log(a).tobytes() == want.tobytes()
+
+
+def test_ndtri_without_an_extended_long_double_has_the_same_bytes(monkeypatch):
+    u = np.clip(_scrambled_halton(3, 20000, DEFAULT_SEED), 1e-12, 1.0 - 1e-12)
+    a = np.exp(np.linspace(math.log(1e-12), 2.0, 50_001))
+    fast = _ndtri(u).tobytes(), _libm_log(a).tobytes()
+    monkeypatch.setattr(homog_core, "LONG_DOUBLE_LOG", False)
+    assert (_ndtri(u).tobytes(), _libm_log(a).tobytes()) == fast
 
 
 def test_sphere_samples_match_the_scipy_pipeline():
