@@ -526,40 +526,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters and the values `_pin_malloc` gives them.
+# glibc's mallopt parameters and the values `_pin_malloc` gives them, and
+# the free heap past which `main` returns the free pages after a command.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 1 << 20
 TRIM_THRESHOLD = 32 << 20
+RELEASE_THRESHOLD = 8 << 20
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
 
 
 @functools.cache
-def _pin_malloc() -> None:
-    """Fix glibc's mmap and trim thresholds for the rest of the process
-    (elsewhere than glibc, do nothing).
+def _pin_malloc():
+    """Fix glibc's mmap and trim thresholds for the rest of the process and
+    return the function that `main` calls after each command (elsewhere
+    than glibc, do nothing and return None).
 
     A block that free heap memory cannot hold grows the heap if it is
     smaller than the mmap threshold, and gets a mapping of its own,
     unmapped when freed, if it is not.  Left alone, glibc raises the
     threshold to the largest mapped block freed so far, so a process that
     runs one command after another soon grows its heap for arrays of
-    several MiB too, and how far it grows depends on the holes that the
-    order of earlier blocks left: the n = 3 `lift` job list of `bench/`,
-    run in one process, peaked at 71.2 MB in some runs and 75.8 MB in
-    others.  Fixed at 1 MiB (a 65,536 x 3 sample array is 1.5 MiB), the
-    heap grows for small blocks only; fixing the trim threshold at 32 MiB
-    keeps the free top of the heap for the next command instead of
-    returning it and faulting it in again.
+    several MiB too.  Fixed at 1 MiB (a 65,536 x 3 sample array is
+    1.5 MiB), the heap grows for small blocks only; fixing the trim
+    threshold at 32 MiB keeps the free top of the heap inside a command
+    instead of returning it and faulting it in again.
+
+    After a command that leaves more than `RELEASE_THRESHOLD` of the heap
+    free, `malloc_trim(0)` returns its free pages.  Otherwise what the
+    next command, or the caller, finds resident depends on the holes that
+    the order of earlier blocks left: the `lift` job list of `bench/`, run
+    in one process, peaked at 72.7-73.3 MB in some runs and 76.8-77.4 MB
+    in others.  Its `nhs-xi` leaves 12-17 MiB free; the shipped n = 2
+    commands leave 1-3 MiB, which the next command reuses without
+    faulting it in again.
     """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt is not None:
-        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    libc = ctypes.CDLL(None) if sys.platform == "linux" else None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallinfo2, malloc_trim = getattr(libc, "mallinfo2", None), getattr(libc, "malloc_trim", None)
+    if mallinfo2 is None or malloc_trim is None:
+        return None
+    mallinfo2.restype = _MallInfo2
+
+    def release() -> None:
+        if mallinfo2().fordblks > RELEASE_THRESHOLD:
+            malloc_trim(0)
+
+    return release
 
 
 def main(argv=None) -> int:
-    _pin_malloc()
-    args = build_parser().parse_args(argv)
+    release = _pin_malloc()
     try:
+        args = build_parser().parse_args(argv)
         _check_format(args)
         problem = load_problem(args.problem)
         return COMMANDS[args.command](args, problem)
@@ -572,6 +599,9 @@ def main(argv=None) -> int:
     except Exception as e:  # a bug, not a finding: keep exit 1 for negative answers
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        if release is not None:
+            release()
 
 
 if __name__ == "__main__":

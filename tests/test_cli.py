@@ -577,15 +577,10 @@ def test_n2_run_loads_no_scipy_and_halton_bytes_hold(tmp_path, problems_dir):
 ALLOCATOR_SCRIPT = """
 import ctypes, sys
 import numpy as np
-from slemma.cli import main
-
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd",
-        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+from slemma.cli import _MallInfo2, main
 
 libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = MallInfo2
+libc.mallinfo2.restype = _MallInfo2
 assert main(["zeros", sys.argv[1], "--out-dir", sys.argv[2]]) == 0
 size = libc.mallinfo2().fordblks + (1 << 20)  # more than the heap holds free
 block = np.ones(2 * size // 8)  # mapped; freeing it raises a free-running threshold
@@ -607,3 +602,35 @@ def test_a_block_past_the_free_heap_is_mapped_after_a_larger_one_is_freed(tmp_pa
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "mapped: True" in proc.stdout.splitlines()
+
+
+TRIM_SCRIPT = """
+import sys
+import numpy as np
+from slemma.cli import main
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * 4096
+
+argv = ["zeros", sys.argv[1], "--out-dir", sys.argv[2]]
+assert main(argv) == 0
+blocks = [np.ones(1 << 16) for _ in range(48)]  # 24 MiB of 512 KiB heap blocks
+del blocks  # free, resident and below the trim threshold
+before = resident()
+assert main(argv) == 0
+print("returned:", before - resident() >= 16 << 20)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or not all(hasattr(ctypes.CDLL(None), f) for f in ("mallinfo2", "malloc_trim")),
+                    reason="glibc's mallinfo2 and malloc_trim")
+def test_a_command_returns_a_free_heap_past_the_release_threshold(tmp_path, problems_dir):
+    # 24 MiB freed before a command is past RELEASE_THRESHOLD after it.
+    proc = subprocess.run(
+        [sys.executable, "-c", TRIM_SCRIPT,
+         str(problems_dir / "switch_sextic.json"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "returned: True" in proc.stdout.splitlines()
