@@ -24,7 +24,12 @@ generated quartic pair (`fixtures/quartic3_margin.json`, written by
 exponent l != 2, so `SPHERE_RUNS` run `image` on `sector_quartic_wide`
 with l = 3 (`fixtures/sector_quartic_wide_l3.json`), where every point
 of the theta grid and of direction refinement is projected onto the
-sphere.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
+sphere.  No shipped problem mixes weights 1 and 2 either, so
+`MIXED_RUNS` run `zeros`, `copositive` and `image` on a quartic pair
+with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
+projecting each theta point scales a weight-1 and a weight-2 column
+together; the `image` CSV changes if the weight-2 column is rounded
+differently.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
 Halton sequence and `ndtri`, so their bytes follow NumPy's random
 stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
@@ -75,6 +80,9 @@ MARGIN_RUNS = (
 SPHERE_RUNS = (
     ("image", FIXTURES / "sector_quartic_wide_l3.json", (None, *IMAGE_SEEDS)),
 )
+# (command, format): runs on a (1, 2) dilation with l = 3
+MIXED = FIXTURES / "mixed_quartic_l3.json"
+MIXED_RUNS = (("zeros", "json"), ("copositive", "json"), ("image", "csv"))
 
 
 def _versions() -> dict:
@@ -109,6 +117,8 @@ def _runs():
                 key += f" seed={seed}"
                 argv += ["--seed", str(seed)]
             yield key, argv
+    for command, fmt in MIXED_RUNS:
+        yield f"{command} {MIXED.name} {fmt}", [command, str(MIXED), "--format", fmt]
 
 
 def sweep(out_root: Path) -> dict:
