@@ -205,14 +205,16 @@ def _parse_vector(text: str, n: int, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _positive(kind):
-    """argparse type for a finite, strictly positive `kind` (a zero sample
-    count or grid step would otherwise divide by zero deep inside a
-    command, and an infinite time step or horizon overflow there)."""
+def _positive(kind, zero=False):
+    """argparse type for a finite `kind` that is positive, or nonnegative
+    with `zero` (a zero sample count or grid step would divide by zero in
+    a command, an infinite time step overflow, a NaN threshold compare
+    false everywhere, and a negative seed fail in NumPy's generator)."""
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        if not (0 <= value if zero else 0 < value) or not value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'nonnegative' if zero else 'positive'}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__
@@ -469,7 +471,7 @@ COMMANDS = {
 
 HELP = {
     "image": "sample the joint image of (f, g) and classify it",
-    "zeros": "lower-bound the distance of (f, g) from a common sphere zero",
+    "zeros": "measure how far (f, g) stays from a common zero, exactly for n <= 2",
     "curve": "trace a mixing curve between two points through the image plane",
     "copositive": "test whether f is (strictly) copositive with g",
     "shs-check": "test the strict-variant solvability-gap condition",
@@ -494,9 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("problem", help="problem file (JSON)")
     common.add_argument("--samples", type=_positive(int), default=None,
                         help="sphere sample count (default per dimension)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    common.add_argument("--seed", type=_positive(int, zero=True), default=DEFAULT_SEED,
                         help="RNG seed for sampling")
-    common.add_argument("--threshold", type=float, default=None,
+    common.add_argument("--threshold", type=_positive(float, zero=True), default=None,
                         help="decision threshold override")
     common.add_argument("--grid-step", type=_positive(float), default=None, dest="grid_step",
                         help="simplex grid step (combo-scan)")

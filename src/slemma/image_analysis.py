@@ -4,10 +4,11 @@ For homogeneous f, g the image of R^n \\ {0} is the cone of rays through
 U, so everything about it is encoded in the set of directions
 atan2(g, f).  This module samples that direction set, measures the
 sector angle, classifies the image (singleton, line through the origin,
-angular sector, full plane), certifies the absence of common zeros, and
-probes midpoint convexity.  All of these, and the copositivity and SHS
-checks of the multiplier searches, are methods of a `SampledPair`, which
-evaluates f and g once on one sample set.  Only `zero_margin` here and
+angular sector, full plane), decides exactly for n = 2 whether f and g
+share a zero off the origin, and probes midpoint convexity.  All of
+these, and the copositivity and SHS checks of the multiplier searches,
+are methods of a `SampledPair`, which evaluates f and g once on one
+sample set.  Only `zero_margin` here and
 `is_copositive` and `shs_condition` in `s_lemma` draw a pair for the
 caller: the `zeros`, `copositive` and `shs-check` commands call them,
 and the traced benchmark times them by name.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,9 +55,6 @@ GAP_FACTOR = 3.0
 
 REFINE_WIDTH_FLOOR = 1e-9
 REFINE_BUDGET = 200000
-
-BNB_MAX_CELLS = 20000
-BNB_WIDTH_FLOOR = 1e-7
 
 
 class ImageClass(Enum):
@@ -93,7 +92,6 @@ class ZeroMargin:
     threshold: float
     sample_count: int
     seed: int
-    certified_bound: float | None = None
 
 
 @dataclass
@@ -375,28 +373,19 @@ class SampledPair:
         )
 
     def zero_margin(self, threshold: float = 1e-9) -> ZeroMargin:
-        """min over the samples of max(|f|, |g|), with optional certification.
+        """min over the samples of max(|f|, |g|), and whether f and g
+        provably share no zero off the origin (`refined`).
 
-        A margin at zero scale is a finding (common zero), not an error.  When
-        the sampled margin clears the threshold on a drawn sphere sample, an
-        interval subdivision pass (n = 2) attempts to certify the bound on
-        the whole sphere; n = 1 is exact because the sphere is {+1, -1};
-        higher n stays at sampled resolution and reports refined=False.
+        A margin at zero scale is a finding (common zero), not an error.
+        `refined` needs a drawn sphere sample whose margin clears the
+        threshold; it is then exact for n = 1, whose sphere is {+1, -1},
+        and for n = 2 by `_common_zero_n2`.  Higher n stays sampled.
         """
         vals = np.maximum(np.abs(self.F), np.abs(self.G))
         idx = int(np.argmin(vals))
         margin = float(vals[idx])
-
-        refined = False
-        cert = None
-        if margin > threshold and self.degree is not None:
-            k = self.degree
-            if self.d.n == 1:
-                refined, cert = True, margin
-            elif self.d.n == 2:
-                refined, cert = _certify_no_common_zero_n2(
-                    self.f, self.g, self.d, k, threshold
-                )
+        refined = margin > threshold and self.degree is not None and (
+            self.d.n == 1 or self.d.n == 2 and not _common_zero_n2(self.f, self.g))
         return ZeroMargin(
             margin=margin,
             refined=refined,
@@ -404,7 +393,6 @@ class SampledPair:
             threshold=threshold,
             sample_count=len(self.X),
             seed=self.seed,
-            certified_bound=cert,
         )
 
     def is_copositive(self, strict: bool = False) -> CopositivityReport:
@@ -560,95 +548,81 @@ class SampledPair:
 # --------------------------------------------------------------- zero margin
 
 
-def _quadrant_cells():
-    cells = []
-    for q in range(4):
-        a = q * math.pi / 2.0
-        step = (math.pi / 2.0) / 16
-        for i in range(16):
-            cells.append((a + i * step, a + (i + 1) * step))
-    return cells
+def _restrict(p: GeneralizedPolynomial, sigma: int, tau: int, q: int) -> list[int]:
+    """p(sigma, tau*w^q) for w > 0, as a primitive integer polynomial in w
+    (highest power first): each float coefficient is read as the exact
+    rational it is, and the sum is scaled by a positive integer."""
+    coeffs = {}
+    for (powers, signed), c in p.terms.items():
+        e = int(powers[1] * q)
+        sign = (sigma if signed[0] else 1) * (tau if signed[1] else 1)
+        coeffs[e] = coeffs.get(e, 0) + sign * Fraction(c)
+    scale = math.lcm(*(c.denominator for c in coeffs.values()))
+    return _primitive([int(coeffs.get(e, 0) * scale)
+                       for e in range(max(coeffs, default=-1), -1, -1)])
 
-def _interval_bound_raw(p: GeneralizedPolynomial, d: Dilation, a: float, b: float):
-    """Range bound of p on the raw theta arc [a, b] within one quadrant.
 
-    On a quadrant, |cos| and |sin| are monotone and the signs of cos, sin
-    are constant, so each term c*|cos|^(r1*p1)*|sin|^(r2*p2)*signs has an
-    exact endpoint-product range; the term ranges are summed.
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by the gcd of its coefficients."""
+    while p and p[0] == 0:
+        p = p[1:]
+    c = math.gcd(*p)
+    return [x // c for x in p] if c > 1 else p
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a divided by b, times a positive integer (a
+    pseudo-remainder, which keeps the division in the integers)."""
+    lc, sgn = abs(b[0]), 1 if b[0] > 0 else -1
+    while len(a) >= len(b):
+        c = sgn * a[0]
+        a = [lc * x - c * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        while a and a[0] == 0:
+            a = a[1:]
+    return a
+
+
+def _sturm(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b and each negated primitive pseudo-remainder of the last two,
+    down to the last one that is not zero.  With b = a' this is a Sturm
+    sequence of a; its last entry is gcd(a, b) up to a constant factor."""
+    seq = [a, b]
+    while seq[-1]:
+        seq.append([-x for x in _primitive(_prem(seq[-2], seq[-1]))])
+    return seq[:-1]
+
+
+def _vanishes_off_origin(h: list[int]) -> bool:
+    """Whether h (highest power first) has a root w >= 0: h(0) = 0, or
+    by Sturm's theorem the sign changes of its Sturm sequence drop from
+    w -> 0+ to w -> inf.  The zero polynomial vanishes everywhere."""
+    if not h or h[-1] == 0:
+        return True
+    seq = _sturm(h, [c * (len(h) - 1 - i) for i, c in enumerate(h[:-1])])
+    ends = [(next(c for c in reversed(s) if c), s[0]) for s in seq]  # signs at 0+, inf
+    return sum((a[0] * b[0] < 0) - (a[1] * b[1] < 0) for a, b in zip(ends, ends[1:])) > 0
+
+
+def _common_zero_n2(f: GeneralizedPolynomial, g: GeneralizedPolynomial) -> bool:
+    """Whether f and g, homogeneous under one dilation of R^2, share a zero
+    off the origin, decided exactly for their float coefficients.
+
+    Every point off the origin lies on the dilation orbit of an axis point
+    (0, tau) or of a point (sigma, tau*w^q) with w >= 0, where q is the lcm
+    of the denominators of the x2 exponents; there f and g are polynomials
+    in w.  Those share a root w >= 0 exactly when their gcd, taken by a
+    primitive integer remainder sequence, has one (Basu, Pollack & Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2).
     """
-    r1, r2 = d.weights
-    ca, cb = abs(math.cos(a)), abs(math.cos(b))
-    sa, sb = abs(math.sin(a)), abs(math.sin(b))
-    clo, chi = min(ca, cb), max(ca, cb)
-    slo, shi = min(sa, sb), max(sa, sb)
-    tm = 0.5 * (a + b)
-    sgn_c = 1.0 if math.cos(tm) >= 0 else -1.0
-    sgn_s = 1.0 if math.sin(tm) >= 0 else -1.0
-
-    lo_total, hi_total = 0.0, 0.0
-    for (powers, signed), coeff in p.terms.items():
-        q1, q2 = r1 * float(powers[0]), r2 * float(powers[1])
-        lo = (clo ** q1) * (slo ** q2)
-        hi = (chi ** q1) * (shi ** q2)
-        c = coeff
-        if signed[0]:
-            c *= sgn_c
-        if signed[1]:
-            c *= sgn_s
-        if c >= 0:
-            lo_total += c * lo
-            hi_total += c * hi
-        else:
-            lo_total += c * hi
-            hi_total += c * lo
-    return lo_total, hi_total
-
-
-def _abs_lower_bound(lo: float, hi: float) -> float:
-    if lo > 0:
-        return lo
-    if hi < 0:
-        return -hi
-    return 0.0
-
-
-def _certify_no_common_zero_n2(f, g, d, k, threshold):
-    """Branch and bound over theta cells; True when max(|f|,|g|) > threshold
-    everywhere on the sphere, f and g being homogeneous of degree k.
-    Returns (certified, worst certified bound)."""
-    l = d.l
-    r1, r2 = d.weights
-    queue = _quadrant_cells()
-    worst = math.inf
-    processed = 0
-    while queue:
-        processed += 1
-        if processed > BNB_MAX_CELLS:
-            return False, None
-        a, b = queue.pop()
-        flo, fhi = _interval_bound_raw(f, d, a, b)
-        glo, ghi = _interval_bound_raw(g, d, a, b)
-        lbf = _abs_lower_bound(flo, fhi)
-        lbg = _abs_lower_bound(glo, ghi)
-        if l != 2.0:
-            # off the l=2 parametrization, points get projected by
-            # eps^k; bound eps below via the radius range on the cell
-            ca, cb = abs(math.cos(a)), abs(math.cos(b))
-            sa, sb = abs(math.sin(a)), abs(math.sin(b))
-            rad_hi = max(ca, cb) ** l + max(sa, sb) ** l
-            eps_lo = rad_hi ** (-1.0 / l)
-            lbf *= eps_lo ** k
-            lbg *= eps_lo ** k
-        bound = max(lbf, lbg)
-        if bound > threshold:
-            worst = min(worst, bound)
-            continue
-        if b - a <= BNB_WIDTH_FLOOR:
-            return False, None
-        m = 0.5 * (a + b)
-        queue.append((a, m))
-        queue.append((m, b))
-    return True, worst
+    for tau in (1, -1):
+        if all(sum(Fraction(c) * (tau if signed[1] else 1)
+                   for (powers, signed), c in p.terms.items() if powers[0] == 0) == 0
+               for p in (f, g)):
+            return True
+    q = math.lcm(*(powers[1].denominator for p in (f, g) for powers, _ in p.terms))
+    return any(_vanishes_off_origin(_sturm(_restrict(f, sigma, tau, q),
+                                           _restrict(g, sigma, tau, q))[-1])
+               for sigma in (1, -1) for tau in (1, -1))
 
 
 def zero_margin(
@@ -659,8 +633,8 @@ def zero_margin(
     count: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> ZeroMargin:
-    """min over sphere samples of max(|f|, |g|), with optional certification
-    (`SampledPair.zero_margin`)."""
+    """min over sphere samples of max(|f|, |g|), and whether f and g
+    provably share no zero (`SampledPair.zero_margin`)."""
     return SampledPair.draw(f, g, d, count, seed).zero_margin(threshold)
 
 

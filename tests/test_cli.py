@@ -329,6 +329,29 @@ def test_sample_count_must_be_positive(tmp_path, problems_dir):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, problem", [
+    ("zeros", "cubic_shared_zero.json"), ("lfhd", "switch_sextic.json"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_threshold_must_be_finite_and_nonnegative(tmp_path, problems_dir, command, problem,
+                                                  value):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, str(problems_dir / problem), "--threshold", value)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("shs-xi", "problems/switch_sextic.json"), ("image", "problems/switch_sextic.json"),
+    ("hs-xi", "tests/fixtures/quartic3_pair.json"),
+])
+def test_seed_must_be_nonnegative(tmp_path, problems_dir, command, problem):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, str(problems_dir.parent / problem), "--seed", "-5")
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_step_must_be_positive(tmp_path, problems_dir):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "combo-scan", str(problems_dir / "switch_sextic.json"),

@@ -28,6 +28,7 @@ from slemma.image_analysis import (
     SampledPair,
     _axis_points,
     _circ_diff,
+    _common_zero_n2,
     _direction_misses,
     _inside_gap,
     _refine_directions,
@@ -178,7 +179,99 @@ def test_zero_margin_sextic_pair_certified(sextic_pair, d2):
     zm = zero_margin(*sextic_pair, d2)
     assert zm.margin > 0.25
     assert zm.refined
-    assert zm.certified_bound is not None and zm.certified_bound > 0
+    assert not _common_zero_n2(*sextic_pair)
+
+
+@pytest.mark.parametrize("sigma, tau", itertools.product((1, -1), repeat=2))
+def test_exact_common_zero_in_each_sign_case(sigma, tau):
+    # f vanishes wherever |x2| = |x1|; g only at (sigma, tau) of those,
+    # through its sign flags: 4 - 2*(tau*t + sigma*s) at (s, t)
+    f = GP.from_terms(2, [(1, (2, 0)), (-1, (0, 2))])
+    g = GP.from_terms(2, [(3, (2, 0)), (1, (0, 2)), (-2 * tau, (1, 1), (False, True)),
+                          (-2 * sigma, (1, 1), (True, False))])
+    assert f((sigma, tau)) == g((sigma, tau)) == 0.0
+    assert _common_zero_n2(f, g)
+    shifted = g + GP.from_terms(2, [(1, (2, 0))])
+    assert not _common_zero_n2(f, shifted)
+
+
+@pytest.mark.parametrize("tau", (1, -1))
+def test_exact_common_zero_where_x1_is_zero(tau):
+    # f(s, u) = 1 + u^2 + tau*u*|u| vanishes only at (0, -tau)
+    f = GP.from_terms(2, [(1, (2, 0)), (1, (0, 2)), (tau, (0, 2), (False, True))])
+    g = f + GP.from_terms(2, [(1, (1, 1))])
+    assert f((0.0, -tau)) == g((0.0, -tau)) == 0.0
+    assert _common_zero_n2(f, g)
+    assert not _common_zero_n2(f, g + GP.from_terms(2, [(1, (0, 2))]))
+
+
+def test_exact_common_zero_where_x2_is_zero():
+    # f(s, u) = u*(s + u) and g(s, u) = u*(s - 2u) share only u = 0
+    f = GP.from_terms(2, [(1, (1, 1)), (1, (0, 2))])
+    g = GP.from_terms(2, [(1, (1, 1)), (-2, (0, 2))])
+    assert _common_zero_n2(f, g)
+    assert not _common_zero_n2(f, g + GP.from_terms(2, [(1, (2, 0))]))
+
+
+def test_exact_common_zero_with_fractional_x2_powers():
+    # weights (1, 3), q = 3: at (s, t*w^3), f = 1 - 8w^6 and g = 1 - 2w^2,
+    # whose gcd 1 - 2w^2 vanishes at w = 2^(-1/2), off every float grid
+    d = Dilation((1.0, 3.0))
+    f = GP.from_terms(2, [(1, (6, 0)), (-8, (0, 2))])
+    g = GP.from_terms(2, [(1, (6, 0)), (-2, (4, (2, 3)))])
+    assert f.homogeneity_degree(d) == g.homogeneity_degree(d) == 6.0
+    assert _common_zero_n2(f, g)
+    assert not _common_zero_n2(f, g + GP.from_terms(2, [(-1, (4, (2, 3)))]))
+
+
+def test_exact_common_zero_at_a_double_root():
+    square = GP.from_terms(2, [(1, (2, 0)), (-2, (1, 1)), (1, (0, 2))])  # (x2 - x1)^2
+    f = square * GP.from_terms(2, [(1, (2, 0)), (1, (0, 2))])
+    g = square * GP.from_terms(2, [(2, (2, 0)), (1, (0, 2))])
+    assert _common_zero_n2(f, g)
+    assert not _common_zero_n2(f, g + GP.from_terms(2, [(1e-3, (4, 0))]))
+
+
+def test_exact_common_factor_without_a_zero_off_the_origin():
+    # f and g share the factor |x1| + |x2|, whose root w = -1 in every
+    # sign case is not a point of the plane
+    positive = GP.from_terms(2, [(1, (1, 0), (False, False)), (1, (0, 1), (False, False))])
+    f = positive * GP.from_terms(2, [(1, (2, 0)), (1, (0, 2))])
+    g = positive * GP.from_terms(2, [(2, (2, 0)), (-1, (1, 1)), (1, (0, 2))])
+    assert f((1.0, -1.0)) == 4.0 and g((1.0, -1.0)) == 8.0
+    assert not _common_zero_n2(f, g)
+
+
+def test_exact_common_zero_reads_the_float_coefficients(d2):
+    # x1^2 - x2^2 and x1^2 - c*x1*x2 share (1, 1) when c = 1; one ulp more
+    # moves g's root to 1/c, so those floats share no zero, however
+    # small the sampled margin
+    f = GP.from_terms(2, [(1, (2, 0)), (-1, (0, 2))])
+    g = GP.from_terms(2, [(1, (2, 0)), (-1, (1, 1))])
+    nudged = GP.from_terms(2, [(1, (2, 0)), (-math.nextafter(1.0, 2.0), (1, 1))])
+    assert _common_zero_n2(f, g)
+    assert not _common_zero_n2(f, nudged)
+    zm = zero_margin(f, nudged, d2)
+    assert zm.margin < 1e-9
+    assert not zm.refined
+
+
+# `refined` at the default threshold and seed, as the interval branch and
+# bound that the exact test replaced reported it
+REFINED = {
+    "cubic_shared_zero": False, "sector_quartic_pi": True, "sector_quartic_wide": True,
+    "sector_sextic_full": True, "sector_sextic_wide": True, "switch_fractional": True,
+    "switch_sextic": True, "sector_quartic_wide_l3": True, "mixed_quartic_l3": True,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_zero_margin_refined_on_the_shipped_pairs(name):
+    path = ROOT / "problems" / f"{name}.json"
+    problem = load_problem(path if path.exists() else ROOT / "tests" / "fixtures" / f"{name}.json")
+    f, g = problem.pair()
+    assert zero_margin(f, g, problem.dilation).refined is REFINED[name]
+    assert _common_zero_n2(f, g) is not REFINED[name]
 
 
 def test_zero_margin_scales_linearly(sextic_pair, d2):

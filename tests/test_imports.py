@@ -3,8 +3,8 @@
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
 lists the imported names that nothing in the module refers to.  Three
-more guards read the same trees: every top-level function or class is
-referenced, no `except` clause but the last resort of `cli.main`
+more guards read the same trees: every top-level function, class or
+constant is referenced, no `except` clause but the last resort of `cli.main`
 catches every exception, and only `homog_core._compile_function` turns
 text into code.
 """
@@ -38,19 +38,32 @@ def test_no_unused_module_imports():
     assert unused == []
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or class's
+    name, or the names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def unreferenced_definitions(paths: list[Path]) -> list[str]:
-    """`<file>:<line> <name>` for each top-level function or class of the
-    modules in `paths` that no code of those modules refers to outside the
-    definition itself.  Importing a name counts as a reference, so the
+    """`<file>:<line> <name>` for each top-level function, class or
+    constant of the modules in `paths` that no code of those modules
+    refers to outside the definition itself; dunder names such as
+    `__all__` are exempt.  Importing a name counts as a reference, so the
     package's exports in `__init__.py` do."""
     trees = {path: ast.parse(path.read_text()) for path in paths}
     defined, used = {}, set()
     for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = f"{path.name}:{node.lineno} {node.name}"
+            for name in defined_names(node):
+                if not (name.startswith("__") and name.endswith("__")):
+                    defined[name] = f"{path.name}:{node.lineno} {name}"
         for top in tree.body:
-            own = getattr(top, "name", None)
+            own = defined_names(top)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -60,7 +73,7 @@ def unreferenced_definitions(paths: list[Path]) -> list[str]:
                     name = node.name
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     used.add(name)
     return [where for name, where in defined.items() if name not in used]
 
