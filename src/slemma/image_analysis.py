@@ -385,7 +385,7 @@ class SampledPair:
         idx = int(np.argmin(vals))
         margin = float(vals[idx])
         refined = margin > threshold and self.degree is not None and (
-            self.d.n == 1 or self.d.n == 2 and not _common_zero_n2(self.f, self.g))
+            self.d.n == 1 or (self.d.n == 2 and not _common_zero_n2(self.f, self.g)))
         return ZeroMargin(
             margin=margin,
             refined=refined,
@@ -549,7 +549,7 @@ class SampledPair:
 
 
 def _restrict(p: GeneralizedPolynomial, sigma: int, tau: int, q: int) -> list[int]:
-    """p(sigma, tau*w^q) for w > 0, as a primitive integer polynomial in w
+    """p(sigma, tau*w^q) for w >= 0, as a primitive integer polynomial in w
     (highest power first): each float coefficient is read as the exact
     rational it is, and the sum is scaled by a positive integer."""
     coeffs = {}
