@@ -268,10 +268,9 @@ def cmd_zeros(args, problem: Problem) -> int:
     zm = zero_margin(f, g, problem.dilation, threshold=threshold,
                      count=args.samples, seed=args.seed)
     _write_json(_out_path(args, "", "json"), _payload(args, problem, zm))
-    ok = zm.margin > threshold
     print(f"zeros: margin = {zm.margin:.6g} "
-          f"({'no common zero' if ok else 'common zero detected'})")
-    return 0 if ok else 1
+          f"({'common zero detected' if zm.common_zero else 'no common zero'})")
+    return 1 if zm.common_zero else 0
 
 
 def cmd_curve(args, problem: Problem) -> int:
@@ -533,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 1 << 20
 TRIM_THRESHOLD = 32 << 20
-RELEASE_THRESHOLD = 8 << 20
+RELEASE_THRESHOLD = 6 << 20
 
 
 class _MallInfo2(ctypes.Structure):
@@ -563,9 +562,10 @@ def _pin_malloc():
     next command, or the caller, finds resident depends on the holes that
     the order of earlier blocks left: the `lift` job list of `bench/`, run
     in one process, peaked at 72.7-73.3 MB in some runs and 76.8-77.4 MB
-    in others.  Its `nhs-xi` leaves 12-17 MiB free; the shipped n = 2
-    commands leave 1-3 MiB, which the next command reuses without
-    faulting it in again.
+    in others.  Its `nhs-xi` leaves 8-13 MiB free and its n = 3 `hs-xi`
+    7.4-8.5 MiB, so at a threshold of 8 MiB a run's peak depended on
+    which side of it one `hs-xi` fell; the shipped n = 2 commands leave
+    1-5 MiB, which the next command reuses without faulting it in again.
     """
     libc = ctypes.CDLL(None) if sys.platform == "linux" else None
     mallopt = getattr(libc, "mallopt", None)

@@ -87,6 +87,7 @@ class ImageSummary:
 @dataclass
 class ZeroMargin:
     margin: float
+    common_zero: bool
     refined: bool
     witness: np.ndarray
     threshold: float
@@ -373,22 +374,26 @@ class SampledPair:
         )
 
     def zero_margin(self, threshold: float = 1e-9) -> ZeroMargin:
-        """min over the samples of max(|f|, |g|), and whether f and g
-        provably share no zero off the origin (`refined`).
+        """min over the samples of max(|f|, |g|), the verdict whether f and
+        g share a zero off the origin (`common_zero`), and whether that
+        verdict is exact (`refined`).
 
         A margin at zero scale is a finding (common zero), not an error.
-        `refined` needs a drawn sphere sample whose margin clears the
-        threshold; it is then exact for n = 1, whose sphere is {+1, -1},
-        and for n = 2 by `_common_zero_n2`.  Higher n stays sampled.
+        A margin above the threshold on a drawn sphere sample is decided
+        exactly for n = 1, whose sphere is {+1, -1}, and for n = 2 by
+        `_common_zero_n2`, whose zero stands whatever the margin.  Higher
+        n stays sampled.
         """
         vals = np.maximum(np.abs(self.F), np.abs(self.G))
         idx = int(np.argmin(vals))
         margin = float(vals[idx])
-        refined = margin > threshold and self.degree is not None and (
-            self.d.n == 1 or (self.d.n == 2 and not _common_zero_n2(self.f, self.g)))
+        exact = margin > threshold and self.degree is not None and self.d.n <= 2
+        common_zero = margin <= threshold or (
+            exact and self.d.n == 2 and _common_zero_n2(self.f, self.g))
         return ZeroMargin(
             margin=margin,
-            refined=refined,
+            common_zero=common_zero,
+            refined=exact and not common_zero,
             witness=self.X[idx],
             threshold=threshold,
             sample_count=len(self.X),
@@ -634,7 +639,7 @@ def zero_margin(
     seed: int = DEFAULT_SEED,
 ) -> ZeroMargin:
     """min over sphere samples of max(|f|, |g|), and whether f and g
-    provably share no zero (`SampledPair.zero_margin`)."""
+    share a zero (`SampledPair.zero_margin`)."""
     return SampledPair.draw(f, g, d, count, seed).zero_margin(threshold)
 
 

@@ -67,7 +67,6 @@ XI_GRID_HI = 1e6
 XI_GRID_POINTS = 241
 
 CROSS_TOL = 1e-6
-NBINS = 1440
 
 NHS_BOX_RADIUS = 10.0
 
@@ -273,7 +272,7 @@ def _check(name, ok, reason, message, stage, witness=None, **data):
 
 
 def _zero_check(name, zm: ZeroMargin, message, stage, **data):
-    return _check(name, zm.margin > zm.threshold, ReasonCode.COMMON_ZERO, message, stage,
+    return _check(name, not zm.common_zero, ReasonCode.COMMON_ZERO, message, stage,
                   witness=list(zm.witness), margin=zm.margin, **data)
 
 
@@ -283,10 +282,10 @@ def _copositivity_check(name, cop: CopositivityReport, message, stage):
                   min_value=cop.min_value)
 
 
-def _collision_check(name, hits, reason, message, stage):
-    return _check(name, not hits, reason, message, stage,
-                  witness=[list(h) for h in hits[0]] if hits else None,
-                  collisions=len(hits))
+def _collision_check(name, A, B, reason, message, stage):
+    counts, witness = _antipodes(A, B)
+    hits = int(counts.sum())
+    return _check(name, not hits, reason, message, stage, witness=witness, collisions=hits)
 
 
 def _sphere_zero_check(pair: SampledPair):
@@ -385,110 +384,65 @@ def _strict_chain(pair: SampledPair):
 # --------------------------------------------------- direction collisions
 
 
-def _bin_occupancy(U: np.ndarray, nbins: int, cap: int = 96) -> dict[int, np.ndarray]:
-    """Rows of `np.round(U, 9)` grouped by the angle bin of U, at most
-    `cap` per bin.
-
-    A row is stored once per distinct value of (bin, rounded row).  Rows
-    compare by value, so -0.0 and 0.0 are the same coordinate, and the
-    stored row is the first occurrence, with its own sign of zero.  Each
-    bin keeps its first `cap` distinct rows in the order they first occur
-    in U.
-    """
-    if len(U) == 0:
-        return {}
-    ang = np.arctan2(U[:, 1], U[:, 0])
-    bins = ((ang + math.pi) / TWO_PI * nbins).astype(int) % nbins
-    R = np.round(U, 9)
-    # stable, so equal rows keep their order; floats compare by value, -0.0 == 0.0
-    order = np.lexsort((R[:, 1], R[:, 0], bins))
-    b, x, y = bins[order], R[order, 0], R[order, 1]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (b[1:] != b[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    # the first occurrences, ordered by bin and then by position in U
-    firsts = order[first]
-    key = np.sort(bins[firsts] * len(U) + firsts)
-    rows, row_bins = key % len(U), key // len(U)
-    starts = np.flatnonzero(np.diff(row_bins, prepend=-1))
-    ends = np.append(starts[1:], len(rows))
-    return {int(row_bins[s]): R[rows[s:min(e, s + cap)]] for s, e in zip(starts, ends)}
-
-
-class _DirectionBins:
-    """The unit directions of a planar point set, binned by angle.
-
-    Rows no longer than the zero tolerance of a query have no direction.
-    The tolerance depends on both sets of a query, so the occupancy is
-    kept per set of surviving rows: a set that takes part in several
-    queries is binned once for each distinct set of rows, usually once.
-    """
+class _Directions:
+    """A planar point set with the angle and length of each row, taken once
+    for every query it joins."""
 
     def __init__(self, P: np.ndarray):
         self.P = np.asarray(P, dtype=float)
+        self.angles = np.arctan2(self.P[:, 1], self.P[:, 0])
         self.norms = np.hypot(self.P[:, 0], self.P[:, 1])
         self.peak = float(np.max(np.abs(self.P))) if len(self.P) else 0.0
-        self._occupancy: dict[int, dict[int, np.ndarray]] = {}
 
-    def occupancy(self, ztol: float) -> dict[int, np.ndarray]:
-        keep = self.norms > ztol
-        # the kept rows shrink as ztol grows, so their count identifies them
-        kept = int(np.count_nonzero(keep))
-        if kept not in self._occupancy:
-            U = self.P[keep] / self.norms[keep, None]
-            self._occupancy[kept] = _bin_occupancy(U, NBINS)
-        return self._occupancy[kept]
+    def unit(self, i: int) -> list[float]:
+        return (self.P[i] / self.norms[i]).tolist()
 
 
-def _direction_collisions(
-    A: _DirectionBins,
-    B: _DirectionBins,
-    max_report: int | None = 64,
-) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """Pairs u in A, v in B pointing in opposite directions.
+def _antipodes(A: _Directions, B: _Directions) -> tuple[np.ndarray, list | None]:
+    """For each row u of A, the number of rows v of B pointing the opposite
+    way, and the first such pair.
 
-    Opposite means |cross(u, v)| <= CROSS_TOL on unit vectors and
-    u . v < 0, i.e. the rays are anti-parallel within tolerance.  Bins
-    prefilter the candidates; the cross-product test decides.  The walk
-    goes up from angle -pi and stops after `max_report` hits (None: no
-    stop; the per-bin cap of the occupancy bounds the count).
+    Opposite means |cross(u, v)| <= CROSS_TOL and u . v < 0 on the unit
+    vectors, i.e. the angle of v lies within asin(CROSS_TOL) of the angle
+    of u plus pi.  Rows no longer than the query's zero tolerance have no
+    direction.  B's angles, shifted by pi, are sorted once, with those
+    near the +-pi seam copied across it, so two binary searches count the
+    antipodes of every u.  The pair is the first walking up from angle
+    -pi: the u of least angle and its v of least shifted angle, as unit
+    vectors, or None when no u has an antipode.
     """
     ztol = 1e-12 * max(1.0, A.peak, B.peak)
-    occ_a = A.occupancy(ztol)
-    occ_b = B.occupancy(ztol)
-    half = NBINS // 2
-    hits = []
-    for b, ua in sorted(occ_a.items()):
-        for db in (-1, 0, 1):
-            tb = (b + half + db) % NBINS
-            vb = occ_b.get(tb)
-            if vb is None:
-                continue
-            cross = np.abs(ua[:, 0:1] * vb[None, :, 1] - ua[:, 1:2] * vb[None, :, 0])
-            dot = ua[:, 0:1] * vb[None, :, 0] + ua[:, 1:2] * vb[None, :, 1]
-            ii, jj = np.nonzero((cross <= CROSS_TOL) & (dot < 0))
-            for i, j in zip(ii, jj):
-                hits.append(
-                    ((float(ua[i, 0]), float(ua[i, 1])),
-                     (float(vb[j, 0]), float(vb[j, 1])))
-                )
-                if max_report is not None and len(hits) >= max_report:
-                    return hits
-    return hits
+    w = math.asin(CROSS_TOL)
+    keep = B.norms > ztol
+    s = B.angles[keep] + math.pi
+    s[s > math.pi] -= TWO_PI
+    order = np.argsort(s)
+    s = s[order]
+    below, above = s <= w - math.pi, s >= math.pi - w
+    s = np.concatenate([s[above] - TWO_PI, s, s[below] + TWO_PI])
+    lo = np.searchsorted(s, A.angles - w, side="left")
+    counts = np.searchsorted(s, A.angles + w, side="right")
+    counts -= lo
+    counts[~(A.norms > ztol)] = 0
+    hits = np.flatnonzero(counts)
+    if not len(hits):
+        return counts, None
+    i = int(hits[np.argmin(A.angles[hits])])
+    j = np.concatenate([order[above], order, order[below]])[lo[i]]
+    return counts, [A.unit(i), B.unit(int(np.flatnonzero(keep)[j]))]
 
 
 def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
     """Number of distinct lines through the origin present in a point set,
-    detected as clusters of antipodal direction collisions (angles mod pi).
+    detected as clusters, by angle mod pi, of the rows with an antipode.
 
-    Every collision is clustered: a truncated list would hold only the
-    lines met first in the walk over the bins.  A cluster spans at most
-    0.02 rad from its first angle, so a continuum of directions counts as
-    many lines, not one."""
-    bins = _DirectionBins(P)
-    colls = _direction_collisions(bins, bins, max_report=None)
-    if not colls:
+    A cluster spans at most 0.02 rad from its first angle, so a continuum
+    of directions counts as many lines, not one."""
+    D = _Directions(P)
+    counts, _ = _antipodes(D, D)
+    angles = np.sort(D.angles[counts > 0] % math.pi).tolist()
+    if not angles:
         return 0, []
-    angles = sorted(math.atan2(u[1], u[0]) % math.pi for u, _ in colls)
 
     def mod_pi_dist(a, b):
         h = abs(a - b)
@@ -633,16 +587,16 @@ def _nhs_chain(lift, k, affine: SampledPair):
                               "the top-degree form of f is not copositive with that of g",
                               "top_form")
 
-    A, T = _DirectionBins(affine.joint_values), _DirectionBins(top.joint_values)
-    yield _collision_check("item_1_top_antipodal", _direction_collisions(T, T),
+    A, T = _Directions(affine.joint_values), _Directions(top.joint_values)
+    yield _collision_check("item_1_top_antipodal", T, T,
                            ReasonCode.NHS_ITEM_1,
                            "the top-form image contains a pair of opposite directions",
                            "item_1")
-    yield _collision_check("item_2_affine_antipodal", _direction_collisions(A, A),
+    yield _collision_check("item_2_affine_antipodal", A, A,
                            ReasonCode.NHS_ITEM_2,
                            "the image of (f, g) contains collinear opposite-pointing values",
                            "item_2")
-    yield _collision_check("item_3_4_cross_antipodal", _direction_collisions(A, T),
+    yield _collision_check("item_3_4_cross_antipodal", A, T,
                            ReasonCode.NHS_ITEM_3,
                            "an image value of (f, g) opposes a top-form image direction",
                            "item_3_4")

@@ -59,6 +59,29 @@ def test_zeros_detects_the_shared_zero(tmp_path, problems_dir):
     assert code == 1
     payload = read_payload(tmp_path, "zeros_cubic_shared_zero.json")
     assert payload["result"]["margin"] < 1e-9
+    assert payload["result"]["common_zero"] is True
+
+
+@pytest.mark.parametrize("samples", ["5", "33"])
+def test_zeros_trusts_the_exact_test_over_a_coarse_sample(tmp_path, problems_dir, samples):
+    # no sample lands on the shared zero, so the margin clears the
+    # threshold, but the exact n = 2 test finds the zero
+    code = run(tmp_path, "zeros", str(problems_dir / "cubic_shared_zero.json"),
+               "--samples", samples)
+    assert code == 1
+    result = read_payload(tmp_path, "zeros_cubic_shared_zero.json")["result"]
+    assert result["margin"] > 1e-9
+    assert result["common_zero"] is True and result["refined"] is False
+
+
+def test_hs_xi_fails_on_a_common_zero_the_samples_miss(tmp_path, problems_dir):
+    code = run(tmp_path, "hs-xi", str(problems_dir / "cubic_shared_zero.json"),
+               "--samples", "33")
+    assert code == 1
+    result = read_payload(tmp_path, "hs-xi_cubic_shared_zero.json")["result"]
+    assert result["reason"] == "COMMON_ZERO"
+    [check] = result["checks"]
+    assert check["check"] == "zero_margin" and check["margin"] > 1e-9
 
 
 def test_zeros_clean_pair_exits_zero(tmp_path, problems_dir):
@@ -66,6 +89,7 @@ def test_zeros_clean_pair_exits_zero(tmp_path, problems_dir):
     assert code == 0
     payload = read_payload(tmp_path, "zeros_switch_sextic.json")
     assert payload["result"]["margin"] > 0.25
+    assert payload["result"]["common_zero"] is False
 
 
 def test_image_with_csv_and_svg(tmp_path, problems_dir):

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from slemma import (
 )
 from slemma import homog_core, s_lemma
 from slemma.cli import main
-from slemma.s_lemma import NBINS, _count_lines, _direction_collisions, _DirectionBins
+from slemma.s_lemma import CROSS_TOL, _antipodes, _count_lines, _Directions
 
 from conftest import quad_form, random_symmetric
 
@@ -430,52 +429,90 @@ def test_nonstrict_fresh_seed_soundness(sextic_pair):
 # ------------------------------------------------------------ line detection
 
 
+def _reference_antipodes(A, B):
+    """The definition, pair by pair: for each row of A, the number of rows
+    of B whose unit vector v has |cross(u, v)| <= CROSS_TOL and u . v < 0
+    with A's unit vector u, after dropping the rows no longer than the
+    query's zero tolerance."""
+    ztol = 1e-12 * max(1.0, np.max(np.abs(A), initial=0.0), np.max(np.abs(B), initial=0.0))
+    na, nb = np.hypot(A[:, 0], A[:, 1]), np.hypot(B[:, 0], B[:, 1])
+    U, V = A[na > ztol] / na[na > ztol, None], B[nb > ztol] / nb[nb > ztol, None]
+    cross = U[:, 0:1] * V[None, :, 1] - U[:, 1:2] * V[None, :, 0]
+    dot = U[:, 0:1] * V[None, :, 0] + U[:, 1:2] * V[None, :, 1]
+    counts = np.zeros(len(A), dtype=int)
+    counts[na > ztol] = np.count_nonzero((np.abs(cross) <= CROSS_TOL) & (dot < 0), axis=1)
+    return counts
+
+
+def _assert_matches_the_reference(A, B):
+    counts, witness = _antipodes(_Directions(A), _Directions(B))
+    want = _reference_antipodes(A, B)
+    assert counts.tolist() == want.tolist()
+    if not want.any():
+        assert witness is None
+        return
+    # the witness is an antipodal pair whose u has the least angle
+    (u0, u1), (v0, v1) = witness
+    first = np.flatnonzero(want)[np.argmin(np.arctan2(A[want > 0, 1], A[want > 0, 0]))]
+    assert np.array([u0, u1]) == pytest.approx(A[first] / np.hypot(*A[first]), abs=1e-15)
+    assert abs(u0 * v1 - u1 * v0) <= CROSS_TOL and u0 * v0 + u1 * v1 < 0
+
+
 def test_direction_collisions_detects_antipodes():
     t = np.linspace(0.1, 0.4, 5)
     A = np.column_stack([np.cos(t), np.sin(t)])
-    hits = _direction_collisions(_DirectionBins(A), _DirectionBins(-A))
-    assert hits
-    for u, v in hits:
-        assert u[0] * v[0] + u[1] * v[1] < 0
-        assert abs(u[0] * v[1] - u[1] * v[0]) <= 1e-6
+    counts, witness = _antipodes(_Directions(A), _Directions(-A))
+    assert counts.tolist() == [1] * 5
+    assert witness == [A[0].tolist(), (-A[0]).tolist()]
 
 
 def test_direction_collisions_empty_for_half_plane():
     t = np.linspace(-1.2, 1.2, 50)
-    bins = _DirectionBins(np.column_stack([np.cos(t), np.sin(t)]))
-    assert _direction_collisions(bins, bins) == []
+    D = _Directions(np.column_stack([np.cos(t), np.sin(t)]))
+    counts, witness = _antipodes(D, D)
+    assert not counts.any() and witness is None
 
 
-def _reference_bin_occupancy(U, nbins, cap=96):
-    """The per-point loop that `_bin_occupancy` vectorizes: the reference
-    its output must match byte for byte."""
-    ang = np.arctan2(U[:, 1], U[:, 0])
-    bins = ((ang + math.pi) / (2 * math.pi) * nbins).astype(int) % nbins
-    occ = {}
-    seen = set()
-    for b, u in zip(bins, np.round(U, 9)):
-        key = (b, u[0], u[1])
-        if key in seen:
-            continue
-        seen.add(key)
-        lst = occ.setdefault(int(b), [])
-        if len(lst) < cap:
-            lst.append(u)
-    return {b: np.array(lst) for b, lst in occ.items()}
+def test_direction_collisions_see_past_a_crowded_angle_bin():
+    # 200 directions 1.5e-5 rad apart, all within the 1/1440 turn from
+    # 0.50179 to 0.50615 rad, and the negation of the 151st: a crowded
+    # angle range hides no antipode
+    t = 0.502 + 1.5e-5 * np.arange(200)
+    U = np.column_stack([np.cos(t), np.sin(t)])
+    P = np.vstack([U, -U[150:151]])
+    D = _Directions(P)
+    counts, witness = _antipodes(D, D)
+    assert np.flatnonzero(counts).tolist() == [150, 200]
+    assert counts.sum() == 2
+    assert np.array(witness) == pytest.approx(np.array([-U[150], U[150]]), abs=1e-15)
+    _assert_matches_the_reference(P, P)
 
 
-# Axis directions with both signs of zero: (0.0, 1.0) and (-0.0, 1.0) fall
-# in one bin and are equal by value; so do (-1.0, 0.0) and (-1.0, -0.0),
-# at angles pi and -pi, which both land in bin 0.
+def test_direction_collisions_across_the_seam():
+    # v's angle plus pi wraps to -pi + 2e-7, 7e-7 from u's pi - 5e-7
+    u = np.array([[math.cos(math.pi - 5e-7), math.sin(math.pi - 5e-7)]])
+    v = np.array([[math.cos(2e-7), math.sin(2e-7)]])
+    for A, B in ((u, v), (v, u)):
+        counts, witness = _antipodes(_Directions(A), _Directions(B))
+        assert counts.tolist() == [1]
+        assert witness == [A[0].tolist(), B[0].tolist()]
+        _assert_matches_the_reference(A, B)
+    far = np.array([[math.cos(2e-6), math.sin(2e-6)]])
+    assert _antipodes(_Directions(u), _Directions(far))[0].tolist() == [0]
+
+
+# Axis directions with both signs of zero: (-1.0, 0.0) and (-1.0, -0.0)
+# lie at angles pi and -pi, on either side of the seam.
 SIGNED_AXES = [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0),
                (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0)]
 
 
 @st.composite
 def unit_sets(draw, max_clusters=3):
-    """Shuffled unit vectors: angle clusters narrower than a bin and up to
-    250 strong (past the per-bin cap), or 1e-11 wide (duplicates after
-    9-digit rounding), signed-zero axis vectors and exact repeats."""
+    """Shuffled unit vectors: angle clusters 2e-3 wide and up to 250
+    strong (more than 96 in one 1/1440 turn), 1e-11 wide (equal after
+    rounding to 9 digits) or 0.5 wide, signed-zero axis vectors and exact
+    repeats."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pieces = [np.array(draw(st.lists(st.sampled_from(SIGNED_AXES), max_size=12)),
                        dtype=float).reshape(-1, 2)]
@@ -490,28 +527,13 @@ def unit_sets(draw, max_clusters=3):
     return U[rng.permutation(len(U))]
 
 
-def _assert_same_occupancy(got, want):
-    assert got.keys() == want.keys()
-    for b in want:
-        assert got[b].dtype == want[b].dtype and got[b].shape == want[b].shape
-        assert got[b].tobytes() == want[b].tobytes(), f"bin {b}"
-
-
 @settings(max_examples=150, deadline=None)
-@given(unit_sets())
-def test_bin_occupancy_matches_the_reference_loop(U):
-    _assert_same_occupancy(s_lemma._bin_occupancy(U, NBINS),
-                           _reference_bin_occupancy(U, NBINS))
-
-
-def test_bin_occupancy_keeps_first_seen_rows_by_value():
-    U = np.array([(-1.0, -0.0), (0.6, 0.8), (-1.0, 0.0), (0.6, 0.8 + 1e-12)])
-    occ = s_lemma._bin_occupancy(U, NBINS)
-    assert sorted(occ) == [0, 932]
-    assert occ[0].tobytes() == np.array([[-1.0, -0.0]]).tobytes()
-    assert len(occ[932]) == 1
-    t = np.linspace(0.0, 1e-3, 200)
-    assert len(s_lemma._bin_occupancy(np.column_stack([np.cos(t), np.sin(t)]), NBINS)[720]) == 96
+@given(unit_sets(), st.data())
+def test_antipodes_match_the_all_pairs_reference_on_unit_sets(U, data):
+    if len(U):
+        flip = data.draw(st.lists(st.integers(0, len(U) - 1), max_size=50))
+        U = np.vstack([U, -U[flip]])
+    _assert_matches_the_reference(U, U)
 
 
 @st.composite
@@ -526,31 +548,26 @@ def point_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(point_sets(), point_sets(), st.data())
-def test_direction_collisions_match_the_reference_binning(A, T, data):
-    """The queries of the NHS chain, (T, T), (A, A) and (A, T), on two
-    shared binned sets give the hit lists of the reference loop run on a
-    fresh binning per operand, in order and truncated at 64."""
+def test_direction_collisions_match_the_all_pairs_reference(A, T, data):
+    """The queries of the NHS chain, (T, T), (A, A) and (A, T), count the
+    antipodal pairs of the definition."""
     if len(A):
         flip = data.draw(st.lists(st.integers(0, len(A) - 1), max_size=200))
         T = np.vstack([T, -A[flip]])
-    bins_a, bins_t = _DirectionBins(A), _DirectionBins(T)
-    got = [_direction_collisions(bins_t, bins_t), _direction_collisions(bins_a, bins_a),
-           _direction_collisions(bins_a, bins_t)]
-    with mock.patch.object(s_lemma, "_bin_occupancy", _reference_bin_occupancy):
-        want = [_direction_collisions(_DirectionBins(X), _DirectionBins(Y))
-                for X, Y in ((T, T), (A, A), (A, T))]
-    assert got == want
+    for X, Y in ((T, T), (A, A), (A, T)):
+        _assert_matches_the_reference(X, Y)
 
 
-def test_direction_collisions_truncate_at_64_hits():
+def test_direction_collisions_count_every_pair():
+    # 300 directions within 1e-3 rad and their negations: every direction
+    # opposes its own negation and the few within 1e-6 of it, and every
+    # such pair counts
     t = np.linspace(0.1, 0.101, 300)
     A = np.column_stack([np.cos(t), np.sin(t)])
     P = np.vstack([A, -A])
-    bins = _DirectionBins(P)
-    hits = _direction_collisions(bins, bins)
-    assert len(hits) == 64
-    with mock.patch.object(s_lemma, "_bin_occupancy", _reference_bin_occupancy):
-        assert hits == _direction_collisions(_DirectionBins(P), _DirectionBins(P))
+    D = _Directions(P)
+    counts, _ = _antipodes(D, D)
+    assert counts.sum() == _reference_antipodes(P, P).sum() >= 600
 
 
 def test_count_lines_clusters_antipodal_directions():
@@ -569,7 +586,7 @@ def test_count_lines_clusters_antipodal_directions():
 
 def test_count_lines_sees_lines_past_the_first_64_collisions():
     # Ten close directions per line give 200 collisions per line, so the
-    # first line met in the bin walk alone fills a 64-hit report.
+    # first line met walking up from -pi alone would fill a 64-hit report.
     pieces = []
     for a in (0.3, 1.2, 2.0):
         t = a + 1e-8 * np.arange(10)
