@@ -41,6 +41,7 @@ from .homog_core import (
     UsageError,
     _compile_function,
     _function_source,
+    evaluate_many,
     overflow_guard,
     sphere_samples,
     theta_grid,
@@ -260,8 +261,7 @@ class SampledPair:
         self.f, self.g, self.d, self.degree = f, g, d, degree
         self.X, self.count, self.seed = X, count, seed
         with overflow_guard("sample evaluation"):
-            self.F = f.evaluate(X)
-            self.G = g.evaluate(X)
+            self.F, self.G = evaluate_many((f, g), X)
         self.scale_f = float(np.max(np.abs(self.F))) if len(X) else 0.0
         self.scale_g = float(np.max(np.abs(self.G))) if len(X) else 0.0
         self.scale = max(1.0, self.scale_f, self.scale_g)
@@ -496,7 +496,7 @@ class SampledPair:
         with overflow_guard("convexity probe"):
             pts = self.joint_values
             axis = _axis_points(d.n)
-            pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
+            pts_axis = np.column_stack(evaluate_many((f, g), axis))
 
             scale = self.scale
             ztol = 1e-12 * scale
@@ -672,7 +672,7 @@ def mixing_curve(
     c, s = np.cos(t)[:, None], np.sin(t)[:, None]
     with overflow_guard("mixing curve"):
         X = z1 * np.abs(c) ** r * np.sign(c) + z2 * np.abs(s) ** r * np.sign(s)
-        return np.column_stack([f.evaluate(X), g.evaluate(X)])
+        return np.column_stack(evaluate_many((f, g), X))
 
 
 # ----------------------------------------------------------- convexity probe
@@ -732,14 +732,14 @@ def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float
     proposal after an accepted one is built again from the new x, and the
     rest of the old batch is discarded.  The searches run in lockstep:
     each round stacks the pending proposals of every live search and
-    calls `radius`, `scale` and `f.evaluate`/`g.evaluate` once on the
+    calls `radius`, `scale` and `evaluate_many` on f and g once on the
     stack.  This takes the same draws and the same steps, and reaches bit
     for bit the same points, as running the searches one after another
     and projecting and evaluating one proposal at a time
     (tests/test_image_analysis.py keeps that one-row search as its
     reference), because
     - NumPy's array `**`, `abs`, `sign` and sum over the last axis in
-      `radius`, `scale` and `evaluate` round each row the same whatever
+      `radius`, `scale` and `evaluate_many` round each row the same whatever
       the other rows of the array are (checked with NumPy 2.4 on AVX-512,
       and by a property test over the shipped problems);
     - the projection factor rad**(-1/l) is still taken one row at a time
@@ -767,7 +767,7 @@ def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float
         rad = d.radius(Y)
         rows = np.flatnonzero(rad > 0)
         P = d.scale(np.array([v ** power for v in rad[rows]]), Y[rows])
-        U, V = f.evaluate(P), g.evaluate(P)
+        U, V = evaluate_many((f, g), P)
         # each search's projected rows end where its proposal rows of Y end
         ends = np.searchsorted(rows, np.cumsum([len(s.props) - s.k for s in live]))
         still, start = [], 0

@@ -47,6 +47,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     UsageError,
+    evaluate_many,
     overflow_guard,
     sphere_samples,
 )
@@ -297,7 +298,8 @@ def _sphere_zero_check(pair: SampledPair):
 def _fresh_margin(pair: SampledPair, xi: float) -> float:
     """min of f - xi*g on an independent sample set of the pair's sphere."""
     Xv = _fresh_samples(pair.d, pair.count, pair.seed)
-    return float(np.min(pair.f.evaluate(Xv) - xi * pair.g.evaluate(Xv)))
+    F, G = evaluate_many((pair.f, pair.g), Xv)
+    return float(np.min(F - xi * G))
 
 
 FRESH_FAILED = "certificate failed re-verification on an independent sample set"
@@ -437,26 +439,27 @@ def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
     detected as clusters, by angle mod pi, of the rows with an antipode.
 
     A cluster spans at most 0.02 rad from its first angle, so a continuum
-    of directions counts as many lines, not one."""
+    of directions counts as many lines, not one.  A member is kept within
+    pi/2 of its cluster's first angle, and the last cluster, moved down by
+    pi, joins the first if together they keep that span: a cluster across
+    the seam at 0 = pi has its mean, taken mod pi, at the seam."""
     D = _Directions(P)
     counts, _ = _antipodes(D, D)
     angles = np.sort(D.angles[counts > 0] % math.pi).tolist()
     if not angles:
         return 0, []
 
-    def mod_pi_dist(a, b):
-        h = abs(a - b)
-        return min(h, math.pi - h)
-
     clusters: list[list[float]] = []
     for a in angles:
-        if clusters and mod_pi_dist(a, clusters[-1][0]) <= 0.02:
-            clusters[-1].append(a)
+        first = clusters[-1][0] if clusters else math.inf
+        near = a - math.pi if a - first > math.pi / 2 else a
+        if abs(near - first) <= 0.02:
+            clusters[-1].append(near)
         else:
             clusters.append([a])
-    if len(clusters) > 1 and mod_pi_dist(clusters[0][-1], clusters[-1][0]) <= 0.02:
-        clusters[0].extend(clusters.pop())
-    return len(clusters), [float(np.mean(c)) for c in clusters]
+    if len(clusters) > 1 and clusters[0][-1] - (clusters[-1][0] - math.pi) <= 0.02:
+        clusters[0].extend(a - math.pi for a in clusters.pop())
+    return len(clusters), [float(np.mean(c)) % math.pi for c in clusters]
 
 
 # ----------------------------------------------------- non-strict multiplier

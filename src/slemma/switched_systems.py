@@ -24,6 +24,7 @@ from .homog_core import (
     UsageError,
     _compile_function,
     _function_source,
+    evaluate_many,
     sphere_samples,
 )
 from .image_analysis import _default_count, _pos_threshold
@@ -179,7 +180,7 @@ def _derivative_samples(cand: LfhdCandidate, count: int | None, seed: int):
     subsystem derivatives on them, one row per subsystem."""
     d = cand.dilation
     X = sphere_samples(d, _default_count(d.n) if count is None else count, seed)
-    return X, np.vstack([dv.evaluate(X) for dv in cand.derivatives])
+    return X, evaluate_many(cand.derivatives, X)
 
 
 def check_lfhd(
@@ -343,7 +344,8 @@ def synthesize_combination_n2(
     if count is None:
         count = _default_count(d.n)
     Xv = _fresh_samples(d, count, seed + 1)
-    vals = lam[0] * cand.derivatives[0].evaluate(Xv) + lam[1] * cand.derivatives[1].evaluate(Xv)
+    D0, D1 = evaluate_many(cand.derivatives, Xv)
+    vals = lam[0] * D0 + lam[1] * D1
     thr = _pos_threshold(float(np.max(np.abs(vals))))
     worst = float(np.max(vals))
     record, failure = _check("combination_verification", worst < -thr,

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
 from slemma import homog_core
 from slemma.homog_core import (
-    EVALUATE_BLOCK, NDTRI_BLOCK, _first_primes, _libm_log, _ndtri, _scrambled_halton,
-    overflow_guard, sphere_samples, theta_grid, theta_points,
+    EVALUATE_BLOCK, NDTRI_BLOCK, _first_primes, _libm_log, _ndtri, _plan_frees,
+    _scrambled_halton, evaluate_many, overflow_guard, sphere_samples, theta_grid, theta_points,
 )
 
 from conftest import COEFFS, coordinates
@@ -335,11 +335,20 @@ def test_ndtri_without_an_extended_long_double_has_the_same_bytes(monkeypatch):
 def test_sphere_samples_match_the_scipy_pipeline():
     stats = pytest.importorskip("scipy.stats")
     ndtri = pytest.importorskip("scipy.special").ndtri
-    d = Dilation((1.0, 2.0, 1.5, 1.0), l=3.0)
-    u = stats.qmc.Halton(d=4, scramble=True, seed=DEFAULT_SEED).random(3000)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    want = d.project(z / np.linalg.norm(z, axis=1)[:, None])
-    assert sphere_samples(d, 3000).tobytes() == want.tobytes()
+    weighted = Dilation((1.0, 2.0, 1.5, 1.0), l=3.0)
+    # SciPy's points come in Fortran order, and the sampler normalizes and
+    # projects the rows of a C-order array.  The layout matters: on rows
+    # of 8 or more entries np.linalg.norm sums pairwise, unlike a sum down
+    # the columns of an (n, count) array (which differs from n = 8, count
+    # 1 on), and the weighted projection's powers take another NumPy loop
+    # on the (n, count) layout, which rounds some entries differently
+    cases = [(weighted, 3000), (weighted, 65537), (Dilation.standard(8), 1),
+             (Dilation.standard(8), 65537), (Dilation.standard(9), 65537)]
+    for d, count in cases:
+        u = stats.qmc.Halton(d=d.n, scramble=True, seed=DEFAULT_SEED).random(count)
+        z = np.ascontiguousarray(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
+        want = d.project(z / np.linalg.norm(z, axis=1)[:, None])
+        assert sphere_samples(d, count).tobytes() == want.tobytes(), (d, count)
 
 
 # ------------------------------------------------------------ properties
@@ -438,11 +447,43 @@ def test_evaluate_reuses_fractional_repeated_and_signed_factors_bit_for_bit():
     assert f.evaluate(Y).tobytes() == _reference_evaluate(f, Y).tobytes()
 
 
+def _assert_each_is_its_own_loop(polys, X):
+    for Y in _layouts(X) + [X[0], X[:1]]:
+        rows = evaluate_many(polys, Y)
+        assert rows.shape == (len(polys),) + Y.shape[:-1]
+        for poly, row in zip(polys, rows):
+            assert np.asarray(row).tobytes() == np.asarray(_reference_evaluate(poly, Y)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_many_is_each_per_term_loop_bit_for_bit(data):
+    # f and g share the powers and signs of their common factors
+    n = data.draw(st.integers(1, 4))
+    f, g = data.draw(polynomials(n)), data.draw(polynomials(n))
+    X = data.draw(_points(n, 5.0))
+    _assert_each_is_its_own_loop((f, g), X)
+    # the drawn rows repeated past one block, with a short last block
+    _assert_each_is_its_own_loop((f, g), np.resize(X, (EVALUATE_BLOCK + len(X) + 1, n)))
+
+
 def test_evaluate_keeps_each_power_and_sign_until_its_last_term():
     # x1^2 x2, then x1^2, then x2: |x1|^2 is last used by the second term,
     # |x2|^1 and sgn(x2) by the third
     f = GP.from_terms(2, [(1.0, (2, 1)), (2.0, (2, 0)), (3.0, (0, 1))])
-    assert f._plan_frees() == [set(), {(0, 2.0)}, {(1, 1.0), 1}]
+    assert [last for *_, last in _plan_frees([f])] == [set(), {(0, 2.0)}, {(1, 1.0), 1}]
+
+
+def test_evaluate_many_keeps_a_shared_power_until_its_last_use_by_any_polynomial():
+    # f is x1^2, then x2; g is x1^2 x2, then x2^3.  Alone, f frees |x1|^2
+    # after its first term and |x2|, sgn(x2) after its second; before g,
+    # they live until g's first term, and sgn(x2) until g's second
+    f = GP.from_terms(2, [(1.0, (2, 0)), (2.0, (0, 1))])
+    g = GP.from_terms(2, [(3.0, (2, 1)), (4.0, (0, 3))])
+    assert [last for *_, last in _plan_frees([f])] == [{(0, 2.0)}, {(1, 1.0), 1}]
+    plan = _plan_frees([f, g])
+    assert [k for k, *_ in plan] == [0, 0, 1, 1]
+    assert [last for *_, last in plan] == [set(), set(), {(0, 2.0), (1, 1.0)}, {(1, 3.0), 1}]
 
 
 @pytest.mark.parametrize("terms, x, op", [
@@ -453,13 +494,35 @@ def test_evaluate_keeps_each_power_and_sign_until_its_last_term():
     ([(1e290, (2, 0)), (1e290, (2, 2)), (1e290, (0, 2))], (1e5, 1e5), "multiply"),
     ([(1e308, (1, 0)), (1e308, (0, 1))], (1.5, 1.5), "add"),
 ])
-@pytest.mark.parametrize("rows", [1, 2 * EVALUATE_BLOCK])
+@pytest.mark.parametrize("rows", [1, EVALUATE_BLOCK])
 def test_evaluate_overflow_raises_what_the_per_term_loop_raises(terms, x, op, rows):
     f = GP.from_terms(2, terms)
     # with more than one block, the row that overflows comes last
     X = np.vstack([np.full((rows, 2), 0.5), x])
     messages = []
     for evaluate in (f.evaluate, lambda Y: _reference_evaluate(f, Y)):
+        with pytest.raises(FloatingPointError) as e:
+            with overflow_guard("test stage"):
+                evaluate(X)
+        messages.append(str(e.value))
+    assert messages == [f"test stage: overflow encountered in {op}"] * 2
+
+
+@pytest.mark.parametrize("f_terms, g_terms, op", [
+    # only g overflows, in a product on the |x1|^2 that f took first
+    ([(1.0, (2, 0))], [(1e300, (2, 0))], "multiply"),
+    # both overflow: the error is f's, whether a product or a power
+    ([(1e300, (2, 0)), (1e290, (0, 400))], [(1e290, (0, 400))], "multiply"),
+    ([(1e290, (0, 400))], [(1e300, (2, 0))], "power"),
+])
+@pytest.mark.parametrize("rows", [1, EVALUATE_BLOCK])
+def test_evaluate_many_overflow_raises_what_evaluating_f_then_g_raises(f_terms, g_terms, op, rows):
+    f, g = GP.from_terms(2, f_terms), GP.from_terms(2, g_terms)
+    # with more than one block, the row that overflows comes last
+    X = np.vstack([np.full((rows, 2), 0.5), (1e5, 10.0)])
+    messages = []
+    for evaluate in (lambda Y: evaluate_many((f, g), Y),
+                     lambda Y: [_reference_evaluate(p, Y) for p in (f, g)]):
         with pytest.raises(FloatingPointError) as e:
             with overflow_guard("test stage"):
                 evaluate(X)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slemma.image_analysis as image_analysis
+from slemma import homog_core
 from slemma import Dilation, GeneralizedPolynomial
 from slemma.homog_core import (
     DEFAULT_SEED,
@@ -529,14 +530,16 @@ def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
     _, summary, f, g, d, X, dirs, clearance = _search_inputs(
         ROOT / "problems" / "cubic_shared_zero.json")
     targets = _targets(summary, f, g, d)
+    # one call per polynomial evaluated, whether alone or with the other
     calls = [0]
-    evaluate = GeneralizedPolynomial.evaluate
+    evaluate_many = homog_core.evaluate_many
 
-    def counting(self, pts):
-        calls[0] += 1
-        return evaluate(self, pts)
+    def counting(polys, pts):
+        calls[0] += len(polys)
+        return evaluate_many(polys, pts)
 
-    monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+    monkeypatch.setattr(homog_core, "evaluate_many", counting)
+    monkeypatch.setattr(image_analysis, "evaluate_many", counting)
     _direction_misses(f, g, d, X, dirs, targets, clearance, DEFAULT_SEED)
     batched, calls[0] = calls[0], 0
     for target in targets:

@@ -2,11 +2,11 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.  Three
+lists the imported names that nothing in the module refers to.  Four
 more guards read the same trees: every top-level function, class or
 constant is referenced, no `except` clause but the last resort of `cli.main`
-catches every exception, and only `homog_core._compile_function` turns
-text into code.
+catches every exception, only `homog_core._compile_function` turns
+text into code, and no statement evaluates two polynomials apart.
 """
 
 import ast
@@ -137,3 +137,31 @@ def test_straight_line_code_is_compiled_in_one_place():
     assert [item for item in calls
             if not re.fullmatch(r"homog_core\.py:\d+ _compile_function", item)] == []
     assert len(calls) == 2
+
+
+def evaluate_pairs(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each statement of `path` whose own
+    expressions (not those of the statements nested in it) call
+    `.evaluate(` more than once; <function> is the innermost function or
+    class holding it."""
+    found = []
+    for node, owner in owned_nodes(path):
+        if not isinstance(node, ast.stmt):
+            continue
+        calls = [call for child in ast.iter_child_nodes(node) if not isinstance(child, ast.stmt)
+                 for call in ast.walk(child) if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Attribute) and call.func.attr == "evaluate"]
+        if len(calls) > 1:
+            found.append(f"{path.name}:{node.lineno} {owner}")
+    return found
+
+
+def test_polynomials_on_the_same_points_are_evaluated_in_one_pass(tmp_path):
+    # f.evaluate(X) and g.evaluate(X) each take their own powers of X;
+    # evaluate_many((f, g), X) shares them
+    sample = tmp_path / "sample.py"
+    sample.write_text("def h(f, g, X):\n"
+                      "    if f.evaluate(X).min() > 0:\n"
+                      "        return f.evaluate(X) - g.evaluate(X)\n")
+    assert evaluate_pairs(sample) == ["sample.py:3 h"]
+    assert [item for path in sorted(SRC.glob("*.py")) for item in evaluate_pairs(path)] == []

@@ -584,6 +584,20 @@ def test_count_lines_clusters_antipodal_directions():
     assert _count_lines(np.vstack([axis, diag]))[0] == 0
 
 
+def test_count_lines_puts_a_line_near_angle_zero_at_the_seam():
+    # directions at +-0.001 rad and their negations are one line along the
+    # x-axis; mod pi they sit at both ends of [0, pi), and their plain mean
+    # would be the y-axis.  Alone, the first cluster takes them all; with a
+    # line at 1 rad between, the seam merge joins the two ends.
+    t = np.array([0.001, -0.001])
+    seam = np.column_stack([np.cos(t), np.sin(t)])
+    middle = np.array([[math.cos(1.0), math.sin(1.0)]])
+    for U, want in ((seam, [0.0]), (np.vstack([seam, middle]), [0.0, 1.0])):
+        count, angles = _count_lines(np.vstack([U, -U]))
+        assert count == len(want)
+        assert [math.remainder(a, math.pi) for a in angles] == pytest.approx(want, abs=1e-12)
+
+
 def test_count_lines_sees_lines_past_the_first_64_collisions():
     # Ten close directions per line give 200 collisions per line, so the
     # first line met walking up from -pi alone would fill a 64-hit report.
@@ -606,6 +620,11 @@ def test_count_lines_splits_a_continuum_of_directions():
     count, angles = _count_lines(np.vstack([P, -P]))
     assert count == 157
     assert len(angles) == count
+    # a fan of 0.04 rad is two clusters, away from the seam at 0 = pi,
+    # which the merge across the seam must leave apart
+    t = np.linspace(0.5, 0.54, 400)
+    U = np.column_stack([np.cos(t), np.sin(t)])
+    assert _count_lines(np.vstack([U, -U]))[0] == 2
 
 
 # ------------------------------------------------- non-homogeneous multiplier
