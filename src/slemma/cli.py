@@ -485,6 +485,7 @@ HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slemma",
@@ -586,6 +587,15 @@ def _pin_malloc():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on `argv` (default `sys.argv[1:]`) and return its
+    exit code: 0 success, 1 negative finding, 2 usage or parse error, 3
+    internal failure.  A usage error that argparse finds raises
+    `SystemExit(2)` instead of returning 2 (`--help`: `SystemExit(0)`).
+
+    It may be called repeatedly in one process.  Its per-process state,
+    the malloc thresholds (`_pin_malloc`) and the parser (`build_parser`),
+    is built on the first call and depends on no `argv`.
+    """
     release = _pin_malloc()
     try:
         args = build_parser().parse_args(argv)

@@ -11,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from slemma.cli import COMMANDS, main
+from slemma.cli import COMMANDS, build_parser, main
 from slemma.homog_core import DEFAULT_SEED
 from slemma.image_analysis import (
     CopositivityReport,
@@ -582,6 +582,103 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path, problems_dir):
                  "image_sector_sextic_wide.json",
                  "image_sector_sextic_wide.csv"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# ---------------------------------------------------- repeated calls of main
+
+PARSER_COUNT_SCRIPT = """
+import argparse, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+from slemma.cli import main
+for command in ("zeros", "copositive", "shs-check"):
+    assert main([command, sys.argv[1], "--out-dir", sys.argv[2]]) == 0
+print("parsers:", built)
+"""
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, problems_dir):
+    # A fresh interpreter, so that no earlier test has built the parser.
+    # One build is 15 parsers: the top level, the shared options and the
+    # 13 subcommands.
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT_SCRIPT,
+         str(problems_dir / "switch_sextic.json"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    built = [line for line in proc.stdout.splitlines() if line.startswith("parsers: ")]
+    assert built == ["parsers: 15"]
+
+
+def _alone_then_after(tmp_path, capsys, argv, earlier):
+    """The exit code, stdout and artifacts of `argv` run on a freshly built
+    parser, and again after `earlier(out_dir)` has run."""
+    def outcome(out):
+        capsys.readouterr()
+        code = main([*argv, "--out-dir", str(out)])
+        text = capsys.readouterr().out.replace(str(out), "OUT")
+        return code, text, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    build_parser.cache_clear()
+    alone = outcome(tmp_path / "alone")
+    earlier(tmp_path / "earlier")
+    return alone, outcome(tmp_path / "after")
+
+
+def test_a_strict_run_leaves_the_next_run_as_it_would_be_alone(tmp_path, problems_dir,
+                                                               capsys):
+    problem = str(problems_dir / "switch_sextic.json")
+    alone, after = _alone_then_after(
+        tmp_path, capsys, ["copositive", problem],
+        lambda out: main(["copositive", problem, "--strict", "--out-dir", str(out)]))
+    assert alone == after
+    assert list(alone[2]) == ["copositive_switch_sextic.json"]
+
+
+def test_a_usage_error_leaves_the_next_run_as_it_would_be_alone(tmp_path, problems_dir,
+                                                                capsys):
+    problem = str(problems_dir / "cubic_shared_zero.json")
+
+    def usage_error(out):
+        with pytest.raises(SystemExit) as exc:
+            main(["shs-xi", problem, "--samples", "0", "--out-dir", str(out)])
+        assert exc.value.code == 2
+
+    alone, after = _alone_then_after(tmp_path, capsys, ["zeros", problem], usage_error)
+    assert alone == after
+    assert alone[0] == 1
+
+
+def test_an_explicit_seed_does_not_carry_to_the_next_run(tmp_path, problems_dir):
+    problem = str(problems_dir / "switch_sextic.json")
+    assert run(tmp_path / "a", "zeros", problem, "--seed", "5") == 0
+    assert run(tmp_path / "b", "zeros", problem) == 0
+    assert read_payload(tmp_path / "a", "zeros_switch_sextic.json")["config"]["seed"] == 5
+    assert (read_payload(tmp_path / "b", "zeros_switch_sextic.json")["config"]["seed"]
+            == DEFAULT_SEED)
+
+
+def _help(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_is_the_same_on_every_call_and_from_a_fresh_parser(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    first, second = _help(capsys, main, argv), _help(capsys, main, argv)
+    fresh = _help(capsys, build_parser.__wrapped__().parse_args, argv)
+    assert first.startswith("usage: slemma")
+    assert first == second == fresh
 
 
 # ------------------------------------------------------------ import graph
