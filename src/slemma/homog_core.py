@@ -115,15 +115,16 @@ class Dilation:
         """Apply the dilation: component i is scaled by eps^(r_i).
 
         A component of weight 1 is scaled by eps itself, which is what
-        eps ** 1.0 gives for any pow within 1 ULP."""
+        eps ** 1.0 gives for any pow within 1 ULP.  The powers are taken on
+        eps as a column, where one point rounds as a row of a stack does."""
         x = np.asarray(x, dtype=float)
-        eps = np.asarray(eps, dtype=float)[..., None]
+        eps = np.asarray(eps, dtype=float)
         heavy = [i for i, r in enumerate(self.weights) if r != 1.0]
         if not heavy:
-            return eps * x
-        factor = np.repeat(eps, self.n, axis=-1)
-        factor[..., heavy] = eps ** np.array(self.weights)[heavy]
-        return factor * x
+            return eps[..., None] * x
+        factor = np.repeat(eps.reshape(-1, 1), self.n, axis=1)
+        factor[:, heavy] = eps.reshape(-1, 1) ** np.array(self.weights)[heavy]
+        return factor.reshape(eps.shape + (self.n,)) * x
 
     def radius(self, x) -> np.ndarray:
         """sum_i |x_i|^(l/r_i), the quantity that equals 1 on the sphere."""
@@ -625,7 +626,8 @@ def theta_points(theta, d: Dilation) -> np.ndarray:
 
 
 def theta_point_scalar(t: float, d: Dilation) -> tuple[float, float]:
-    """Single theta sample without numpy overhead (hot path for refinement)."""
+    """Single theta sample on Python floats (direction refinement writes
+    these operations out as straight-line code)."""
     c, s = math.cos(t), math.sin(t)
     r1, r2 = d.weights
     x1 = abs(c) ** r1 * (1.0 if c > 0 else -1.0 if c < 0 else 0.0)

@@ -199,30 +199,27 @@ def _refine_directions(f, g, d, theta, F, G, gap_tol):
     math.atan2, and its zero test math.hypot(f, g) <= ztol once; a stack
     entry carries (theta, direction) for each end, with None for a zero.
     A segment splits when an end is a zero or its ends lie more than
-    `gap_tol` apart by `_circ_diff`, so an end whose value is NaN (not a
-    zero, direction NaN) never splits a segment by itself.  f and g at a
-    midpoint come from straight-line code of their `expression`s, and
-    through `__call__` where that code raises OverflowError or is not
-    finite, so each value is `__call__`'s.
+    `gap_tol` apart by `_circ_diff` (written out), so an end whose value
+    is NaN (not a zero, direction NaN) never splits a segment by itself.
+    f and g at a midpoint come from `_midpoint_source`'s straight-line
+    code, and through `__call__` where that code raises OverflowError, is
+    not finite or could not be compiled, so each value is `__call__`'s.
     """
     scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
     ztol = 1e-12 * scale
-    names = ("x0", "x1")
-    pair = _compile_function(
-        _function_source(names, [f"return ({f.expression(names)}, {g.expression(names)})"]),
-        lambda *x: (f(x), g(x)))
+    pair = _compile_function(_midpoint_source(f, g, d), lambda c, s: (math.nan, math.nan))
     stack = _sample_splits(theta, F, G, ztol, gap_tol)
     extras = []
     evals = 0
     while stack and evals < REFINE_BUDGET:
         ta, da, tb, db = stack.pop()
         tm = 0.5 * (ta + tb)
-        x = theta_point_scalar(tm, d)
         try:
-            fm, gm = pair(*x)
+            fm, gm = pair(math.cos(tm), math.sin(tm))
         except OverflowError:
             fm = gm = math.nan
         if not (math.isfinite(fm) and math.isfinite(gm)):
+            x = theta_point_scalar(tm, d)
             fm, gm = f(x), g(x)
         evals += 1
         r = math.hypot(fm, gm)
@@ -231,11 +228,27 @@ def _refine_directions(f, g, d, theta, F, G, gap_tol):
             extras.append(dm)
         if tb - ta <= 2.0 * REFINE_WIDTH_FLOOR:
             continue
-        if da is None or dm is None or _circ_diff(da, dm) > gap_tol:
+        if da is None or dm is None or (
+                (w := abs(da - dm) % TWO_PI) > gap_tol and TWO_PI - w > gap_tol):
             stack.append((ta, da, tm, dm))
-        if dm is None or db is None or _circ_diff(dm, db) > gap_tol:
+        if dm is None or db is None or (
+                (w := abs(dm - db) % TWO_PI) > gap_tol and TWO_PI - w > gap_tol):
             stack.append((tm, dm, tb, db))
     return np.array(extras), evals, not stack
+
+
+def _midpoint_source(f, g, d) -> str:
+    """Source of (f, g) at `theta_point_scalar(t, d)` as a function of
+    (cos t, sin t), with that point's operations written out."""
+    (r1, r2), names = d.weights, ("x0", "x1")
+    lines = [f"{x} = abs({c}) ** {r!r} * (1.0 if {c} > 0.0 else -1.0 if {c} < 0.0 else 0.0)"
+             for x, c, r in (("x0", "c", r1), ("x1", "s", r2))]
+    if d.l != 2.0:
+        lines += [f"rad = abs(x0) ** {d.l / r1!r} + abs(x1) ** {d.l / r2!r}",
+                  f"eps = rad ** {-1.0 / d.l!r}",
+                  f"x0, x1 = eps ** {r1!r} * x0, eps ** {r2!r} * x1"]
+    lines.append(f"return ({f.expression(names)}, {g.expression(names)})")
+    return _function_source(("c", "s"), lines)
 
 
 def _wrap_angle(a: float) -> float:
@@ -378,18 +391,17 @@ class SampledPair:
         g share a zero off the origin (`common_zero`), and whether that
         verdict is exact (`refined`).
 
-        A margin at zero scale is a finding (common zero), not an error.
-        A margin above the threshold on a drawn sphere sample is decided
-        exactly for n = 1, whose sphere is {+1, -1}, and for n = 2 by
-        `_common_zero_n2`, whose zero stands whatever the margin.  Higher
-        n stays sampled.
+        On a drawn sphere sample, n = 2 is decided by `_common_zero_n2`
+        whatever the margin, and n = 1, whose sphere is {+1, -1}, by the
+        margin, exactly.  Elsewhere a margin at or under the threshold is a
+        common zero; higher n and box samples stay sampled.
         """
         vals = np.maximum(np.abs(self.F), np.abs(self.G))
         idx = int(np.argmin(vals))
         margin = float(vals[idx])
-        exact = margin > threshold and self.degree is not None and self.d.n <= 2
-        common_zero = margin <= threshold or (
-            exact and self.d.n == 2 and _common_zero_n2(self.f, self.g))
+        exact = self.degree is not None and self.d.n <= 2
+        common_zero = (_common_zero_n2(self.f, self.g) if exact and self.d.n == 2
+                       else margin <= threshold)
         return ZeroMargin(
             margin=margin,
             common_zero=common_zero,
@@ -495,8 +507,7 @@ class SampledPair:
 
         with overflow_guard("convexity probe"):
             pts = self.joint_values
-            axis = _axis_points(d.n)
-            pts_axis = np.column_stack(evaluate_many((f, g), axis))
+            pts_axis = np.column_stack(evaluate_many((f, g), _axis_points(d.n)))
 
             scale = self.scale
             ztol = 1e-12 * scale
@@ -505,25 +516,21 @@ class SampledPair:
             if len(pts) < 2:
                 return []
 
-            pairs = []
-            na = len(pts_axis)
-            for i in range(na):
-                for j in range(i + 1, na):
-                    pairs.append((pts_axis[i], pts_axis[j]))
+            # all pairs of axis samples, then the drawn pairs of distinct samples
+            first, second = np.triu_indices(len(pts_axis), 1)
             rng = np.random.default_rng(seed)
-            for _ in range(trials):
-                i, j = rng.integers(0, len(pts), size=2)
-                if i != j:
-                    pairs.append((pts[i], pts[j]))
+            ij = np.array([rng.integers(0, len(pts), size=2) for _ in range(trials)],
+                          dtype=int).reshape(-1, 2)
+            ij = ij[ij[:, 0] != ij[:, 1]]
+            U = np.concatenate([pts_axis[first], pts[ij[:, 0]]])
+            V = np.concatenate([pts_axis[second], pts[ij[:, 1]]])
 
-            X_kept = self.X[keep]
             dirs = np.arctan2(pts[:, 1], pts[:, 0])
 
             # pairs whose midpoint falls in a gap, and the first midpoint
             # direction of each search key, which is that search's target
             in_gap, targets = [], {}
-            for u, v in pairs:
-                mid = 0.5 * (u + v)
+            for u, v, mid in zip(U.tolist(), V.tolist(), (0.5 * (U + V)).tolist()):
                 if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
                     continue
                 direction = math.atan2(mid[1], mid[0])
@@ -534,17 +541,11 @@ class SampledPair:
                 targets.setdefault(key, direction)
                 in_gap.append((u, v, mid, direction, hit, key))
             misses = _direction_misses(
-                f, g, d, X_kept, dirs, list(targets.values()), clearance, seed)
+                f, g, d, self.X[keep], dirs, list(targets.values()), clearance, seed)
             attained = {key: miss <= clearance for key, miss in zip(targets, misses)}
 
             return [
-                {
-                    "u": [float(u[0]), float(u[1])],
-                    "v": [float(v[0]), float(v[1])],
-                    "midpoint": [float(mid[0]), float(mid[1])],
-                    "direction": direction,
-                    "gap": [hit[0], hit[1]],
-                }
+                {"u": u, "v": v, "midpoint": mid, "direction": direction, "gap": list(hit)}
                 for u, v, mid, direction, hit, key in in_gap
                 if not attained[key]
             ]
@@ -679,14 +680,10 @@ def mixing_curve(
 
 
 def _axis_points(n: int) -> np.ndarray:
-    pts = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        pts.append(e.copy())
-        e[i] = -1.0
-        pts.append(e.copy())
-    return np.array(pts)
+    """e_1, -e_1, e_2, -e_2, ... as the rows of a (2n, n) array."""
+    pts = np.zeros((2 * n, n))
+    pts[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+    return pts
 
 
 def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float] | None:
@@ -697,24 +694,13 @@ def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float]
     return None
 
 
-class _Search:
-    """One local direction search between speculative batches: its point
-    x, step length, sweeps taken and the six proposals of the current
-    sweep, of which those from index k on are still to be tried."""
-
-    def __init__(self, index: int, target: float, x: np.ndarray, seed):
-        self.index, self.target, self.x = index, target, x
-        self.rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
-        self.step, self.sweeps = 0.3, 0
-        self.new_sweep()
-
-    def new_sweep(self):
-        self.props = self.rng.normal(size=(6, len(self.x)))
-        self.k, self.moved = 0, False
+# sweeps of proposals a direction search draws from its generator at a time
+SEARCH_CHUNK = 10
 
 
 def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float]:
-    """Local searches for sphere points whose image directions hit targets.
+    """Local searches for sphere points whose image directions hit targets
+    in [-pi, pi].
 
     Returns, for each target, the smallest angular distance to it that its
     search reached; a search stops as soon as that distance is <= tol.  A
@@ -725,75 +711,105 @@ def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float
 
     Each search starts at the sample whose direction is nearest its
     target and draws its steps from its own generator, seeded by (seed,
-    target).  A sweep draws six proposals x + step*scale*prop with one
-    `rng.normal(size=(6, n))` and moves x to the first one, in index
-    order, that improves the miss; a sweep without a move shrinks the
-    step.  The proposals are projected and evaluated speculatively: every
-    proposal after an accepted one is built again from the new x, and the
-    rest of the old batch is discarded.  The searches run in lockstep:
-    each round stacks the pending proposals of every live search and
-    calls `radius`, `scale` and `evaluate_many` on f and g once on the
-    stack.  This takes the same draws and the same steps, and reaches bit
-    for bit the same points, as running the searches one after another
-    and projecting and evaluating one proposal at a time
-    (tests/test_image_analysis.py keeps that one-row search as its
-    reference), because
+    target).  A sweep takes six proposals x + step*scale*prop, prop a
+    row of `rng.normal`, and moves x to the first one that improves the
+    miss; a sweep without a move shrinks the step.  A search draws the
+    rows of `SEARCH_CHUNK` sweeps at once, the rows that one draw of
+    size (6, n) per sweep gives.  The searches run in lockstep on arrays
+    indexed by search: each round stacks the pending proposals of every
+    live search, calls `radius`, `scale` and `evaluate_many` on f and g
+    once on the stack, and moves each search to its first improving row;
+    its later rows are built again from the new x in the next round.
+    This takes the same draws and steps, and reaches bit for bit the same
+    points, as one search after another projecting and evaluating one
+    proposal at a time (tests/test_image_analysis.py keeps that one-row
+    search as its reference), because
     - NumPy's array `**`, `abs`, `sign` and sum over the last axis in
       `radius`, `scale` and `evaluate_many` round each row the same whatever
       the other rows of the array are (checked with NumPy 2.4 on AVX-512,
       and by a property test over the shipped problems);
-    - the projection factor rad**(-1/l) is still taken one row at a time
-      on NumPy scalars, as `Dilation.project` takes it for a single point
-      (the array `**` rounds it differently in about 5% of rows);
-    - the miss is still scalar `math.atan2` and `math.remainder`
-      (`np.arctan2` rounds differently);
+    - the projection factor rad**(-1/l) is taken one row at a time by
+      float `**`, which rounds as `Dilation.project`'s NumPy scalar `**`
+      on a single point (the array `**` rounds differently in about 5% of
+      rows); where it overflows, NumPy scalars raise or warn as there;
+    - the miss of each row is `_row_misses`'s, scalar `math.atan2`
+      (`np.arctan2` rounds differently) and an exact remainder;
     - a proposal whose radius is 0, exactly or by underflow, cannot be
       projected, and both pass over it.
     An overflow under the caller's `overflow_guard` raises from the round
     it happens in.
     """
-    misses, live = [], []
-    for index, target in enumerate(targets):
-        gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
-        nearest = int(np.argmin(gap))
-        misses.append(float(gap[nearest]))
-        if misses[index] > tol:
-            live.append(_Search(index, target, X[nearest].copy(), seed))
+    starts, miss = [], []
+    for target in targets:
+        # |np.remainder(dirs - target + pi, 2 pi) - pi|: for x in [-pi, 3 pi]
+        # that remainder is x - 2 pi (exact) from 2 pi on, x + 2 pi below 0
+        gap = dirs - target
+        gap += math.pi
+        np.subtract(gap, TWO_PI, out=gap, where=gap >= TWO_PI)
+        np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
+        gap -= math.pi
+        starts.append(int(np.argmin(np.abs(gap, out=gap))))
+        miss.append(gap[starts[-1]])
+    miss, aim, x = np.array(miss, dtype=float), np.array(targets, dtype=float), X[starts]
+    live = np.flatnonzero(miss > tol)
+    step, moved = np.full(len(x), 0.3), np.zeros(len(x), bool)
+    k, sweeps = np.zeros(len(x), int), np.zeros(len(x), int)
+    rngs = {i: np.random.default_rng([abs(int(seed)), int(round(targets[i] * 1e6)) % (2 ** 32)])
+            for i in live.tolist()}
+    props = np.empty((len(x), 6 * SEARCH_CHUNK, X.shape[1]))
     scale = max(1.0, float(np.max(np.abs(X))))
     power = -1.0 / d.l
-    while live:
-        Y = np.concatenate([s.x + s.step * scale * s.props[s.k:] for s in live])
-        ks = np.concatenate([np.arange(s.k, len(s.props)) for s in live])
+    while len(live):
+        for i in live[(k[live] == 0) & (sweeps[live] % SEARCH_CHUNK == 0)].tolist():
+            props[i] = rngs[i].normal(size=props.shape[1:])
+        left = 6 - k[live]
+        owner = np.repeat(live, left)
+        # each pending proposal's index in its sweep, and its row in the chunk
+        prop = np.arange(len(owner)) - np.repeat(np.cumsum(left) - left, left) + k[owner]
+        row = sweeps[owner] % SEARCH_CHUNK * 6 + prop
+        Y = x[owner] + (step * scale)[owner, None] * props[owner, row]
         rad = d.radius(Y)
         rows = np.flatnonzero(rad > 0)
-        P = d.scale(np.array([v ** power for v in rad[rows]]), Y[rows])
+        try:
+            eps = [v ** power for v in rad[rows].tolist()]
+        except OverflowError:
+            eps = [v ** power for v in rad[rows]]
+        P = d.scale(np.array(eps), Y[rows])
         U, V = evaluate_many((f, g), P)
-        # each search's projected rows end where its proposal rows of Y end
-        ends = np.searchsorted(rows, np.cumsum([len(s.props) - s.k for s in live]))
-        still, start = [], 0
-        for s, end in zip(live, ends):
-            next_k, done = len(s.props), False
-            for j in range(start, end):
-                u, v = float(U[j]), float(V[j])
-                if math.hypot(u, v) <= 1e-12:
-                    continue
-                cand = abs(math.remainder(math.atan2(v, u) - s.target, TWO_PI))
-                if cand < misses[s.index]:
-                    misses[s.index], s.x, s.moved = cand, P[j].copy(), True
-                    done = cand <= tol
-                    next_k = int(ks[rows[j]]) + 1
-                    break
-            start = end
-            if done:
-                continue
-            s.k = next_k
-            if s.k == len(s.props):
-                if not s.moved:
-                    s.step *= 0.6
-                s.sweeps += 1
-                if s.step < 1e-6 or s.sweeps == 60:
-                    continue
-                s.new_sweep()
-            still.append(s)
-        live = still
-    return misses
+        who = owner[rows]
+        cand = _row_misses(U, V, aim[who])
+        better = np.flatnonzero(cand < miss[who])
+        # a search's rows are adjacent: its first improving row is taken
+        first = np.ones(len(better), bool)
+        first[1:] = who[better[1:]] != who[better[:-1]]
+        hit = better[first]
+        won = who[hit]
+        miss[won], x[won], moved[won] = cand[hit], P[hit], True
+        k[live] = 6
+        k[won] = prop[rows[hit]] + 1
+        live = live[miss[live] > tol]
+        end = k[live] == 6
+        ended = live[end]
+        step[ended[~moved[ended]]] *= 0.6
+        sweeps[ended] += 1
+        k[ended], moved[ended] = 0, False
+        # of the searches whose sweep ended, those out of steps stop
+        end[end] = (step[ended] < 1e-6) | (sweeps[ended] == 60)
+        live = live[~end]
+    return miss.tolist()
+
+
+def _row_misses(U, V, aim) -> np.ndarray:
+    """abs(math.remainder(math.atan2(v, u) - aim, 2 pi)) of each row, and
+    inf where math.hypot(u, v) <= 1e-12, which a search passes over.  For
+    aim in [-pi, pi] that remainder of x = atan2 - aim is exact: |x| up
+    to pi (a tie keeps x), and 2 pi - |x| above.  math.hypot(u, v) is at
+    least max(|u|, |v|), so it is only taken where both are <= 1e-12."""
+    cand = np.fromiter(map(math.atan2, memoryview(V), memoryview(U)), float, len(U))
+    cand -= aim
+    np.abs(cand, out=cand)
+    np.subtract(TWO_PI, cand, out=cand, where=cand > math.pi)
+    for j in np.flatnonzero((np.abs(U) <= 1e-12) & (np.abs(V) <= 1e-12)).tolist():
+        if math.hypot(U[j], V[j]) <= 1e-12:
+            cand[j] = math.inf
+    return cand

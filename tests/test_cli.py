@@ -74,6 +74,23 @@ def test_zeros_trusts_the_exact_test_over_a_coarse_sample(tmp_path, problems_dir
     assert result["common_zero"] is True and result["refined"] is False
 
 
+def test_zeros_trusts_the_exact_test_over_a_near_zero_margin(tmp_path):
+    # x1^2 - x2^2 and x1^2 - (1 + 2^-52)*x1*x2: the samples near (1, 1)
+    # come within the threshold of both, but these floats share no zero
+    def term(coeff, p1, p2):
+        return {"coeff": coeff, "powers": [{"num": p1, "den": 1}, {"num": p2, "den": 1}]}
+
+    spec = {"version": 1, "variables": ["x", "y"], "functions": {
+        "f": [term(1.0, 2, 0), term(-1.0, 0, 2)],
+        "g": [term(1.0, 2, 0), term(-(1.0 + 2.0 ** -52), 1, 1)]}}
+    path = tmp_path / "near_zero.json"
+    path.write_text(json.dumps(spec))
+    assert run(tmp_path, "zeros", str(path)) == 0
+    result = read_payload(tmp_path, "zeros_near_zero.json")["result"]
+    assert result["margin"] <= result["threshold"]
+    assert result["common_zero"] is False and result["refined"] is True
+
+
 def test_hs_xi_fails_on_a_common_zero_the_samples_miss(tmp_path, problems_dir):
     code = run(tmp_path, "hs-xi", str(problems_dir / "cubic_shared_zero.json"),
                "--samples", "33")

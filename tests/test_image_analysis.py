@@ -246,7 +246,7 @@ def test_exact_common_factor_without_a_zero_off_the_origin():
 def test_exact_common_zero_reads_the_float_coefficients(d2):
     # x1^2 - x2^2 and x1^2 - c*x1*x2 share (1, 1) when c = 1; one ulp more
     # moves g's root to 1/c, so those floats share no zero, however
-    # small the sampled margin
+    # small the sampled margin, and the exact verdict says so
     f = GP.from_terms(2, [(1, (2, 0)), (-1, (0, 2))])
     g = GP.from_terms(2, [(1, (2, 0)), (-1, (1, 1))])
     nudged = GP.from_terms(2, [(1, (2, 0)), (-math.nextafter(1.0, 2.0), (1, 1))])
@@ -254,7 +254,7 @@ def test_exact_common_zero_reads_the_float_coefficients(d2):
     assert not _common_zero_n2(f, nudged)
     zm = zero_margin(f, nudged, d2)
     assert zm.margin < 1e-9
-    assert not zm.refined
+    assert not zm.common_zero and zm.refined
 
 
 # `refined` at the default threshold and seed, as the interval branch and
@@ -495,7 +495,9 @@ def _reference_probe(pair, summary, trials):
     return violations
 
 
-@pytest.mark.parametrize("path", IMAGE_PROBLEMS, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", IMAGE_PROBLEMS + [
+    ROOT / "tests" / "fixtures" / f"{name}.json"
+    for name in ("mixed_quartic_l3", "sector_quartic_wide_l3")], ids=lambda p: p.stem)
 def test_batched_search_matches_the_one_row_search(path):
     # all of a problem's targets share one call, so its batches mix
     # searches that stop at their start, attain their target and run out
@@ -545,6 +547,31 @@ def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
     for target in targets:
         _reference_direction_miss(f, g, d, X, dirs, target, clearance, DEFAULT_SEED)
     assert 0 < batched < calls[0] / 10, (batched, calls[0])
+
+
+def test_misses_are_the_remainder_forms_at_the_ends_of_the_circle():
+    # start gaps and row misses take the remainders in closed form; the
+    # forms they replace decide, on directions at and next to -pi, 0, pi
+    rng = np.random.default_rng(11)
+    ends = [a for e in (-math.pi, 0.0, math.pi) for a in
+            (e, math.nextafter(e, -4.0), math.nextafter(e, 4.0), e / 2)] + [-0.0]
+    dirs = np.clip(np.concatenate([ends, rng.uniform(-math.pi, math.pi, 40)]), -math.pi, math.pi)
+    targets = dirs.tolist()
+    for i in range(len(dirs)):
+        # the start gap to each target from one direction
+        got = _direction_misses(None, None, Dilation.standard(2), np.zeros((1, 2)),
+                                dirs[i:i + 1], targets, math.inf, DEFAULT_SEED)
+        assert got == [abs(float(np.remainder(dirs[i] - t + math.pi, TWO_PI)) - math.pi)
+                       for t in targets], dirs[i]
+    # row misses of each direction, and of zeros, near-zeros, NaN and inf
+    U, V = np.cos(dirs), np.sin(dirs)
+    U[:7] = [0.0, -0.0, 1e-12, 7e-13, 8e-13, math.nan, math.inf]
+    V[:7] = [0.0, 1e-12, 0.0, 7e-13, 8e-13, 1.0, 1.0]
+    U, V = np.tile(U, 40), np.tile(V, 40)
+    aim = np.repeat(targets[:40], len(dirs))
+    want = [math.inf if math.hypot(u, v) <= 1e-12 else
+            abs(math.remainder(math.atan2(v, u) - t, TWO_PI)) for u, v, t in zip(U, V, aim)]
+    assert image_analysis._row_misses(U, V, aim).tobytes() == np.array(want).tobytes()
 
 
 class _FragileDilation(Dilation):
@@ -666,9 +693,10 @@ def _grid_inputs(problem, count, offset=0.0):
     return f, g, d, theta, f.evaluate(X), g.evaluate(X), GAP_FACTOR * TWO_PI / count
 
 
-# the planar pairs of IMAGE_PROBLEMS, and one on a sphere with l = 3
+# the planar pairs of IMAGE_PROBLEMS, and two on a sphere with l = 3
 REFINE_PROBLEMS = IMAGE_PROBLEMS[:-1] + [
-    ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"]
+    ROOT / "tests" / "fixtures" / f"{name}.json"
+    for name in ("sector_quartic_wide_l3", "mixed_quartic_l3")]
 
 
 @pytest.mark.parametrize("path", REFINE_PROBLEMS, ids=lambda p: p.stem)
@@ -817,8 +845,10 @@ def test_nan_midpoints_refine_as_the_reference_does(monkeypatch):
 # ------------------------------------ the row-wise rounding the batches rely on
 
 
+# with a (1, 2)-weight dilation, whose one heavy weight NumPy may square
 SHIPPED = [load_problem(p) for p in sorted((ROOT / "problems").glob("*.json"))] + [
-    load_problem(ROOT / "tests" / "fixtures" / "quartic3_pair.json")]
+    load_problem(ROOT / "tests" / "fixtures" / f"{name}.json")
+    for name in ("quartic3_pair", "mixed_quartic_l3")]
 
 
 @settings(max_examples=60, deadline=None)

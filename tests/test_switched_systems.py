@@ -23,6 +23,7 @@ from slemma import (
     synthesize_combination_n2,
 )
 from slemma.homog_core import _compile_function
+from slemma.image_analysis import _midpoint_source
 from slemma.problems import load_problem
 from slemma.switched_systems import (
     STATE_NORM_LIMIT,
@@ -603,7 +604,25 @@ def test_a_polynomial_too_long_for_one_expression_runs_through_the_loop(
 _GENERATED_NODES = (ast.Module, ast.FunctionDef, ast.arguments, ast.arg, ast.Assign,
                     ast.Return, ast.Tuple, ast.Name, ast.Load, ast.Store, ast.Constant,
                     ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.UnaryOp, ast.USub,
-                    ast.IfExp, ast.Compare, ast.Lt, ast.Call)
+                    ast.IfExp, ast.Compare, ast.Lt, ast.Gt, ast.Call)
+
+
+def _assert_generated(source, args, names):
+    """`source` defines one function `f` of `args` from the generated
+    nodes, the identifiers `names` (regular expressions) and finite floats."""
+    tree = ast.parse(source)
+    assert [type(node) for node in tree.body] == [ast.FunctionDef]
+    assert tree.body[0].name == "f"
+    for node in ast.walk(tree):
+        assert isinstance(node, _GENERATED_NODES), ast.dump(node)
+        if isinstance(node, ast.arg):
+            assert re.fullmatch(args, node.arg)
+        if isinstance(node, ast.Name):
+            assert re.fullmatch(names, node.id), node.id
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is float and math.isfinite(node.value)
+        if isinstance(node, ast.Call):
+            assert node.func.id == "abs" and len(node.args) == 1 and not node.keywords
 
 
 @pytest.mark.parametrize("name", ["switch_sextic", "switch_fractional",
@@ -617,19 +636,19 @@ def test_generated_sources_hold_only_generated_names_and_floats(problems_dir, na
                                    problem.dilation)
     steps, v_source, d_source = _straight_line_sources(cand, 2.5e-3)
     for source in (*steps, v_source, d_source):
-        tree = ast.parse(source)
-        assert [type(node) for node in tree.body] == [ast.FunctionDef]
-        assert tree.body[0].name == "f"
-        for node in ast.walk(tree):
-            assert isinstance(node, _GENERATED_NODES), ast.dump(node)
-            if isinstance(node, ast.arg):
-                assert re.fullmatch(r"x\d+", node.arg)
-            if isinstance(node, ast.Name):
-                assert re.fullmatch(r"abs|x\d+|[yk][1-4]_\d+", node.id), node.id
-            if isinstance(node, ast.Constant):
-                assert type(node.value) is float and math.isfinite(node.value)
-            if isinstance(node, ast.Call):
-                assert node.func.id == "abs" and len(node.args) == 1 and not node.keywords
+        _assert_generated(source, r"x\d+", r"abs|x\d+|[yk][1-4]_\d+")
+
+
+@pytest.mark.parametrize("name", ["cubic_shared_zero", "sector_quartic_pi", "switch_sextic",
+                                  "switch_fractional", "sector_quartic_wide_l3",
+                                  "mixed_quartic_l3"])
+def test_refinement_source_holds_only_its_names_and_floats(problems_dir, name):
+    path = problems_dir / f"{name}.json"
+    problem = load_problem(path if path.exists() else
+                           problems_dir.parent / "tests" / "fixtures" / f"{name}.json")
+    source = _midpoint_source(*problem.pair(), problem.dilation)
+    _assert_generated(source, r"c|s", r"abs|c|s|x[01]|rad|eps")
+    assert ("rad =" in source) is (problem.dilation.l != 2.0)
 
 
 def test_oversized_horizon_fails_before_integrating(sextic_system, sextic_V, d2):
