@@ -17,7 +17,6 @@ drops or adds are named in its command handler (see docs/schema.md).
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import functools
@@ -103,11 +102,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """`header` and `rows` comma-separated, a row's fields (Python floats
+    and ints) as `%r`: the bytes `csv.writer` writes for them.  The rows
+    are streamed, never joined into one string."""
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.__mod__, rows))
     print(f"wrote {path}")
 
 

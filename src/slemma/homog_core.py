@@ -318,11 +318,15 @@ class GeneralizedPolynomial:
         The terms are summed in `terms` order as ((0.0 + t1) + t2) ...,
         each term is ((c * a1) * a2) ... over `_compile`'s factors, and a
         factor is abs(xi) ** p, negated when xi < 0 on a signed factor.
-        Beside the names, only `repr` of finite floats enters the text.
-        It differs from `__call__` only in not stopping a term at zero:
-        where every factor is finite that changes at most the sign of a
-        zero term, which the sum from 0.0 absorbs; otherwise the result
-        is not finite or the code raises OverflowError.
+        Where p is an integer whose parity is the sign flag, the factor is
+        xi ** p (xi for p = 1): float `**` of a negative base and an
+        integer exponent takes the power of |xi| and negates it for an odd
+        exponent, and x ** 1.0 == x.  Beside the names, only `repr` of
+        finite floats enters the text.  It differs from `__call__` only in
+        not stopping a term at zero and, on xi ** p, in the sign of a zero
+        factor at xi = -0.0: where every factor is finite that changes at
+        most the sign of a zero term, which the sum from 0.0 absorbs;
+        otherwise the result is not finite or the code raises OverflowError.
         """
         if len(names) != self.n or not all(v.isidentifier() for v in names):
             raise ValueError(f"need {self.n} identifiers, got {names!r}")
@@ -331,9 +335,12 @@ class GeneralizedPolynomial:
             term = repr(coeff)
             for i, p, signed in items:
                 xi = names[i]
-                a = f"abs({xi}) ** {p!r}"
-                if signed:
-                    a = f"(-({a}) if {xi} < 0.0 else {a})"
+                if p.is_integer() and signed == (p % 2 == 1):
+                    a = _power_source(xi, p)
+                else:
+                    a = _power_source(f"abs({xi})", p)
+                    if signed:
+                        a = f"(-({a}) if {xi} < 0.0 else {a})"
                 term += f" * {a}"
             total += f" + {term}"
         return total
@@ -583,6 +590,11 @@ def _accumulate(plan, X, out) -> None:
 def _function_source(args, lines) -> str:
     """Source of a function `f` of the names `args` whose body is `lines`."""
     return f"def f({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _power_source(base: str, p: float) -> str:
+    """Source of `base ** p`: `base` itself for p = 1, as float `**` gives."""
+    return base if p == 1.0 else f"{base} ** {p!r}"
 
 
 def _compile_function(source: str, slow):

@@ -41,6 +41,7 @@ from .homog_core import (
     UsageError,
     _compile_function,
     _function_source,
+    _power_source,
     evaluate_many,
     overflow_guard,
     sphere_samples,
@@ -239,14 +240,15 @@ def _refine_directions(f, g, d, theta, F, G, gap_tol):
 
 def _midpoint_source(f, g, d) -> str:
     """Source of (f, g) at `theta_point_scalar(t, d)` as a function of
-    (cos t, sin t), with that point's operations written out."""
-    (r1, r2), names = d.weights, ("x0", "x1")
-    lines = [f"{x} = abs({c}) ** {r!r} * (1.0 if {c} > 0.0 else -1.0 if {c} < 0.0 else 0.0)"
+    (cos t, sin t), with that point's operations written out; a power
+    of exponent 1 is written as its base, which float `**` returns."""
+    (r1, r2), names, pw = d.weights, ("x0", "x1"), _power_source
+    lines = [f"{x} = {pw(f'abs({c})', r)} * (1.0 if {c} > 0.0 else -1.0 if {c} < 0.0 else 0.0)"
              for x, c, r in (("x0", "c", r1), ("x1", "s", r2))]
     if d.l != 2.0:
-        lines += [f"rad = abs(x0) ** {d.l / r1!r} + abs(x1) ** {d.l / r2!r}",
+        lines += [f"rad = {pw('abs(x0)', d.l / r1)} + {pw('abs(x1)', d.l / r2)}",
                   f"eps = rad ** {-1.0 / d.l!r}",
-                  f"x0, x1 = eps ** {r1!r} * x0, eps ** {r2!r} * x1"]
+                  f"x0, x1 = {pw('eps', r1)} * x0, {pw('eps', r2)} * x1"]
     lines.append(f"return ({f.expression(names)}, {g.expression(names)})")
     return _function_source(("c", "s"), lines)
 

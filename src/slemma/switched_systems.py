@@ -11,6 +11,7 @@ sum(lambda_i * f_i), which is linear in lambda, is negative everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -494,9 +495,13 @@ def simulate_min_switching(
     from `GeneralizedPolynomial.expression`, with the same operations in
     the same order.  That code differs from `__call__` only past a zero
     factor, where it raises OverflowError or gives a value that is not
-    finite; such a step or derivative vector, and a V whose code raises,
-    is evaluated again through `__call__` (`_rk4_step` for a step), so
-    the trajectory is the same bytes either way.
+    finite; such a step or derivative vector is evaluated again through
+    `__call__` (`_rk4_step` for a step), and V on every state once its
+    code raises on one, so the trajectory is the same bytes either way.
+    The loop makes one pass per dwell period, whose rows j0 .. j0 +
+    dwell_steps - 1 take the sigma picked at row j0 (the last row takes
+    the pick of the period it starts, if any), with that period's step
+    function bound once; V is taken on the states after the last step.
     """
     n, fields = cand.system.n, cand.system.fields
     if dt <= 0 or t_end <= 0:
@@ -519,13 +524,11 @@ def simulate_min_switching(
     # most the limit, so it is needed only past it (or on NaN).
     norm_gate = 0.5 * STATE_NORM_LIMIT
     # Allocated before the loop so that a step count too large for memory
-    # fails at once instead of after the integration; filled at the end.
-    t_arr = np.empty(steps + 1)
-    x_arr = np.empty((steps + 1, n))
+    # fails at once instead of after the integration.  Row j's time is
+    # j * dt, as NumPy multiplies float(j) by dt.
+    t_arr = np.arange(steps + 1) * dt
     s_arr = np.empty(steps + 1, dtype=int)
-    v_arr = np.empty(steps + 1)
-    t_list, x_list, s_list, v_list = [], [], [], []
-    switch_times = []
+    x_list, switch_times = [], []
 
     step_sources, v_source, d_source = _straight_line_sources(cand, dt)
     fused = [_compile_function(src, lambda *xc, comps=comps: _rk4_step(comps, xc, dt))
@@ -544,37 +547,34 @@ def simulate_min_switching(
         return vals.index(min(vals)) + 1
 
     sigma = pick(x)
-    for j in range(steps + 1):
-        t = j * dt
-        if j > 0 and j % dwell_steps == 0:
-            new_sigma = pick(x)
-            if new_sigma != sigma:
-                switch_times.append(t)
+    for j0 in range(0, steps + 1, dwell_steps):
+        if j0 and (new_sigma := pick(x)) != sigma:
+            switch_times.append(j0 * dt)
             sigma = new_sigma
-        t_list.append(t)
-        x_list.append(x)
-        s_list.append(sigma)
-        # x is finite here (a step to a state that is not ends the run), so
-        # straight-line code can differ from __call__ only by raising.
-        try:
-            v_list.append(v_line(*x))
-        except OverflowError:
-            v_list.append(cand.V(x))
-        if j == steps:
-            break
-        try:
-            x_new = fused[sigma - 1](*x)
-        except OverflowError:
-            x_new = (math.nan,)
-        if not math.hypot(*x_new) <= norm_gate:
-            if not all(map(math.isfinite, x_new)):
-                x_new = _rk4_step(fields[sigma - 1], x, dt)
-            norm = np.linalg.norm(x_new)
-            if not norm <= STATE_NORM_LIMIT:
-                what = (f"exceeded {STATE_NORM_LIMIT:g}" if norm > STATE_NORM_LIMIT
-                        else "is not finite")
-                raise DivergenceError(f"state norm {what} at t = {t + dt:.6g}")
-        x = x_new
-    t_arr[:], x_arr[:], s_arr[:], v_arr[:] = t_list, x_list, s_list, v_list
-    return Trajectory(t=t_arr, x=x_arr, sigma=s_arr, v=v_arr,
+        s_arr[j0:j0 + dwell_steps] = sigma
+        step, comps = fused[sigma - 1], fields[sigma - 1]
+        for j in range(j0, min(j0 + dwell_steps, steps)):
+            x_list.append(x)
+            try:
+                x_new = step(*x)
+            except OverflowError:
+                x_new = (math.nan,)
+            if not math.hypot(*x_new) <= norm_gate:
+                if not all(map(math.isfinite, x_new)):
+                    x_new = _rk4_step(comps, x, dt)
+                norm = np.linalg.norm(x_new)
+                if not norm <= STATE_NORM_LIMIT:
+                    what = (f"exceeded {STATE_NORM_LIMIT:g}" if norm > STATE_NORM_LIMIT
+                            else "is not finite")
+                    raise DivergenceError(f"state norm {what} at t = {j * dt + dt:.6g}")
+            x = x_new
+    x_list.append(x)
+    # Each x is finite here (a step to a state that is not ends the run), so
+    # straight-line code can differ from __call__ only by raising.
+    try:
+        v = list(itertools.starmap(v_line, x_list))
+    except OverflowError:
+        v = [cand.V(xc) for xc in x_list]
+    x_arr = np.fromiter(itertools.chain.from_iterable(x_list), float, (steps + 1) * n)
+    return Trajectory(t=t_arr, x=x_arr.reshape(-1, n), sigma=s_arr, v=np.array(v),
                       dt=dt, dwell=dwell, switch_times=switch_times)

@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from slemma import cli
 from slemma.cli import COMMANDS, build_parser, main
 from slemma.homog_core import DEFAULT_SEED
 from slemma.image_analysis import (
@@ -161,6 +162,20 @@ def test_curve_csv_row_count(tmp_path, problems_dir):
     assert len(rows) == 1 + 65  # closed curve repeats the start point
     payload = read_payload(tmp_path, "curve_switch_sextic.json")
     assert payload["result"]["start"] == pytest.approx(payload["result"]["end"])
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, -0.0, math.nan), (1, math.inf, -math.inf), (-2, 5e-324, -5e-324),
+     (3, 1e-5, 0.1), (4, 1e16, -1e22), (5, 1.0, 0.0), (6, 12345678901234567890, 2.5)],
+    [],  # a header-only file
+])
+def test_csv_rows_are_what_csv_writer_writes(tmp_path, capsys, rows):
+    header = ["t", "x_1", "sigma"]
+    cli._write_csv(tmp_path / "got.csv", header, iter(rows))
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'got.csv'}\n"
 
 
 def test_copositive_strict_suffix(tmp_path, problems_dir):

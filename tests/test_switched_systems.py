@@ -1,6 +1,7 @@
 """Coverage checks, simplex scans, synthesis, eigenchecks, and simulation."""
 
 import ast
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -432,11 +433,14 @@ def _reference_simulation(cand, x0, dt=1e-3, t_end=10.0, dwell=None):
         k3 = field_value(comps, x + 0.5 * dt * k2)
         k4 = field_value(comps, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        assert np.linalg.norm(x) <= STATE_NORM_LIMIT
+        norm = np.linalg.norm(x)
+        if not norm <= STATE_NORM_LIMIT:
+            what = "exceeded 1e+06" if norm > STATE_NORM_LIMIT else "is not finite"
+            raise DivergenceError(f"state norm {what} at t = {t + dt:.6g}")
     return t_arr, x_arr, s_arr, v_arr, switch_times
 
 
-def _assert_bit_equal(cand, x0, **kwargs):
+def _assert_bit_equal(cand, x0, switching=True, **kwargs):
     traj = simulate_min_switching(cand, x0, **kwargs)
     t, x, sigma, v, switch_times = _reference_simulation(cand, x0, **kwargs)
     assert traj.t.tobytes() == t.tobytes()
@@ -444,7 +448,7 @@ def _assert_bit_equal(cand, x0, **kwargs):
     assert traj.sigma.tobytes() == sigma.tobytes()
     assert traj.v.tobytes() == v.tobytes()
     assert np.array(traj.switch_times).tobytes() == np.array(switch_times).tobytes()
-    assert switch_times  # the run exercised the switching law
+    assert bool(switch_times) is switching  # whether the run exercised the switching law
     return traj
 
 
@@ -464,15 +468,51 @@ def test_float_loop_matches_with_other_settings(frac_system, frac_V, frac_dilati
     _assert_bit_equal(cand, [1.3, -0.2], dt=1e-3, t_end=1.5, dwell=1.7e-2)
 
 
+@pytest.mark.parametrize("dt, t_end, dwell, last_row_switches", [
+    (1e-3, 0.3, 1e-3, False),  # one step per dwell period
+    (1e-3, 0.503, 1e-2, False),  # 503 steps: the last period is cut short
+    (2e-3, 0.96, 2e-2, True),  # 480 steps: the last row starts a period
+])
+def test_dwell_periods_match_the_array_loop(sextic_system, sextic_V, d2, dt, t_end, dwell,
+                                            last_row_switches):
+    cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
+    traj = _assert_bit_equal(cand, [1.0, -0.7], dt=dt, t_end=t_end, dwell=dwell)
+    assert (traj.switch_times[-1] == traj.t[-1].item()) is last_row_switches
+
+
+def test_a_dwell_past_the_horizon_picks_once(sextic_system, sextic_V, d2):
+    cand = LfhdCandidate.build(sextic_V, sextic_system, d2)
+    traj = _assert_bit_equal(cand, [1.0, -0.7], switching=False, t_end=0.2, dwell=0.5)
+    assert len(set(traj.sigma.tolist())) == 1
+
+
+def test_divergence_inside_a_dwell_period_is_reported_as_the_array_loop_does(d2):
+    # Two unstable linear fields that the law switches between; the state
+    # leaves the norm ball on step 1633 (t = 16.34), the third step of a
+    # 7-step dwell period.
+    s1 = (GP.from_terms(2, [(1.0, (1, 0))]), GP.from_terms(2, [(0.5, (0, 1))]))
+    s2 = (GP.from_terms(2, [(0.2, (1, 0))]), GP.from_terms(2, [(2.0, (0, 1))]))
+    V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
+    cand = LfhdCandidate.build(V, SwitchedSystem((s1, s2)), d2)
+    kwargs = dict(dt=0.01, t_end=40.0, dwell=0.07)
+    _assert_bit_equal(cand, [1.0, 1.0], **{**kwargs, "t_end": 16.0})
+    with pytest.raises(DivergenceError) as got:
+        simulate_min_switching(cand, [1.0, 1.0], **kwargs)
+    with pytest.raises(DivergenceError) as want:
+        _reference_simulation(cand, [1.0, 1.0], **kwargs)
+    assert str(got.value) == str(want.value) == "state norm exceeded 1e+06 at t = 16.34"
+
+
 def _abs_flag_candidate():
     """Planar pair of degree-2 fields; the first field carries the term
-    0.8 |x1|^(5/3) x2^(1/3), an abs flag on an odd numerator."""
+    0.8 |x1|^(5/3) x2^(1/3), an abs flag on an odd numerator, and the
+    second 0.25 |x1| x2, an abs flag of exponent 1."""
     def sq(c, i):  # c * x_i |x_i|
         return (c, (2, 0) if i == 0 else (0, 2), (i == 0, i == 1))
 
     s1 = (GP.from_terms(2, [sq(-1.0, 0), (0.8, ((5, 3), (1, 3)), (False, True))]),
           GP.from_terms(2, [sq(1.5, 0), sq(-0.4, 1)]))
-    s2 = (GP.from_terms(2, [sq(-0.3, 0), sq(1.0, 1)]),
+    s2 = (GP.from_terms(2, [sq(-0.3, 0), sq(1.0, 1), (0.25, (1, 1), (False, True))]),
           GP.from_terms(2, [sq(-1.0, 0), sq(-0.2, 1)]))
     V = GP.from_terms(2, [(0.5, (2, 0)), (0.5, (0, 2))])
     from slemma import Dilation
@@ -577,15 +617,43 @@ def test_pick_keeps_the_nan_rule_of_argmin(d2):
     assert traj.sigma.tobytes() == sigma.tobytes() and traj.x.tobytes() == x.tobytes()
 
 
-def test_expression_matches_call_bit_for_bit(sextic_system, sextic_V, frac_system, frac_V):
+def test_expression_matches_call_bit_for_bit(sextic_system, sextic_V, frac_system, frac_V,
+                                             problems_dir):
+    # switch_three_linear's fields and the abs-flag pair's second field hold
+    # factors of exponent 1, signed and unsigned; `mixed` holds unsigned odd
+    # and signed even integer powers, which keep abs, beside xi ** p factors
+    linear = load_problem(problems_dir / "switch_three_linear.json").single_system()[1]
+    mixed = GP.from_terms(2, [(1.5, (3, 0), (False, False)), (-0.5, (2, 2), (True, False)),
+                              (0.3, (1, 2), (False, True)), (2.0, (1, 5), (True, True))])
     polys = [sextic_V, frac_V, *sextic_system.fields[0], *frac_system.fields[1],
-             *_abs_flag_candidate().system.fields[0], GP.zero(2), GP.constant(2, -1.5)]
+             *itertools.chain.from_iterable(_abs_flag_candidate().system.fields),
+             *itertools.chain.from_iterable(linear.fields),
+             mixed, GP.zero(2), GP.constant(2, -1.5)]
     rng = np.random.default_rng(11)
-    points = [*rng.normal(scale=3.0, size=(200, 2)).tolist(), [0.0, -0.0], [-0.0, 2.0]]
+    points = [*rng.normal(scale=3.0, size=(200, 2)).tolist(),
+              *([a, b] for a in (0.0, -0.0) for b in (0.0, -0.0, 2.0, -1.5)),
+              *([b, a] for a in (0.0, -0.0) for b in (2.0, -1.5)),
+              [-1e200, 2.0], [3.0, -1e200], [-1e60, -0.5], [-5e-324, 1e-170]]
     for p in polys:
         f = _compile_function(f"def f(a, b):\n    return {p.expression(['a', 'b'])}\n", None)
         for x in points:
-            assert np.float64(f(*x)).tobytes() == np.float64(p(tuple(x))).tobytes()
+            try:
+                got = f(*x)
+            except OverflowError:  # where __call__ takes the power again in NumPy
+                with np.errstate(all="ignore"):
+                    assert not math.isfinite(p(tuple(x)))
+                continue
+            assert np.float64(got).tobytes() == np.float64(p(tuple(x))).tobytes()
+
+
+def test_linear_steps_take_no_power(problems_dir):
+    # every factor of a linear field has exponent 1, so each fused RK4 step
+    # of switch_three_linear is products and sums alone
+    problem = load_problem(problems_dir / "switch_three_linear.json")
+    cand = LfhdCandidate.build(problem.first_lyapunov()[1], problem.single_system()[1],
+                               problem.dilation)
+    steps = _straight_line_sources(cand, 1e-3)[0]
+    assert len(steps) == 3 and not any("**" in source for source in steps)
 
 
 def test_a_polynomial_too_long_for_one_expression_runs_through_the_loop(
