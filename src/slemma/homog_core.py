@@ -15,6 +15,7 @@ representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -127,10 +128,14 @@ class Dilation:
         return factor.reshape(eps.shape + (self.n,)) * x
 
     def radius(self, x) -> np.ndarray:
-        """sum_i |x_i|^(l/r_i), the quantity that equals 1 on the sphere."""
-        x = np.asarray(x, dtype=float)
-        r = np.array(self.weights)
-        return np.sum(np.abs(x) ** (self.l / r), axis=-1)
+        """sum_i |x_i|^(l/r_i), the quantity that equals 1 on the sphere.
+
+        The powers are taken on x as it is laid out (a column raised to a
+        scalar power rounds some entries differently), and each row is
+        summed by `_row_sum`, with np.sum's bytes."""
+        a = np.abs(np.asarray(x, dtype=float))
+        a **= self.l / np.array(self.weights)
+        return _row_sum(a)
 
     def project(self, x) -> np.ndarray:
         """Radial projection along dilation orbits onto the sphere."""
@@ -143,6 +148,22 @@ class Dilation:
 
     def to_dict(self) -> dict:
         return {"weights": list(self.weights), "l": self.l}
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1), byte for byte, in one pass per column.
+
+    On rows of fewer than 8 entries NumPy adds the entries left to right,
+    starting from +0.0 (so a row of -0.0 sums to +0.0), one row at a time;
+    this adds the columns in that order, from a[..., 0] + 0.0.  From 8
+    entries on NumPy sums pairwise, and np.sum is kept."""
+    n = a.shape[-1]
+    if n >= 8:
+        return np.sum(a, axis=-1)
+    s = a[..., 0] + 0.0
+    for j in range(1, n):
+        s += a[..., j]
+    return s
 
 
 # A term is keyed by its exponent tuple and sign-flag tuple; the value is
@@ -512,15 +533,17 @@ def evaluate_many(polys: Sequence[GeneralizedPolynomial], X) -> np.ndarray:
 
     The rows are taken in blocks of `EVALUATE_BLOCK`, so that each
     block's arrays stay in cache and its allocations are reused.  In a
-    block, each term of each polynomial in turn is a column of its
-    coefficient multiplied in place by its factors in `_compile` order,
-    |x_i| ** p and then sgn(x_i) on a signed factor, and a polynomial's
-    terms are summed into zeros in `terms` order.  Each distinct
-    |x_i| ** p and sgn(x_i) is computed once per block, at its first use
-    by any of the polynomials, and reused by every later term: every
-    operation left out repeats an earlier one exactly.  Every value is
-    thus that of evaluating its polynomial alone, each factor afresh on
-    the whole array (a block is a multiple of every SIMD width).
+    block, each term of each polynomial in turn is its coefficient times
+    its factors in `_compile` order, multiplied in place, and a
+    polynomial's terms are summed into zeros in `terms` order.  A factor
+    is |x_i| ** p, times sgn(x_i) on a signed factor; each distinct
+    factor (i, p, signed) is computed once per block, at its first use by
+    any of the polynomials, and reused by every later term.  Every value
+    is thus that of evaluating its polynomial alone, each factor afresh
+    on the whole array (a block is a multiple of every SIMD width), with
+    sgn(x_i) multiplied into the term after |x_i| ** p: sgn(x_i) is +-1,
+    0 or a NaN, so multiplying it into |x_i| ** p first changes no value
+    and raises no overflow or invalid operation at another product.
 
     An input of more than one block is evaluated with overflow ignored;
     where a value is then not finite, all rows are evaluated again in one
@@ -535,7 +558,7 @@ def evaluate_many(polys: Sequence[GeneralizedPolynomial], X) -> np.ndarray:
     for poly in polys:
         if X.shape[1] != poly.n:
             raise ValueError(f"points have {X.shape[1]} coordinates, expected {poly.n}")
-    plan = _plan_frees(polys)
+    plan = _plan_frees(tuple(polys))
     out = np.zeros((len(polys), X.shape[0]))
     if X.shape[0] > EVALUATE_BLOCK:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -548,40 +571,49 @@ def evaluate_many(polys: Sequence[GeneralizedPolynomial], X) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-def _plan_frees(polys) -> list[tuple]:
+@functools.lru_cache(maxsize=8)
+def _plan_frees(polys: tuple) -> tuple:
     """(k, coeff, items, last) for each compiled term (coeff, items) of
-    each polys[k], in order; `last` holds the keys (i, p) of the powers
-    |x_i| ** p and i of the signs sgn(x_i) that no later term, of that
-    polynomial or a later one, uses."""
+    each polys[k], in order; `last` holds the factors (i, p, signed) that
+    no later term, of that polynomial or a later one, uses.
+
+    Polynomials hash by identity, so a tuple of them is planned once
+    while it stays among the 8 most recent (a convexity probe evaluates
+    one pair over many rounds); few, so that the cache keeps few
+    polynomials alive after their command."""
     later, plan = set(), []
     for k in reversed(range(len(polys))):
         for coeff, items in reversed(polys[k]._compile()):
-            keys = {(i, p) for i, p, _ in items} | {i for i, _, signed in items if signed}
+            keys = frozenset(items)
             plan.append((k, coeff, items, keys - later))
             later |= keys
-    return plan[::-1]
+    return tuple(reversed(plan))
 
 
 def _accumulate(plan, X, out) -> None:
     """out[k] += the value at the rows of X of each term (k, coeff, items,
-    last) of `_plan_frees`, in order.
+    last) of `_plan_frees`, in order: coeff times the term's first factor
+    into one array, then each later factor multiplied in place.
 
-    A power or sign leaves the table after the last term that uses it,
-    so that later arrays can take its memory."""
+    A factor (i, p, signed) is |x_i| ** p, times sgn(x_i) when signed,
+    stored in the table at its first use and taken out after the last
+    term that uses it, so that later arrays can take its memory."""
     table = {}
     t = np.empty(len(X))
     for k, coeff, items, last in plan:
-        t.fill(coeff)
-        for i, p, signed in items:
-            a = table.get((i, p))
+        if not items:
+            t.fill(coeff)
+        for j, key in enumerate(items):
+            a = table.get(key)
             if a is None:
-                a = table[i, p] = np.abs(X[:, i]) ** p
-            t *= a
-            if signed:
-                sg = table.get(i)
-                if sg is None:
-                    sg = table[i] = np.sign(X[:, i])
-                t *= sg
+                i, p, signed = key
+                a = table[key] = np.abs(X[:, i]) ** p
+                if signed:
+                    a *= np.sign(X[:, i])
+            if j:
+                t *= a
+            else:
+                np.multiply(a, coeff, out=t)
         out[k] += t
         for key in last:
             del table[key]
@@ -672,7 +704,9 @@ def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
     1/b and b2r_{j+1} = b2r_j / b.  The sum is built by outer sums over
     b, b^2, ... indices (a partial sum depends only on the low digits),
     then the high digits, zero for every index below count, add their
-    constant terms in place.
+    constant terms in place.  The last outer sum forms only the indices
+    below count, and a constant term of 0 is left out: the partial sums
+    are nonnegative, and s + 0.0 == s for each.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((n, count))
@@ -687,8 +721,9 @@ def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
         b2r = 1.0 / b
         for perm in perms:
             if s.size < count:
-                s = (s[None, :] + (perm * b2r)[:, None]).ravel()[:count]
-            else:
+                digits = perm[:-(-count // s.size)]
+                s = (s[None, :] + (digits * b2r)[:, None]).ravel()[:count]
+            elif perm[0]:
                 s += perm[0] * b2r
             b2r /= b
         row[:] = s[:count]
@@ -746,13 +781,22 @@ def _libm_log(a: np.ndarray) -> np.ndarray:
     about 0.02 ULP of a midpoint, and logl is far more accurate than that.
     """
     if not LONG_DOUBLE_LOG:
-        return np.fromiter(map(math.log, a.tolist()), float, a.size)
-    wide = np.log(a.astype(np.longdouble))
+        return _math_log(a)
+    wide = np.log(a, dtype=np.longdouble)
     out = wide.astype(float)
-    low = (wide.view(np.uint64)[::2] & 0x7FF).astype(np.int64)
-    near = np.flatnonzero(np.abs(low - 1024) <= 2048 * MIDPOINT_WINDOW)
-    out[near] = [math.log(v) for v in a[near].tolist()]
+    # |low - 1024| <= w as one unsigned compare: low - (1024 - w) wraps
+    # past 2 * w below the window
+    w = int(2048 * MIDPOINT_WINDOW)
+    low = wide.view(np.uint64)[::2] & 0x7FF
+    low -= 1024 - w
+    near = np.flatnonzero(low <= 2 * w)
+    out[near] = _math_log(a[near])
     return out
+
+
+def _math_log(a: np.ndarray) -> np.ndarray:
+    """math.log of each entry of a 1-d array."""
+    return np.fromiter(map(math.log, a.tolist()), float, a.size)
 
 
 def _ndtri(y0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -775,9 +819,15 @@ def _ndtri(y0: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         yt = y[ti]
         upper = yt > 1.0 - _EXP_M2
         yt = np.where(upper, 1.0 - yt, yt)
+        # (yc + yc * (y2 * P0(y2) / Q0(y2))) * S2PI, in place
         yc = y - 0.5
         y2 = yc * yc
-        o[:] = (yc + yc * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+        c = _horner(y2, _P0)
+        c *= y2
+        c /= _horner(y2, _Q0)
+        c *= yc
+        c += yc
+        np.multiply(c, _S2PI, out=o)
         x = np.sqrt(-2.0 * _libm_log(yt))
         z = 1.0 / x
         x = (x - _libm_log(x) / x) - z * _horner(z, _P1) / _horner(z, _Q1)
@@ -805,8 +855,11 @@ def sphere_samples(
 
     The points are clipped and mapped in place in their (n, count) array,
     then normalized and projected as the rows of a C-order (count, n)
-    copy: on the other layout, `np.linalg.norm` does not sum rows of 8 or
-    more entries pairwise, and `project`'s powers round differently.
+    copy.  A row's norm is np.linalg.norm's, the square root of np.sum of
+    its squares, summed by `_row_sum`: column by column for n < 8, as
+    NumPy adds a short row, and by np.sum on the rows from 8 on, where
+    NumPy sums pairwise.  `project`'s powers are taken on the rows too,
+    as they round differently on the other layout.
     """
     n = d.n
     if n == 1:
@@ -818,7 +871,7 @@ def sphere_samples(
     u = _scrambled_halton(n, count, seed).T
     np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     z = np.ascontiguousarray(_ndtri(u, out=u).T)
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.sqrt(_row_sum(z * z))
     keep = norms > 1e-9
     if not keep.all():
         z, norms = z[keep], norms[keep]

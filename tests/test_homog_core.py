@@ -1,5 +1,6 @@
 """Polynomial container, dilations, and sphere sampling."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from slemma import DEFAULT_SEED, Dilation, GeneralizedPolynomial, Parity
 from slemma import homog_core
 from slemma.homog_core import (
-    EVALUATE_BLOCK, NDTRI_BLOCK, _first_primes, _libm_log, _ndtri, _plan_frees,
+    EVALUATE_BLOCK, NDTRI_BLOCK, _first_primes, _libm_log, _ndtri, _plan_frees, _row_sum,
     _scrambled_halton, evaluate_many, overflow_guard, sphere_samples, theta_grid, theta_points,
 )
 
@@ -212,6 +213,48 @@ def test_radius_scales_with_dilation():
     assert d.radius(d.scale(2.0, x)) == pytest.approx(4.0 * d.radius(x))
 
 
+def _special_rows(n):
+    """Rows of n entries whose sums test the order and start of a row sum:
+    all -0.0, a signed zero among +-0.0, +-inf alone and together, NaN of
+    both signs beside inf, and large entries that cancel down to a small
+    remainder (which the order of the additions decides)."""
+    nan, inf = float("nan"), float("inf")
+    rows = [[-0.0] * n, [0.0] + [-0.0] * (n - 1), [-0.0] * (n - 1) + [0.0],
+            [inf] * n, [-inf] * n, [inf] + [-inf] * (n - 1), [1.0] * (n - 1) + [inf],
+            [nan] * n, [-nan] * n, [-nan] + [nan] * (n - 1), [inf] + [-nan] * (n - 1),
+            [1e16] + [1.0] * (n - 2) + [-1e16] if n > 1 else [1e16],
+            [(-1) ** j * 10.0 ** (16 - j) + 0.5 for j in range(n)]]
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_sum_is_np_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    rand = rng.normal(size=(257, n)) * np.exp(rng.normal(0.0, 8.0, (257, n)))
+    X = np.vstack([_special_rows(n), rand])
+    cases = [X, X[0], X[-1], X.reshape(-1, 1, n), X.reshape(1, -1, n), X[::-1]]
+    if len(X) % 2 == 0:
+        cases.append(X.reshape(2, -1, n))
+    for a in cases:
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got, want = _row_sum(a), np.sum(a, axis=-1)
+        assert np.shape(got) == np.shape(want) and np.ndim(got) == np.ndim(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a.shape, n)
+
+
+def test_radius_is_the_row_sum_of_np_sum():
+    # radius on the layouts the sampler and the probe pass it: one point,
+    # a C-order stack, and an (n, count) array's transpose
+    rng = np.random.default_rng(9)
+    for d in (Dilation.standard(3), Dilation((1.0, 2.0, 1.5), l=4.0), Dilation.standard(8)):
+        X = np.vstack([_special_rows(d.n), rng.normal(size=(1000, d.n))])
+        for Y in (X, X[5], np.asfortranarray(X)):
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                got = d.radius(Y)
+                want = np.sum(np.abs(Y) ** (d.l / np.array(d.weights)), axis=-1)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -341,9 +384,13 @@ def test_sphere_samples_match_the_scipy_pipeline():
     # of 8 or more entries np.linalg.norm sums pairwise, unlike a sum down
     # the columns of an (n, count) array (which differs from n = 8, count
     # 1 on), and the weighted projection's powers take another NumPy loop
-    # on the (n, count) layout, which rounds some entries differently
+    # on the (n, count) layout, which rounds some entries differently.
+    # Below 8 entries the sampler adds the squares column by column, and
+    # must add them in the order np.linalg.norm adds a row's
     cases = [(weighted, 3000), (weighted, 65537), (Dilation.standard(8), 1),
-             (Dilation.standard(8), 65537), (Dilation.standard(9), 65537)]
+             (Dilation.standard(8), 65537), (Dilation.standard(9), 65537),
+             (Dilation((1.0, 2.0, 1.5), l=4.0), 65537)]
+    cases += [(Dilation.standard(n), 65537) for n in range(3, 8)]
     for d, count in cases:
         u = stats.qmc.Halton(d=d.n, scramble=True, seed=DEFAULT_SEED).random(count)
         z = np.ascontiguousarray(ndtri(np.clip(u, 1e-12, 1.0 - 1e-12)))
@@ -468,22 +515,90 @@ def test_evaluate_many_is_each_per_term_loop_bit_for_bit(data):
 
 
 def test_evaluate_keeps_each_power_and_sign_until_its_last_term():
-    # x1^2 x2, then x1^2, then x2: |x1|^2 is last used by the second term,
-    # |x2|^1 and sgn(x2) by the third
-    f = GP.from_terms(2, [(1.0, (2, 1)), (2.0, (2, 0)), (3.0, (0, 1))])
-    assert [last for *_, last in _plan_frees([f])] == [set(), {(0, 2.0)}, {(1, 1.0), 1}]
+    # x1^2 x2, then x1^2, then |x2|, then x2: |x1|^2 is last used by the
+    # second term, |x2| by the third, and |x2| * sgn(x2), a table entry of
+    # its own, by the fourth
+    f = GP.from_terms(2, [(1.0, (2, 1)), (2.0, (2, 0)), (3.0, (0, 1), (False, False)),
+                          (4.0, (0, 1))])
+    assert [last for *_, last in _plan_frees((f,))] == [
+        set(), {(0, 2.0, False)}, {(1, 1.0, False)}, {(1, 1.0, True)}]
 
 
 def test_evaluate_many_keeps_a_shared_power_until_its_last_use_by_any_polynomial():
     # f is x1^2, then x2; g is x1^2 x2, then x2^3.  Alone, f frees |x1|^2
-    # after its first term and |x2|, sgn(x2) after its second; before g,
-    # they live until g's first term, and sgn(x2) until g's second
+    # after its first term and x2 after its second; before g, both live
+    # until g's first term, and x2^3 is g's own
     f = GP.from_terms(2, [(1.0, (2, 0)), (2.0, (0, 1))])
     g = GP.from_terms(2, [(3.0, (2, 1)), (4.0, (0, 3))])
-    assert [last for *_, last in _plan_frees([f])] == [{(0, 2.0)}, {(1, 1.0), 1}]
-    plan = _plan_frees([f, g])
+    assert [last for *_, last in _plan_frees((f,))] == [{(0, 2.0, False)}, {(1, 1.0, True)}]
+    plan = _plan_frees((f, g))
     assert [k for k, *_ in plan] == [0, 0, 1, 1]
-    assert [last for *_, last in plan] == [set(), set(), {(0, 2.0), (1, 1.0)}, {(1, 3.0), 1}]
+    assert [last for *_, last in plan] == [
+        set(), set(), {(0, 2.0, False), (1, 1.0, True)}, {(1, 3.0, True)}]
+
+
+def test_evaluate_many_plans_a_tuple_of_polynomials_once():
+    f = GP.from_terms(2, [(1.0, (2, 0)), (2.0, (0, 1))])
+    g = GP.from_terms(2, [(3.0, (2, 1))])
+    X = np.random.default_rng(2).normal(size=(10, 2))
+    _plan_frees.cache_clear()
+    first = evaluate_many((f, g), X)
+    assert evaluate_many([f, g], X).tobytes() == first.tobytes()
+    assert evaluate_many((f, g), X[:3]).tobytes() == first[:, :3].tobytes()
+    evaluate_many((g, f), X)
+    info = _plan_frees.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+# Entries that a term's product can meet: signed zeros, NaN of both signs,
+# infinities, and magnitudes whose powers and products overflow
+SPECIAL = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1e200, -1e200, 1.5, -0.75)
+
+
+def _outcome(evaluate, X):
+    """evaluate(X)'s bytes, or the error it raises under overflow_guard."""
+    try:
+        with overflow_guard("test stage"):
+            return np.asarray(evaluate(X)).tobytes()
+    except FloatingPointError as e:
+        return str(e)
+
+
+def test_evaluate_many_on_special_entries_is_each_per_term_loop_bit_for_bit():
+    third = Fraction(1, 3)
+    f = GP.from_terms(3, [
+        (2.5, (1, 1, 3)),
+        (-1.0, (3, 1, 0)),
+        (0.5, (3, 1, 0), (False, False, False)),  # the same powers, unsigned
+        (0.75, (third, 2, 1)),
+        (3.0, (0, 0, 0)),
+    ])
+    g = GP.from_terms(3, [(1e-300, (0, 3, 1)), (-2.0, (1, 0, 3)), (1.25, (third, 0, 0))])
+    X = np.array(list(itertools.product(SPECIAL, repeat=3)))
+    polys = (f, g)
+
+    def reference(Y):
+        return np.array([_reference_evaluate(p, Y) for p in polys])
+
+    with np.errstate(all="ignore"):
+        _assert_each_is_its_own_loop(polys, X)
+        # NaN of both signs comes out of the products
+        values = evaluate_many(polys, X)
+        assert {True, False} <= set(np.signbit(values[np.isnan(values)]).tolist())
+    # one point at a time, each overflow or invalid product raises at the
+    # operation the per-term loop raises at, f's before g's
+    outcomes = set()
+    for x in X:
+        got = _outcome(lambda Y: evaluate_many(polys, Y), x)
+        assert got == _outcome(reference, x), x
+        outcomes.add(got if isinstance(got, str) else "finite")
+    assert {"test stage: overflow encountered in power",
+            "test stage: overflow encountered in multiply",
+            "test stage: invalid value encountered in multiply",
+            "test stage: invalid value encountered in add", "finite"} <= outcomes
+    # all rows at once, and past one block
+    for Y in (X, np.resize(X, (EVALUATE_BLOCK + len(X) + 1, 3))):
+        assert _outcome(lambda Y: evaluate_many(polys, Y), Y) == _outcome(reference, Y)
 
 
 @pytest.mark.parametrize("terms, x, op", [

@@ -549,6 +549,24 @@ def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
     assert 0 < batched < calls[0] / 10, (batched, calls[0])
 
 
+def test_probe_plans_its_pair_once_across_its_rounds(monkeypatch):
+    _, summary, f, g, d, X, dirs, clearance = _search_inputs(
+        ROOT / "problems" / "sector_sextic_wide.json")
+    targets = _targets(summary, f, g, d)
+    rounds = [0]
+    evaluate_many = homog_core.evaluate_many
+
+    def counting(polys, pts):
+        rounds[0] += 1
+        return evaluate_many(polys, pts)
+
+    monkeypatch.setattr(image_analysis, "evaluate_many", counting)
+    homog_core._plan_frees.cache_clear()
+    _direction_misses(f, g, d, X, dirs, targets, 1e-9, DEFAULT_SEED)
+    info = homog_core._plan_frees.cache_info()
+    assert rounds[0] > 10 and (info.misses, info.hits) == (1, rounds[0] - 1), (rounds, info)
+
+
 def test_misses_are_the_remainder_forms_at_the_ends_of_the_circle():
     # start gaps and row misses take the remainders in closed form; the
     # forms they replace decide, on directions at and next to -pi, 0, pi
