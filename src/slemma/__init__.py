@@ -14,6 +14,7 @@ from .homog_core import (
     GeneralizedPolynomial,
     Parity,
     UsageError,
+    Verdict,
     sphere_samples,
     theta_grid,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "GeneralizedPolynomial",
     "Parity",
     "UsageError",
+    "Verdict",
     "sphere_samples",
     "theta_grid",
     "DegenerateImageError",

@@ -2,12 +2,13 @@
 
 Thirteen subcommands dispatch problem files to the analysis operations
 and write deterministic artifacts: a JSON report always, plus CSV or SVG
-data for the commands that have tabular or plottable output.  Exit codes:
-0 success, 1 negative finding (a valid mathematical answer such as "no
-multiplier exists"), 2 usage or parse error, 3 internal failure (a
-certificate that failed its independent re-check, a float64 overflow
-named by the stage it hit, or an unexpected exception: a bug, not a
-finding).
+data for the commands that have tabular or plottable output.  Each
+command returns the verdict of its report and `main` maps it to the exit
+code: 0 HOLDS, 1 FAILS (a valid mathematical answer such as "no
+multiplier exists"), 3 INCONCLUSIVE (a certificate that failed its
+independent re-check).  Exit 2 is a usage or parse error, and 3 also a
+float64 overflow named by the stage it hit or an unexpected exception (a
+bug, not a finding).
 
 Every JSON report's `result` is the command's report dataclass written
 field by field (enums by value, arrays as lists); the few keys a report
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .homog_core import DEFAULT_SEED, TWO_PI, UsageError
+from .homog_core import DEFAULT_SEED, TWO_PI, UsageError, Verdict
 from .image_analysis import (
     DegenerateImageError,
     SampledPair,
@@ -38,7 +39,6 @@ from .image_analysis import (
 from .problems import Problem, ProblemError, load_problem
 from .s_lemma import (
     MultiplierFailure,
-    ReasonCode,
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
@@ -160,26 +160,14 @@ def _svg_polyline(points: np.ndarray) -> str:
 # ------------------------------------------------------------------ helpers
 
 
-def _config(args, problem: Problem, **extra) -> dict:
-    cfg = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "threshold": args.threshold,
-        "grid_step": args.grid_step,
-        "format": args.format,
-        "dilation": problem.dilation.to_dict(),
-    }
-    cfg.update(extra)
-    return cfg
-
-
-def _payload(args, problem: Problem, result: dict, **extra) -> dict:
-    return {
-        "command": args.command,
-        "problem": problem.path.name,
-        "config": _config(args, problem, **extra),
-        "result": result,
-    }
+def _write_report(args, problem: Problem, result, suffix: str = "") -> None:
+    """The command's JSON report: its problem, flags and dilation, and `result`."""
+    config = {"samples": args.samples, "seed": args.seed, "threshold": args.threshold,
+              "grid_step": args.grid_step, "format": args.format,
+              "dilation": problem.dilation.to_dict()}
+    _write_json(_out_path(args, suffix, "json"), {
+        "command": args.command, "problem": problem.path.name,
+        "config": config, "result": result})
 
 
 def _out_path(args, stem_suffix: str, ext: str) -> Path:
@@ -222,12 +210,6 @@ def _positive(kind, zero=False):
     return parse
 
 
-def _multiplier_exit(res) -> int:
-    if isinstance(res, MultiplierFailure):
-        return 3 if res.reason is ReasonCode.VERIFICATION_FAILED else 1
-    return 0
-
-
 def _candidate(problem: Problem):
     sys_name, system = problem.single_system()
     v_name, V = problem.first_lyapunov()
@@ -238,43 +220,38 @@ def _candidate(problem: Problem):
 # ----------------------------------------------------------------- commands
 
 
-def cmd_image(args, problem: Problem) -> int:
+def cmd_image(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     pair = SampledPair.draw(f, g, problem.dilation, count=args.samples, seed=args.seed)
     try:
         summary = pair.image()
     except DegenerateImageError as e:
-        _write_json(_out_path(args, "", "json"),
-                    _payload(args, problem, {"degenerate": str(e)}))
-        print(f"image: degenerate ({e})")
-        return 1
+        _write_report(args, problem, {"degenerate": str(e)})
+        return Verdict.FAILS, f"image: degenerate ({e})"
     probe = pair.convexity_probe(summary)
-    _write_json(_out_path(args, "", "json"),
-                _payload(args, problem, _image_fields(summary, convexity_violations=probe)))
+    _write_report(args, problem, _image_fields(summary, convexity_violations=probe))
     if args.format == "csv":
         _write_csv(_out_path(args, "", "csv"), ["theta_or_index", "f", "g"],
                    ((float(r[0]), float(r[1]), float(r[2]))
                     for r in summary.scatter))
     if args.format == "svg":
         _write_svg(_out_path(args, "", "svg"), _svg_scatter(summary.scatter[:, 1:3]))
-    print(f"image: {summary.classification.value}, "
-          f"phi = {summary.phi / math.pi:.4f} pi, "
-          f"{len(probe)} convexity violation(s)")
-    return 0
+    return Verdict.HOLDS, (f"image: {summary.classification.value}, "
+                           f"phi = {summary.phi / math.pi:.4f} pi, "
+                           f"{len(probe)} convexity violation(s)")
 
 
-def cmd_zeros(args, problem: Problem) -> int:
+def cmd_zeros(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     threshold = 1e-9 if args.threshold is None else args.threshold
     zm = zero_margin(f, g, problem.dilation, threshold=threshold,
                      count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, zm))
-    print(f"zeros: margin = {zm.margin:.6g} "
-          f"({'common zero detected' if zm.common_zero else 'no common zero'})")
-    return 1 if zm.common_zero else 0
+    _write_report(args, problem, zm)
+    return zm.verdict, (f"zeros: margin = {zm.margin:.6g} "
+                        f"({'common zero detected' if zm.common_zero else 'no common zero'})")
 
 
-def cmd_curve(args, problem: Problem) -> int:
+def cmd_curve(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     n = problem.n
     z1 = (_parse_vector(args.z1, n, "--z1") if args.z1
@@ -290,39 +267,34 @@ def cmd_curve(args, problem: Problem) -> int:
         "start": list(map(float, curve[0])),
         "end": list(map(float, curve[-1])),
     }
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
+    _write_report(args, problem, result)
     if args.format == "csv":
         _write_csv(_out_path(args, "", "csv"), ["theta", "f", "g"],
                    ((float(t), float(p[0]), float(p[1]))
                     for t, p in zip(thetas, curve)))
     if args.format == "svg":
         _write_svg(_out_path(args, "", "svg"), _svg_polyline(curve))
-    print(f"curve: {args.steps} steps through the image plane")
-    return 0
+    return Verdict.HOLDS, f"curve: {args.steps} steps through the image plane"
 
 
-def cmd_copositive(args, problem: Problem) -> int:
+def cmd_copositive(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     rep = is_copositive(f, g, problem.dilation, strict=args.strict,
                         count=args.samples, seed=args.seed)
-    suffix = "_strict" if args.strict else ""
-    _write_json(_out_path(args, suffix, "json"), _payload(args, problem, rep))
+    _write_report(args, problem, rep, "_strict" if args.strict else "")
     kind = "strictly copositive" if args.strict else "copositive"
-    print(f"copositive: f is {'' if rep.holds else 'NOT '}{kind} with g")
-    return 0 if rep.holds else 1
+    return rep.verdict, f"copositive: f is {'' if rep.holds else 'NOT '}{kind} with g"
 
 
-def cmd_shs_check(args, problem: Problem) -> int:
+def cmd_shs_check(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     rep = shs_condition(f, g, problem.dilation, count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"),
-                _payload(args, problem, _fields(rep, image=_image_fields(rep.image))))
-    print(f"shs-check: {'holds' if rep.holds else 'fails'} "
-          f"(symmetrized gap {rep.symmetrized_gap:.6f} rad)")
-    return 0 if rep.holds else 1
+    _write_report(args, problem, _fields(rep, image=_image_fields(rep.image)))
+    return rep.verdict, (f"shs-check: {'holds' if rep.holds else 'fails'} "
+                         f"(symmetrized gap {rep.symmetrized_gap:.6f} rad)")
 
 
-def cmd_xi(args, problem: Problem) -> int:
+def cmd_xi(args, problem: Problem) -> tuple[Verdict, str]:
     """shs-xi, hs-xi and nhs-xi: the multiplier search named by the command."""
     f, g = problem.pair()
     if args.command == "nhs-xi":
@@ -331,25 +303,23 @@ def cmd_xi(args, problem: Problem) -> int:
         search = (find_strict_multiplier if args.command == "shs-xi"
                   else find_nonstrict_multiplier)
         res = search(f, g, problem.dilation, count=args.samples, seed=args.seed)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, res))
+    _write_report(args, problem, res)
     if isinstance(res, MultiplierFailure):
-        print(f"{args.command}: failed ({res.reason.value})")
-    elif args.command == "nhs-xi":
-        print(f"nhs-xi: xi = {res.xi:.9g}, "
-              f"t=1 margin = {res.details['t1_margin']:.6g}")
-    else:
-        print(f"{args.command}: xi = {res.xi:.9g}, margin = {res.margin:.6g}")
-    return _multiplier_exit(res)
+        return res.verdict, f"{args.command}: failed ({res.reason.value})"
+    if args.command == "nhs-xi":
+        return res.verdict, (f"nhs-xi: xi = {res.xi:.9g}, "
+                             f"t=1 margin = {res.details['t1_margin']:.6g}")
+    return res.verdict, f"{args.command}: xi = {res.xi:.9g}, margin = {res.margin:.6g}"
 
 
-def cmd_lfhd(args, problem: Problem) -> int:
+def cmd_lfhd(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, v_name, cand = _candidate(problem)
     rep = check_lfhd(cand, count=args.samples, seed=args.seed,
                      threshold=args.threshold)
     result = _fields(rep, drop=("uncovered_indices", "argmin", "min_values", "params"),
                      uncovered_count=len(rep.uncovered_indices), system=sys_name,
                      lyapunov=v_name, common_degree=cand.common_degree)
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
+    _write_report(args, problem, result)
     if args.format == "csv":
         _write_csv(_out_path(args, "_regions", "csv"),
                    ["theta_or_index", "argmin_subsystem", "min_derivative"],
@@ -358,27 +328,24 @@ def cmd_lfhd(args, problem: Problem) -> int:
         X = np.column_stack([np.cos(rep.params), np.sin(rep.params)])
         colors = [PALETTE[(a - 1) % len(PALETTE)] for a in rep.argmin]
         _write_svg(_out_path(args, "_regions", "svg"), _svg_scatter(X, colors))
-    print(f"lfhd: {rep.status} "
-          f"(uncovered samples: {len(rep.uncovered_indices)})")
-    return 0 if rep.covered else 1
+    return rep.verdict, f"lfhd: {rep.status} (uncovered samples: {len(rep.uncovered_indices)})"
 
 
-def cmd_combo_synth(args, problem: Problem) -> int:
+def cmd_combo_synth(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, v_name, cand = _candidate(problem)
     res = synthesize_combination_n2(cand, count=args.samples, seed=args.seed)
     if isinstance(res, MultiplierFailure):
-        _write_json(_out_path(args, "", "json"), _payload(args, problem, res))
-        print(f"combo-synth: no certificate ({res.reason.value})")
-        return _multiplier_exit(res)
-    lam = res.combination.to_list()
-    _write_json(_out_path(args, "", "json"),
-                _payload(args, problem, _fields(res, drop=("combination",), lambdas=lam)))
-    print(f"combo-synth: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
-          f"max derivative {res.max_derivative:.6g}")
-    return 0
+        result, line = res, f"combo-synth: no certificate ({res.reason.value})"
+    else:
+        lam = res.combination.to_list()
+        result = _fields(res, drop=("combination",), lambdas=lam)
+        line = (f"combo-synth: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
+                f"max derivative {res.max_derivative:.6g}")
+    _write_report(args, problem, result)
+    return res.verdict, line
 
 
-def cmd_combo_scan(args, problem: Problem) -> int:
+def cmd_combo_scan(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, v_name, cand = _candidate(problem)
     step = 0.01 if args.grid_step is None else args.grid_step
     scan = scan_combinations(cand, grid_step=step,
@@ -387,16 +354,14 @@ def cmd_combo_scan(args, problem: Problem) -> int:
     result = _fields(scan, best_lambda=scan.best_lambda.to_list(),
                      feasible=[c.to_list() for c in scan.feasible[:200]],
                      feasible_count=len(scan.feasible))
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
+    _write_report(args, problem, result)
+    line = f"combo-scan: {len(scan.feasible)} feasible points"
     if scan.interval is not None:
-        print(f"combo-scan: {len(scan.feasible)} feasible points, "
-              f"lambda_1 interval [{scan.interval[0]:.4f}, {scan.interval[1]:.4f}]")
-    else:
-        print(f"combo-scan: {len(scan.feasible)} feasible points")
-    return 0 if scan.feasible else 1
+        line += f", lambda_1 interval [{scan.interval[0]:.4f}, {scan.interval[1]:.4f}]"
+    return scan.verdict, line
 
 
-def cmd_simulate(args, problem: Problem) -> int:
+def cmd_simulate(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, v_name, cand = _candidate(problem)
     x0 = (_parse_vector(args.x0, problem.n, "--x0") if args.x0
           else np.ones(problem.n))
@@ -407,10 +372,8 @@ def cmd_simulate(args, problem: Problem) -> int:
         traj = simulate_min_switching(cand, x0, dt=args.dt,
                                       t_end=args.t_end, dwell=args.dwell)
     except DivergenceError as e:
-        _write_json(_out_path(args, "", "json"),
-                    _payload(args, problem, {"diverged": str(e)}))
-        print(f"simulate: diverged ({e})")
-        return 1
+        _write_report(args, problem, {"diverged": str(e)})
+        return Verdict.FAILS, f"simulate: diverged ({e})"
     result = {
         "steps": len(traj.t) - 1,
         "dt": traj.dt,
@@ -421,19 +384,19 @@ def cmd_simulate(args, problem: Problem) -> int:
         "switch_count": len(traj.switch_times),
         "x0": list(map(float, x0)),
     }
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
+    _write_report(args, problem, result)
     if args.format == "csv":
         header = ["t"] + [f"x_{i + 1}" for i in range(problem.n)] + ["sigma", "V"]
         _write_csv(_out_path(args, "_trajectory", "csv"), header, traj.rows())
     if args.format == "svg":
         pts = traj.x[:, :2] if problem.n >= 2 else np.column_stack([traj.t, traj.x[:, 0]])
         _write_svg(_out_path(args, "_trajectory", "svg"), _svg_polyline(pts))
-    print(f"simulate: V {traj.v[0]:.6g} -> {traj.v[-1]:.6g} "
-          f"over {traj.t[-1]:.3g}s, {len(traj.switch_times)} switches")
-    return 0
+    # HOLDS only says that the run did not diverge: V is not checked along it
+    return Verdict.HOLDS, (f"simulate: V {traj.v[0]:.6g} -> {traj.v[-1]:.6g} "
+                           f"over {traj.t[-1]:.3g}s, {len(traj.switch_times)} switches")
 
 
-def cmd_eigencheck(args, problem: Problem) -> int:
+def cmd_eigencheck(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, system = problem.single_system()
     try:
         matrices = [linear_matrix(f) for f in system.fields]
@@ -448,10 +411,13 @@ def cmd_eigencheck(args, problem: Problem) -> int:
         "lambdas": list(map(float, lam)),
         "max_eigenvalue": val,
     }
-    _write_json(_out_path(args, "", "json"), _payload(args, problem, result))
-    print(f"eigencheck: max eigenvalue of sym(A(lambda)) = {val:.6g}")
-    return 0 if val < 0 else 1
+    _write_report(args, problem, result)
+    return (Verdict.HOLDS if val < 0 else Verdict.FAILS,
+            f"eigencheck: max eigenvalue of sym(A(lambda)) = {val:.6g}")
 
+
+# The one map from a command's verdict to its exit code.
+EXIT_CODE = {Verdict.HOLDS: 0, Verdict.FAILS: 1, Verdict.INCONCLUSIVE: 3}
 
 COMMANDS = {
     "image": cmd_image,
@@ -588,9 +554,10 @@ def _pin_malloc():
 
 
 def main(argv=None) -> int:
-    """Run one subcommand on `argv` (default `sys.argv[1:]`) and return its
-    exit code: 0 success, 1 negative finding, 2 usage or parse error, 3
-    internal failure.  A usage error that argparse finds raises
+    """Run one subcommand on `argv` (default `sys.argv[1:]`), print its
+    summary line and return the exit code of its verdict (`EXIT_CODE`): 0
+    HOLDS, 1 FAILS, 3 INCONCLUSIVE; 2 on a usage or parse error, 3 on an
+    overflow or a bug.  A usage error that argparse finds raises
     `SystemExit(2)` instead of returning 2 (`--help`: `SystemExit(0)`).
 
     It may be called repeatedly in one process.  Its per-process state,
@@ -601,8 +568,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_format(args)
-        problem = load_problem(args.problem)
-        return COMMANDS[args.command](args, problem)
+        verdict, line = COMMANDS[args.command](args, load_problem(args.problem))
+        print(line)
+        return EXIT_CODE[verdict]
     except (ProblemError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

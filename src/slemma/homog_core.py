@@ -54,6 +54,14 @@ class UsageError(ValueError):
     exits 2 on it, and 3 on any other ValueError, which is a bug."""
 
 
+class Verdict(Enum):
+    """A report's answer to its question; `cli.main` maps it to the exit
+    code 0, 1 or 3."""
+    HOLDS = "holds"
+    FAILS = "fails"
+    INCONCLUSIVE = "inconclusive"
+
+
 class Parity(Enum):
     EVEN = "even"
     ODD = "odd"

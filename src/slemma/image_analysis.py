@@ -39,6 +39,7 @@ from .homog_core import (
     GeneralizedPolynomial,
     Parity,
     UsageError,
+    Verdict,
     _compile_function,
     _function_source,
     _power_source,
@@ -95,6 +96,7 @@ class ZeroMargin:
     threshold: float
     sample_count: int
     seed: int
+    verdict = property(lambda self: Verdict.FAILS if self.common_zero else Verdict.HOLDS)
 
 
 @dataclass
@@ -107,6 +109,7 @@ class CopositivityReport:
     threshold: float
     sample_count: int
     seed: int
+    verdict = property(lambda self: Verdict.HOLDS if self.holds else Verdict.FAILS)
 
 
 @dataclass
@@ -118,6 +121,7 @@ class ShsConditionReport:
     image: ImageSummary
     sample_count: int
     seed: int
+    verdict = property(lambda self: Verdict.HOLDS if self.holds else Verdict.FAILS)
 
 
 def _default_count(n: int) -> int:

@@ -47,6 +47,7 @@ from .homog_core import (
     Dilation,
     GeneralizedPolynomial,
     UsageError,
+    Verdict,
     evaluate_many,
     overflow_guard,
     sphere_samples,
@@ -98,6 +99,7 @@ class MultiplierCertificate:
     checks: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     ok: bool = True
+    verdict = property(lambda self: Verdict.HOLDS if self.ok else Verdict.FAILS)
 
 
 @dataclass
@@ -108,6 +110,9 @@ class MultiplierFailure:
     stage: str | None = None
     checks: list = field(default_factory=list)
     ok: bool = False
+    # a certificate that failed its independent re-check leaves the question open
+    verdict = property(lambda self: Verdict.INCONCLUSIVE
+                       if self.reason is ReasonCode.VERIFICATION_FAILED else Verdict.FAILS)
 
 
 # ----------------------------------------------------------------- sampling

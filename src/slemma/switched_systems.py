@@ -23,6 +23,7 @@ from .homog_core import (
     GeneralizedPolynomial,
     Parity,
     UsageError,
+    Verdict,
     _compile_function,
     _function_source,
     evaluate_many,
@@ -168,6 +169,7 @@ class LfhdReport:
     threshold: float
     sample_count: int
     seed: int
+    verdict = property(lambda self: Verdict.HOLDS if self.covered else Verdict.FAILS)
 
     def region_rows(self):
         """Rows (param, argmin subsystem 1-based, min derivative value):
@@ -262,6 +264,7 @@ class ScanResult:
     total_points: int
     sample_count: int
     seed: int
+    verdict = property(lambda self: Verdict.HOLDS if self.feasible else Verdict.FAILS)
 
 
 def scan_combinations(
@@ -316,6 +319,7 @@ class SynthesisResult:
     max_derivative: float
     threshold: float
     ok: bool = True
+    verdict = property(lambda self: Verdict.HOLDS if self.ok else Verdict.FAILS)
 
 
 def synthesize_combination_n2(
@@ -371,7 +375,8 @@ def linear_combination_eigencheck(matrices, lambdas) -> float:
     """Largest eigenvalue of the symmetric part of A = sum(lambda_i A_i).
 
     Negative return certifies quadratic Lyapunov decrease of x'x along
-    the combined linear system.
+    the combined linear system.  The weights must be nonnegative and not
+    all zero, a convex combination up to scale (UsageError otherwise).
     """
     mats = [np.asarray(a, dtype=float) for a in matrices]
     if not mats:
@@ -383,6 +388,9 @@ def linear_combination_eigencheck(matrices, lambdas) -> float:
     lam = list(lambdas)
     if len(lam) != len(mats):
         raise ValueError("one weight per matrix is required")
+    if any(w < 0 for w in lam) or sum(lam) == 0:
+        raise UsageError("weights must be nonnegative and not all zero, got "
+                         + ",".join(f"{w:g}" for w in lam))
     A = sum(l * a for l, a in zip(lam, mats))
     S = (A + A.T) / 2.0
     return float(np.max(np.linalg.eigvalsh(S)))

@@ -13,15 +13,20 @@ import pytest
 
 from slemma import cli
 from slemma.cli import COMMANDS, build_parser, main
-from slemma.homog_core import DEFAULT_SEED
+from slemma.homog_core import DEFAULT_SEED, Verdict
 from slemma.image_analysis import (
     CopositivityReport,
     ImageSummary,
     ShsConditionReport,
     ZeroMargin,
 )
-from slemma.s_lemma import MultiplierCertificate, MultiplierFailure
-from slemma.switched_systems import SynthesisResult
+from slemma.s_lemma import MultiplierCertificate, MultiplierFailure, ReasonCode
+from slemma.switched_systems import (
+    ConvexCombination,
+    LfhdReport,
+    ScanResult,
+    SynthesisResult,
+)
 
 
 def run(tmp_path, *argv):
@@ -301,6 +306,27 @@ def test_eigencheck_exit_codes(tmp_path, problems_dir):
                "--lambdas", "0.5,0.5") == 2  # nonlinear subsystems
 
 
+@pytest.mark.parametrize("lambdas", ["-1,0", "-0.5,-0.5", "0,0", "2,-1"])
+def test_eigencheck_weights_must_be_a_convex_combination(tmp_path, problems_dir, capsys,
+                                                        lambdas):
+    # two copies of the unstable field x' = x: no convex combination of them
+    # is stable, but the weights -1,0 make sym(A(lambda)) = -I
+    raw = json.loads((problems_dir / "switch_three_linear.json").read_text())
+    one = [[{"coeff": 1.0, "powers": [{"num": int(j == i), "den": 1} for j in range(2)]}]
+           for i in range(2)]
+    raw["functions"] = {"x1": one[0], "x2": one[1], "V": raw["functions"]["V"]}
+    raw["systems"] = {"S": {"fields": [["x1", "x2"], ["x1", "x2"]]}}
+    path = tmp_path / "unstable_pair.json"
+    path.write_text(json.dumps(raw))
+    assert run(tmp_path / "out", "eigencheck", str(path), f"--lambdas={lambdas}") == 2
+    assert "nonnegative and not all zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # weights need not sum to 1: they are written as given
+    assert run(tmp_path / "out", "eigencheck", str(path), "--lambdas=2,0") == 1
+    res = read_payload(tmp_path / "out", "eigencheck_unstable_pair.json")["result"]
+    assert res["lambdas"] == [2.0, 0.0] and res["max_eigenvalue"] == pytest.approx(2.0)
+
+
 def _names(cls, drop=(), add=()):
     return {f.name for f in fields(cls)} - set(drop) | set(add)
 
@@ -540,14 +566,46 @@ def test_non_finite_coefficients_are_usage_errors(tmp_path, problems_dir,
     assert not (tmp_path / "out").exists()
 
 
-def test_verification_failures_map_to_exit_3():
-    from slemma.cli import _multiplier_exit
-    from slemma.s_lemma import MultiplierFailure, ReasonCode
+def _report(cls, **flag):
+    """An instance of the report dataclass `cls` with `flag` set and every
+    other field None."""
+    return cls(**{f.name: None for f in fields(cls)} | flag)
 
-    bad = MultiplierFailure(reason=ReasonCode.VERIFICATION_FAILED, message="x")
-    assert _multiplier_exit(bad) == 3
-    neg = MultiplierFailure(reason=ReasonCode.NOT_COPOSITIVE, message="x")
-    assert _multiplier_exit(neg) == 1
+
+# (report type, flag, value, verdict, exit code): each report reads its
+# verdict off the flag it already has, and `main` maps it to the exit code
+VERDICT_TABLE = [
+    (ZeroMargin, "common_zero", False, Verdict.HOLDS, 0),
+    (ZeroMargin, "common_zero", True, Verdict.FAILS, 1),
+    (CopositivityReport, "holds", True, Verdict.HOLDS, 0),
+    (CopositivityReport, "holds", False, Verdict.FAILS, 1),
+    (ShsConditionReport, "holds", True, Verdict.HOLDS, 0),
+    (ShsConditionReport, "holds", False, Verdict.FAILS, 1),
+    (MultiplierCertificate, "ok", True, Verdict.HOLDS, 0),
+    (MultiplierFailure, "reason", ReasonCode.VERIFICATION_FAILED, Verdict.INCONCLUSIVE, 3),
+    *[(MultiplierFailure, "reason", reason, Verdict.FAILS, 1) for reason in ReasonCode
+      if reason is not ReasonCode.VERIFICATION_FAILED],
+    (LfhdReport, "covered", True, Verdict.HOLDS, 0),
+    (LfhdReport, "covered", False, Verdict.FAILS, 1),
+    (ScanResult, "feasible", [ConvexCombination(np.array([0.5, 0.5]))], Verdict.HOLDS, 0),
+    (ScanResult, "feasible", [], Verdict.FAILS, 1),
+    (SynthesisResult, "ok", True, Verdict.HOLDS, 0),
+]
+
+
+@pytest.mark.parametrize("cls, flag, value, verdict, code", VERDICT_TABLE)
+def test_each_report_verdict_maps_to_one_exit_code(cls, flag, value, verdict, code):
+    report = _report(cls, **{flag: value})
+    assert report.verdict is verdict
+    assert cli.EXIT_CODE[report.verdict] == code
+    assert "verdict" not in {f.name for f in fields(cls)}  # never serialized
+
+
+def test_the_verdict_table_covers_every_report_and_verdict():
+    assert {row[0] for row in VERDICT_TABLE} == {
+        ZeroMargin, CopositivityReport, ShsConditionReport, MultiplierCertificate,
+        MultiplierFailure, LfhdReport, ScanResult, SynthesisResult}
+    assert set(cli.EXIT_CODE) == set(Verdict) == {row[3] for row in VERDICT_TABLE}
 
 
 def test_failed_combination_recheck_writes_a_failure_report(tmp_path, problems_dir,

@@ -2,11 +2,12 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.  Four
+lists the imported names that nothing in the module refers to.  Five
 more guards read the same trees: every top-level function, class or
 constant is referenced, no `except` clause but the last resort of `cli.main`
 catches every exception, only `homog_core._compile_function` turns
-text into code, and no statement evaluates two polynomials apart.
+text into code, no statement evaluates two polynomials apart, and no
+command handler of `cli` returns an exit code.
 """
 
 import ast
@@ -165,3 +166,36 @@ def test_polynomials_on_the_same_points_are_evaluated_in_one_pass(tmp_path):
                       "        return f.evaluate(X) - g.evaluate(X)\n")
     assert evaluate_pairs(sample) == ["sample.py:3 h"]
     assert [item for path in sorted(SRC.glob("*.py")) for item in evaluate_pairs(path)] == []
+
+
+def exit_code_returns(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each `return` in a top-level `cmd_*`
+    function of `path` whose value is an int literal or a tuple whose
+    first element is one."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Return):
+                continue
+            value = node.value
+            if isinstance(value, ast.Tuple) and value.elts:
+                value = value.elts[0]
+            if isinstance(value, ast.Constant) and type(value.value) is int:
+                found.append(f"{path.name}:{node.lineno} {top.name}")
+    return found
+
+
+def test_command_handlers_return_verdicts_not_exit_codes(tmp_path):
+    # a handler returns its report's verdict and its summary line; cli.main
+    # alone maps a verdict to an exit code
+    sample = tmp_path / "sample.py"
+    sample.write_text("def cmd_a(args, problem):\n"
+                      "    if args:\n"
+                      "        return 1\n"
+                      "    return 0, 'line'\n"
+                      "def helper():\n"
+                      "    return 0\n")
+    assert sorted(exit_code_returns(sample)) == ["sample.py:3 cmd_a", "sample.py:4 cmd_a"]
+    assert exit_code_returns(SRC / "cli.py") == []
