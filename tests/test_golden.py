@@ -29,7 +29,11 @@ sphere.  No shipped problem mixes weights 1 and 2 either, so
 with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
 projecting each theta point scales a weight-1 and a weight-2 column
 together; the `image` CSV changes if the weight-2 column is rounded
-differently.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
+differently.  The default `combo-scan` grid has 101 or 5,151 points, so
+`SCAN_RUNS` also scan finer grids (20,301 points on `switch_three_linear`,
+at several seeds, and 1,001 and 501 points on the two planar systems,
+where hundreds of points are feasible), whose reports freeze the
+feasible list, the best combination and its value.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
 Halton sequence and `ndtri`, so their bytes follow NumPy's random
 stream and no artifact depends on SciPy; the manifest records the
 NumPy version it was frozen with and the comparison is skipped under
@@ -83,10 +87,30 @@ SPHERE_RUNS = (
 # (command, format): runs on a (1, 2) dilation with l = 3
 MIXED = FIXTURES / "mixed_quartic_l3.json"
 MIXED_RUNS = (("zeros", "json"), ("copositive", "json"), ("image", "csv"))
+# (problem, --grid-step, seeds; None is the default seed): combo-scan on
+# grids finer than the default
+SCAN_RUNS = (
+    ("switch_three_linear.json", "0.005", (None, 1, 2)),
+    ("switch_sextic.json", "0.001", (None,)),
+    ("switch_fractional.json", "0.002", (None,)),
+)
 
 
 def _versions() -> dict:
     return {"numpy": np.__version__}
+
+
+def _scan_runs():
+    """(key, argv) for the runs of `SCAN_RUNS`."""
+    for name, step, seeds in SCAN_RUNS:
+        for seed in seeds:
+            key = f"combo-scan {name} json --grid-step {step}"
+            argv = ["combo-scan", str(ROOT / "problems" / name), "--format", "json",
+                    "--grid-step", step]
+            if seed is not None:
+                key += f" seed={seed}"
+                argv += ["--seed", str(seed)]
+            yield key, argv
 
 
 def _runs():
@@ -119,6 +143,7 @@ def _runs():
             yield key, argv
     for command, fmt in MIXED_RUNS:
         yield f"{command} {MIXED.name} {fmt}", [command, str(MIXED), "--format", fmt]
+    yield from _scan_runs()
 
 
 def sweep(out_root: Path) -> dict:
