@@ -44,7 +44,13 @@ STATE_NORM_LIMIT = 1e6
 # Rows of the simplex grid per block of `scan_combinations`: at the n = 2
 # default of 4,096 samples a block of grid @ D is 512 KiB, so it stays in
 # cache and its memory is reused instead of being mapped and zeroed anew.
+# A row's maximum is always taken from its block's product, so a block is
+# also what the scan skips: only when a bound from every SCAN_STRIDE-th
+# sample, less a slack for the rounding of both products, puts each of its
+# rows above a computed maximum and at or above -threshold, so that none
+# can be feasible or the best (`_scan_lower_bounds`, `scan_combinations`).
 SCAN_BLOCK = 16
+SCAN_STRIDE = 32
 
 
 class DivergenceError(RuntimeError):
@@ -234,9 +240,9 @@ def check_lfhd(
 
 
 def _simplex_grid(N: int, step: float) -> np.ndarray:
-    m = int(round(1.0 / step))
-    if m < 1:
+    if not 0 < step <= 1:
         raise UsageError("grid step must be in (0, 1]")
+    m = int(round(1.0 / step))
     if N == 2:
         lam1 = np.arange(m + 1) / m
         return np.column_stack([lam1, 1.0 - lam1])
@@ -251,6 +257,33 @@ def _simplex_grid(N: int, step: float) -> np.ndarray:
         head = np.column_stack([head[parent], take])
         left = left[parent] - take
     return np.column_stack([head, left]) / m
+
+
+def _scan_lower_bounds(grid: np.ndarray, D: np.ndarray, scale: float) -> np.ndarray:
+    """For each grid row r, a bound strictly below M_r = max(grid[r] @ D)
+    as BLAS computes it: the maximum over every SCAN_STRIDE-th column of D,
+    less a rounding slack; scale is max|D|.  The product runs in blocks of
+    as many values as a block of grid @ D.
+
+    With M = scale, u = 2**-53 and eta = 2**-1074: the N weights of a row
+    are >= 0 and sum to at most 1 + u, so its dot product with a column
+    of D, summed in any order, with or without fused multiply-adds, is
+    within gamma_N (1 + u) M + N eta / 2 of the exact value, where
+    gamma_N = N u / (1 - N u) and eta / 2 bounds each product's underflow.
+    This product and BLAS's therefore differ by less than
+    3 N u M + N eta.  Subtracting s = 4 (N + 1) u M + 4 N eta rounds by at
+    most u (1.01 M + s), so the result is below the BLAS value of the same
+    column, and so below M_r.  M < 2**1023 keeps both products from
+    overflowing; for a larger, infinite or NaN M the slack is inf and
+    every bound is -inf or NaN.
+    """
+    N = grid.shape[1]
+    slack = (4 * (N + 1) * 2.0**-53 * scale + 4 * N * 2.0**-1074
+             if scale < 2.0**1023 else np.inf)
+    Dsub = np.ascontiguousarray(D[:, ::SCAN_STRIDE])
+    rows = max(1, SCAN_BLOCK * D.shape[1] // Dsub.shape[1])
+    return np.concatenate([np.max(grid[s:s + rows] @ Dsub, axis=1)
+                           for s in range(0, len(grid), rows)]) - slack
 
 
 @dataclass
@@ -278,16 +311,34 @@ def scan_combinations(
     at every sphere sample.
 
     The derivative along sum(lambda_i f_i) equals sum(lambda_i * D_i) by
-    linearity, so the whole scan is one matrix product between the grid
-    and the per-subsystem derivative samples.
+    linearity, so grid row r has the maximum M_r = max(grid[r] @ D), which
+    the product of r's block of SCAN_BLOCK rows computes.  r is feasible
+    when M_r < -threshold, and the best row is the first argmin of M.
+
+    Most blocks can hold neither, and they are ruled out without their
+    product.  With lb from `_scan_lower_bounds` (lb_r < M_r), the block of
+    argmin(lb) is computed first and m0 is the least maximum in it.  A
+    block whose rows all have lb > m0 and lb >= -threshold is ruled out:
+    each of its rows has M_r > m0 >= min(M), so it is neither feasible nor
+    the first argmin.  Every other block is computed by the same product
+    as in a full scan, so the feasible rows, the first argmin and
+    `best_value` are those of the full scan, byte for byte.  A NaN in lb,
+    m0 or the threshold makes the comparisons false and rules nothing out.
     """
     X, D = _derivative_samples(cand, count, seed)
+    scale = float(np.max(np.abs(D)))
     if threshold is None:
-        threshold = _pos_threshold(float(np.max(np.abs(D))))
+        threshold = _pos_threshold(scale)
 
     grid = _simplex_grid(len(cand.derivatives), grid_step)
-    maxima = np.concatenate([np.max(grid[s:s + SCAN_BLOCK] @ D, axis=1)
-                             for s in range(0, len(grid), SCAN_BLOCK)])
+    lb = _scan_lower_bounds(grid, D, scale)
+    s0 = int(np.argmin(lb)) // SCAN_BLOCK * SCAN_BLOCK
+    m0 = np.min(np.max(grid[s0:s0 + SCAN_BLOCK] @ D, axis=1))
+    starts = np.arange(0, len(grid), SCAN_BLOCK)
+    ruled_out = np.logical_and.reduceat((lb > m0) & (lb >= -threshold), starts)
+    maxima = np.full(len(grid), np.inf)
+    for s in starts[~ruled_out]:
+        maxima[s:s + SCAN_BLOCK] = np.max(grid[s:s + SCAN_BLOCK] @ D, axis=1)
 
     mask = maxima < -threshold
     feasible = [ConvexCombination(row) for row in grid[mask]]

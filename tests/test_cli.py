@@ -441,6 +441,17 @@ def test_grid_step_must_be_positive(tmp_path, problems_dir):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("step", ["1.4", "1.9", "2.5"])
+def test_grid_step_above_1_exits_2(tmp_path, problems_dir, capsys, step):
+    # a step in (1, 2) used to round to one interval and scan the vertices alone
+    assert run(tmp_path, "combo-scan", str(problems_dir / "switch_three_linear.json"),
+               "--grid-step", step) == 2
+    assert capsys.readouterr().err.strip() == "error: grid step must be in (0, 1]"
+    assert not list(tmp_path.iterdir())
+    assert run(tmp_path, "combo-scan", str(problems_dir / "switch_three_linear.json"),
+               "--grid-step", "1") == 1
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--t-end", "inf"),
     ("--t-end", "nan"), ("--t-end", "-1"), ("--dwell", "inf"), ("--dwell", "nan"),

@@ -33,11 +33,11 @@ differently.  The default `combo-scan` grid has 101 or 5,151 points, so
 `SCAN_RUNS` also scan finer grids (20,301 points on `switch_three_linear`,
 at several seeds, and 1,001 and 501 points on the two planar systems,
 where hundreds of points are feasible), whose reports freeze the
-feasible list, the best combination and its value.  The n >= 3 samples come from NumPy ports of SciPy's scrambled
-Halton sequence and `ndtri`, so their bytes follow NumPy's random
-stream and no artifact depends on SciPy; the manifest records the
-NumPy version it was frozen with and the comparison is skipped under
-other versions.
+feasible list, the best combination and its value.  The n >= 3 samples
+come from NumPy ports of SciPy's scrambled Halton sequence and `ndtri`,
+so their bytes follow NumPy's random stream and no artifact depends on
+SciPy; the manifest records the NumPy version it was frozen with and
+the comparison is skipped under other versions.
 
 Regenerate the manifest (only when a change of artifacts is intended):
 

@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,10 @@ from slemma.homog_core import _compile_function
 from slemma.image_analysis import _midpoint_source
 from slemma.problems import load_problem
 from slemma.switched_systems import (
+    SCAN_BLOCK,
     STATE_NORM_LIMIT,
     _rk4_step,
+    _scan_lower_bounds,
     _simplex_grid,
     _straight_line_sources,
 )
@@ -227,6 +230,97 @@ def test_three_linear_scan_is_empty(linear3_system, norm_V, d2):
     assert res.interval is None
     assert res.total_points == 5151
     assert res.best_value > 0
+
+
+def _full_scan(grid, D, threshold):
+    """The scan without a bound: every block's product, its feasible mask,
+    first argmin and best value."""
+    maxima = np.concatenate([np.max(grid[s:s + SCAN_BLOCK] @ D, axis=1)
+                             for s in range(0, len(grid), SCAN_BLOCK)])
+    ib = int(np.argmin(maxima))
+    return maxima < -threshold, ib, maxima[ib]
+
+
+def _planted_tie():
+    """N = 2 derivative samples whose maximum along (lambda, 1 - lambda) is
+    -1 exactly at lambda = 31/64 and 32/64, in two blocks of the 1/64 grid,
+    and above -1 elsewhere; every product is exact."""
+    rng = np.random.default_rng(11)
+    D = -2.0 - np.abs(rng.normal(size=(2, 4096)))
+    D[:, rng.choice(4096, 3, replace=False)] = [[-34.0, 31.0, -1.0], [30.0, -33.0, -1.0]]
+    return D
+
+
+def _smooth(rng, N, shift=0.0):
+    """N rows of samples like a planar candidate's derivatives: random even
+    trigonometric polynomials of degree 6 at 4,096 angles, plus shift."""
+    theta = np.arange(4096) * (2 * np.pi / 4096)
+    harmonics = np.array([[2.0], [4.0], [6.0]]) * theta
+    return rng.normal(size=(N, 6)) @ np.vstack([np.cos(harmonics), np.sin(harmonics)]) + shift
+
+
+def _scan_inputs():
+    """(id, D, grid step, threshold or None) for the pruned-scan check."""
+    rng = np.random.default_rng(2024)
+    yield "N=2", _smooth(rng, 2), 0.001, None
+    yield "N=3", _smooth(rng, 3), 0.005, None
+    yield "N=4", _smooth(rng, 4), 0.05, None
+    yield "N=3 feasible", _smooth(rng, 3, -1.5), 0.005, None
+    yield "N=3 normal", rng.normal(size=(3, 4096)), 0.01, None
+    half = _smooth(rng, 3, -0.5)[:, :2048]
+    yield "duplicate columns", np.repeat(half, 2, axis=1), 0.01, None
+    yield "antipodal-equal columns", np.tile(half, 2), 0.01, None
+    yield "planted tie", _planted_tie(), 1 / 64, None
+    yield "all feasible", _smooth(rng, 3, -20.0), 0.01, None
+    shifted = _smooth(rng, 3, -2.5)
+    for threshold in (-0.5, 0.0, 0.25, 0.5, 1.0):
+        yield f"threshold {threshold}", shifted, 0.01, threshold
+    small = _smooth(rng, 3)
+    yield "subnormal", small * 2.0**-1060, 0.01, None
+    yield "large", small * (1.9 * 2.0**1022 / np.max(np.abs(small))), 0.01, None
+    yield "near overflow", small * (1.5 * 2.0**1023 / np.max(np.abs(small))), 0.01, None
+    with_nan, with_inf = _smooth(rng, 3), _smooth(rng, 3)
+    with_nan[1, 100] = np.nan
+    with_inf[0, 7] = np.inf
+    yield "nan", with_nan, 0.01, None
+    yield "inf", with_inf, 0.01, None
+
+
+@pytest.mark.parametrize("D, step, threshold",
+                         [pytest.param(*case[1:], id=case[0]) for case in _scan_inputs()])
+def test_pruned_scan_matches_the_full_scan(monkeypatch, D, step, threshold):
+    N = D.shape[0]
+    monkeypatch.setattr("slemma.switched_systems._derivative_samples",
+                        lambda cand, count, seed: (np.zeros((D.shape[1], 2)), D))
+    with np.errstate(all="ignore"):
+        res = scan_combinations(types.SimpleNamespace(derivatives=(None,) * N),
+                                grid_step=step, threshold=threshold)
+        grid = _simplex_grid(N, step)
+        mask, ib, best = _full_scan(grid, D, res.threshold)
+    got = np.array([c.lambdas for c in res.feasible]).reshape(-1, N)
+    assert got.tobytes() == grid[mask].tobytes()
+    assert np.array(res.best_lambda.lambdas).tobytes() == grid[ib].tobytes()
+    assert np.float64(res.best_value).tobytes() == best.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 2.0**-1070])
+def test_scan_bound_is_below_the_maximum_in_every_summation_order(scale):
+    # every column the same, so the strided columns hold each row's maximum
+    d = np.random.default_rng(5).normal(size=3) * [1.0, 3e-3, 7e2]
+    D = np.repeat((d / np.max(np.abs(d)) * scale)[:, None], 64, axis=1)
+    grid = _simplex_grid(3, 0.01)
+    lb = _scan_lower_bounds(grid, D, float(np.max(np.abs(D))))
+    for order in itertools.permutations(range(3)):
+        total = np.zeros(len(grid))
+        for k in order:
+            total = total + grid[:, k] * D[k, 0]
+        assert (lb < total).all()
+
+
+def test_planted_tie_keeps_the_first_row():
+    mask, ib, best = _full_scan(_simplex_grid(2, 1 / 64), _planted_tie(), 1e-6)
+    assert ib == 31 and best == -1.0
+    assert np.flatnonzero(mask).tolist() == [31, 32]
 
 
 # ----------------------------------------------------------------- synthesis
