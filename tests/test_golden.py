@@ -29,7 +29,9 @@ sphere.  No shipped problem mixes weights 1 and 2 either, so
 with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
 projecting each theta point scales a weight-1 and a weight-2 column
 together; the `image` CSV changes if the weight-2 column is rounded
-differently.  The default `combo-scan` grid has 101 or 5,151 points, so
+differently.  `STRICT_RUNS` run `copositive --strict` on every shipped
+problem and on the three pair fixtures, whose strict reports the default
+runs leave out.  The default `combo-scan` grid has 101 or 5,151 points, so
 `SCAN_RUNS` also scan finer grids (20,301 points on `switch_three_linear`,
 at several seeds, and 1,001 and 501 points on the two planar systems,
 where hundreds of points are feasible), whose reports freeze the
@@ -87,6 +89,8 @@ SPHERE_RUNS = (
 # (command, format): runs on a (1, 2) dilation with l = 3
 MIXED = FIXTURES / "mixed_quartic_l3.json"
 MIXED_RUNS = (("zeros", "json"), ("copositive", "json"), ("image", "csv"))
+# problems that `copositive --strict` runs on
+STRICT_RUNS = (*PROBLEMS, MIXED, FIXTURES / "sector_quartic_wide_l3.json")
 # (problem, --grid-step, seeds; None is the default seed): combo-scan on
 # grids finer than the default
 SCAN_RUNS = (
@@ -143,6 +147,9 @@ def _runs():
             yield key, argv
     for command, fmt in MIXED_RUNS:
         yield f"{command} {MIXED.name} {fmt}", [command, str(MIXED), "--format", fmt]
+    for problem in STRICT_RUNS:
+        yield f"copositive {problem.name} json --strict", [
+            "copositive", str(problem), "--format", "json", "--strict"]
     yield from _scan_runs()
 
 
