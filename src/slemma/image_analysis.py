@@ -25,6 +25,7 @@ gap; without this, steep-but-continuous pairs are misread as sectors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -406,8 +407,7 @@ class SampledPair:
         idx = int(np.argmin(vals))
         margin = float(vals[idx])
         exact = self.degree is not None and self.d.n <= 2
-        common_zero = (_common_zero_n2(self.f, self.g) if exact and self.d.n == 2
-                       else margin <= threshold)
+        common_zero = self._exact_common_zero if exact and self.d.n == 2 else margin <= threshold
         return ZeroMargin(
             margin=margin,
             common_zero=common_zero,
@@ -418,34 +418,42 @@ class SampledPair:
             seed=self.seed,
         )
 
+    @functools.cached_property
+    def _exact_common_zero(self) -> bool:
+        """`_common_zero_n2` of the pair, computed once however often it is read."""
+        return _common_zero_n2(self.f, self.g)
+
     def is_copositive(self, strict: bool = False) -> CopositivityReport:
         """Test min of f over the samples where g >= 0.
 
         The strict test keeps samples with g within noise of zero: a shared
-        boundary zero must count against strict positivity.  The non-strict
-        test drops that noisy boundary so that a pair which merely touches
-        zero along {g = 0} is not misread as a violation.
+        boundary zero must count against strict positivity.  A common zero
+        is a point where g = 0 and f = 0, so a strict test that the samples
+        pass still fails when `zero_margin` finds one, and its witness is
+        then the zero margin's.  The non-strict test drops that noisy
+        boundary so that a pair which merely touches zero along {g = 0} is
+        not misread as a violation.
         """
         g_noise = 1e-12 * max(1.0, self.scale_g)
         mask = self.G >= (-g_noise if strict else g_noise)
-        if not np.any(mask):
-            return CopositivityReport(
-                holds=True, strict=strict, min_value=None, witness=None,
-                vacuous=True, threshold=0.0, sample_count=len(self.X), seed=self.seed,
-            )
-        vals = self.F[mask]
-        pts = self.X[mask]
-        i = int(np.argmin(vals))
-        mn = float(vals[i])
-        if strict:
-            threshold = _pos_threshold(self.scale_f)
-            holds = mn > threshold
-        else:
-            threshold = _nonneg_tol(self.scale_f)
-            holds = mn >= -threshold
+        holds, mn, witness, threshold = True, None, None, 0.0
+        if np.any(mask):
+            vals = self.F[mask]
+            i = int(np.argmin(vals))
+            mn, witness = float(vals[i]), self.X[mask][i]
+            if strict:
+                threshold = _pos_threshold(self.scale_f)
+                holds = mn > threshold
+            else:
+                threshold = _nonneg_tol(self.scale_f)
+                holds = mn >= -threshold
+        if strict and holds:
+            zm = self.zero_margin()
+            if zm.common_zero:
+                holds, witness = False, zm.witness
         return CopositivityReport(
-            holds=holds, strict=strict, min_value=mn, witness=pts[i],
-            vacuous=False, threshold=threshold, sample_count=len(self.X), seed=self.seed,
+            holds=holds, strict=strict, min_value=mn, witness=witness,
+            vacuous=mn is None, threshold=threshold, sample_count=len(self.X), seed=self.seed,
         )
 
     def shs_condition(self) -> ShsConditionReport:

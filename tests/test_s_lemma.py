@@ -21,7 +21,7 @@ from slemma import (
     load_problem,
     shs_condition,
 )
-from slemma import homog_core, s_lemma
+from slemma import homog_core, image_analysis, s_lemma
 from slemma.cli import main
 from slemma.s_lemma import CROSS_TOL, _antipodes, _count_lines, _Directions
 
@@ -66,6 +66,28 @@ def test_vacuous_constraint_region(d2):
     rep = is_copositive(f, g, d2, strict=True)
     assert rep.holds and rep.vacuous
     assert rep.min_value is None
+
+
+def test_strict_copositivity_reads_the_exact_common_zero_once(d2, sextic_pair, monkeypatch):
+    # f and g both vanish at (-2, 1); the sampled minimum of f where g >= 0
+    # is far above the strict threshold
+    f = GP.from_terms(2, [(4, (0, 2)), (2, (1, 1))])
+    g = GP.from_terms(2, [(2, (0, 2)), (-1, (1, 1)), (-1, (2, 0))])
+    calls = []
+    exact = image_analysis._common_zero_n2
+    monkeypatch.setattr(image_analysis, "_common_zero_n2",
+                        lambda f, g: calls.append(1) or exact(f, g))
+    pair = SampledPair.draw(f, g, d2)
+    rep = pair.is_copositive(strict=True)
+    zm = pair.zero_margin()
+    assert not rep.holds and not rep.vacuous and rep.min_value > rep.threshold
+    assert zm.common_zero and np.array_equal(rep.witness, zm.witness)
+    assert pair.is_copositive().holds
+    assert len(calls) == 1
+    # the strict chain's zero check and strict copositivity share one test
+    calls.clear()
+    assert find_strict_multiplier(*sextic_pair, d2).ok
+    assert len(calls) == 1
 
 
 def test_copositivity_against_dense_grid(d2):
