@@ -208,10 +208,6 @@ def test_copositive_strict_fails_on_an_exact_common_zero(tmp_path, problems_dir,
     assert strict["holds"] is False and strict["vacuous"] is False
     assert strict["min_value"] > strict["threshold"]
     assert strict["witness"] == zeros["witness"]
-    for command in ("shs-xi", "hs-xi"):
-        assert run(tmp_path, command, prob) == 1
-        result = read_payload(tmp_path, f"{command}_quadratic_common_zero.json")["result"]
-        assert result["reason"] == "COMMON_ZERO"
 
 
 def test_shs_check_exit_codes(tmp_path, problems_dir):
