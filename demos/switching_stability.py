@@ -43,7 +43,7 @@ def main() -> None:
           f"lambda_1 in [{lo:.3f}, {hi:.3f}]")
 
     synth = synthesize_combination_n2(cand)
-    lam = synth.combination.to_list()
+    lam = synth.lambdas
     print(f"synthesis: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
           f"worst derivative {synth.max_derivative:.6f}")
 

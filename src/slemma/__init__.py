@@ -42,7 +42,6 @@ from .s_lemma import (
 )
 from .stp_poly import CoeffVecPolynomial, homogenize, index_to_multidegree
 from .switched_systems import (
-    ConvexCombination,
     DivergenceError,
     LfhdCandidate,
     LfhdReport,
@@ -93,7 +92,6 @@ __all__ = [
     "CoeffVecPolynomial",
     "homogenize",
     "index_to_multidegree",
-    "ConvexCombination",
     "DivergenceError",
     "LfhdCandidate",
     "LfhdReport",

@@ -338,13 +338,12 @@ def cmd_combo_synth(args, problem: Problem) -> tuple[Verdict, str]:
     sys_name, v_name, cand = _candidate(problem)
     res = synthesize_combination_n2(cand, count=args.samples, seed=args.seed)
     if isinstance(res, MultiplierFailure):
-        result, line = res, f"combo-synth: no certificate ({res.reason.value})"
+        line = f"combo-synth: no certificate ({res.reason.value})"
     else:
-        lam = res.combination.to_list()
-        result = _fields(res, drop=("combination",), lambdas=lam)
+        lam = res.lambdas
         line = (f"combo-synth: lambda = ({lam[0]:.6f}, {lam[1]:.6f}), "
                 f"max derivative {res.max_derivative:.6g}")
-    _write_report(args, problem, result)
+    _write_report(args, problem, res)
     return res.verdict, line
 
 
@@ -354,9 +353,7 @@ def cmd_combo_scan(args, problem: Problem) -> tuple[Verdict, str]:
     scan = scan_combinations(cand, grid_step=step,
                              count=args.samples, seed=args.seed,
                              threshold=args.threshold)
-    result = _fields(scan, best_lambda=scan.best_lambda.to_list(),
-                     feasible=[c.to_list() for c in scan.feasible[:200]],
-                     feasible_count=len(scan.feasible))
+    result = _fields(scan, feasible=scan.feasible[:200], feasible_count=len(scan.feasible))
     _write_report(args, problem, result)
     line = f"combo-scan: {len(scan.feasible)} feasible points"
     if scan.interval is not None:

@@ -405,12 +405,8 @@ class GeneralizedPolynomial:
     def has_integer_powers(self) -> bool:
         return all(p.denominator == 1 for (powers, _) in self.terms for p in powers)
 
-    def top_form(self, k=None) -> "GeneralizedPolynomial":
-        """The part of (total) degree exactly k; defaults to the leading part."""
-        if k is None:
-            k = self.total_degree()
-            if k is None:
-                return GeneralizedPolynomial.zero(self.n)
+    def top_form(self, k) -> "GeneralizedPolynomial":
+        """The part of (total) degree exactly k."""
         k = _as_fraction(k)
         terms = {
             key: c for key, c in self.terms.items()

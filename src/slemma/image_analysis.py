@@ -305,7 +305,7 @@ class SampledPair:
         """The (m, 2) array of image points (f(x), g(x))."""
         return np.column_stack([self.F, self.G])
 
-    def image(self, refine: bool = True) -> ImageSummary:
+    def image(self) -> ImageSummary:
         """Classify the direction set of the sampled image.
 
         The sector angle is phi = 2*pi minus the largest direction gap when
@@ -344,7 +344,7 @@ class SampledPair:
             gap_tol = GAP_FACTOR * TWO_PI / count
 
             evals, complete = 0, True
-            if refine and n == 2:
+            if n == 2:
                 extras, evals, complete = _refine_directions(
                     self.f, self.g, self.d, params, F, G, gap_tol
                 )

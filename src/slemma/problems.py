@@ -30,11 +30,29 @@ def parse_function(n: int, spec) -> GeneralizedPolynomial:
     """One function literal: a term list or a {"coeffs": {...}} object."""
     if isinstance(spec, list):
         return GeneralizedPolynomial.from_json_terms(n, spec)
-    if isinstance(spec, dict) and "coeffs" in spec:
+    if isinstance(spec, dict) and isinstance(spec.get("coeffs"), dict):
         return CoeffVecPolynomial.from_json(n, spec["coeffs"]).to_generalized()
     raise ProblemError(
-        "function literal must be a term list or a {'coeffs': ...} object"
+        "function literal must be a term list or a {'coeffs': {...}} object"
     )
+
+
+def _section(raw: dict, key: str) -> dict:
+    """The object under `key` of the problem file; {} when it is absent
+    or null."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ProblemError(f"'{key}' must be a JSON object")
+    return value
+
+
+def _reference(functions: dict, ref, owner: str) -> GeneralizedPolynomial:
+    """The function that `owner` names by `ref`."""
+    if not isinstance(ref, str) or ref not in functions:
+        raise ProblemError(f"{owner} references unknown function {ref!r}")
+    return functions[ref]
 
 
 @dataclass
@@ -96,25 +114,24 @@ def load_problem(path) -> Problem:
         raise ProblemError("'variables' must be a nonempty list of names")
     n = len(variables)
 
-    dspec = raw.get("dilation", {})
+    dspec = _section(raw, "dilation")
     weights = dspec.get("weights", [1.0] * n)
-    l = dspec.get("l", 2.0)
-    if len(weights) != n:
-        raise ProblemError("dilation weights must match the variable count")
+    if not isinstance(weights, list) or len(weights) != n:
+        raise ProblemError("dilation weights must be a list as long as 'variables'")
     try:
-        dilation = Dilation(tuple(float(w) for w in weights), float(l))
-    except ValueError as e:
+        dilation = Dilation(tuple(float(w) for w in weights), float(dspec.get("l", 2.0)))
+    except (ValueError, TypeError) as e:
         raise ProblemError(f"bad dilation: {e}") from None
 
     functions = {}
-    for name, spec in (raw.get("functions") or {}).items():
+    for name, spec in _section(raw, "functions").items():
         try:
             functions[name] = parse_function(n, spec)
-        except (ValueError, TypeError, KeyError) as e:
+        except (ValueError, TypeError, LookupError, OverflowError) as e:
             raise ProblemError(f"bad function '{name}': {e}") from None
 
     systems = {}
-    for name, spec in (raw.get("systems") or {}).items():
+    for name, spec in _section(raw, "systems").items():
         flds = spec.get("fields") if isinstance(spec, dict) else None
         if not isinstance(flds, list) or not flds:
             raise ProblemError(f"system '{name}' needs a 'fields' list")
@@ -124,26 +141,15 @@ def load_problem(path) -> Problem:
                 raise ProblemError(
                     f"system '{name}': each subsystem needs {n} components"
                 )
-            row = []
-            for ref in comps:
-                if ref not in functions:
-                    raise ProblemError(
-                        f"system '{name}' references unknown function '{ref}'"
-                    )
-                row.append(functions[ref])
-            resolved.append(row)
+            resolved.append([_reference(functions, ref, f"system '{name}'")
+                             for ref in comps])
         try:
             systems[name] = SwitchedSystem(resolved)
         except ValueError as e:
             raise ProblemError(f"bad system '{name}': {e}") from None
 
-    lyapunov = {}
-    for name, ref in (raw.get("lyapunov") or {}).items():
-        if ref not in functions:
-            raise ProblemError(
-                f"Lyapunov candidate '{name}' references unknown function '{ref}'"
-            )
-        lyapunov[name] = functions[ref]
+    lyapunov = {name: _reference(functions, ref, f"Lyapunov candidate '{name}'")
+                for name, ref in _section(raw, "lyapunov").items()}
 
     return Problem(
         path=path,

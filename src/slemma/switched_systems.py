@@ -134,31 +134,6 @@ class LfhdCandidate:
                    common_degree=float(degree), dilation=d)
 
 
-@dataclass(frozen=True)
-class ConvexCombination:
-    lambdas: tuple
-
-    def __init__(self, lambdas):
-        lam = tuple(float(v) for v in lambdas)
-        if any(v < -1e-12 for v in lam):
-            raise ValueError("combination weights must be nonnegative")
-        if abs(sum(lam) - 1.0) > 1e-9:
-            raise ValueError("combination weights must sum to 1")
-        object.__setattr__(self, "lambdas", lam)
-
-    def __iter__(self):
-        return iter(self.lambdas)
-
-    def __getitem__(self, i):
-        return self.lambdas[i]
-
-    def __len__(self):
-        return len(self.lambdas)
-
-    def to_list(self) -> list:
-        return list(self.lambdas)
-
-
 # ---------------------------------------------------------------- coverage
 
 
@@ -200,11 +175,13 @@ def check_lfhd(
 ) -> LfhdReport:
     """Coverage check: at every sphere sample some subsystem derivative is
     below -threshold.  V must first be positive definite on the samples."""
-    X, D = _derivative_samples(cand, count, seed)
-    params = (np.arctan2(X[:, 1], X[:, 0]) if cand.dilation.n == 2
+    d = cand.dilation
+    X = sphere_samples(d, _default_count(d.n) if count is None else count, seed)
+    E = evaluate_many((cand.V, *cand.derivatives), X)
+    Vvals, D = E[0], E[1:]
+    params = (np.arctan2(X[:, 1], X[:, 0]) if d.n == 2
               else np.arange(len(X), dtype=float))
 
-    Vvals = cand.V.evaluate(X)
     v_min = float(np.min(Vvals))
     v_thr = _pos_threshold(float(np.max(np.abs(Vvals))))
     if v_min <= v_thr:
@@ -288,16 +265,16 @@ def _scan_lower_bounds(grid: np.ndarray, D: np.ndarray, scale: float) -> np.ndar
 
 @dataclass
 class ScanResult:
-    feasible: list
+    feasible: np.ndarray
     interval: tuple | None
-    best_lambda: ConvexCombination
+    best_lambda: np.ndarray
     best_value: float
     grid_step: float
     threshold: float
     total_points: int
     sample_count: int
     seed: int
-    verdict = property(lambda self: Verdict.HOLDS if self.feasible else Verdict.FAILS)
+    verdict = property(lambda self: Verdict.HOLDS if len(self.feasible) else Verdict.FAILS)
 
 
 def scan_combinations(
@@ -340,17 +317,15 @@ def scan_combinations(
     for s in starts[~ruled_out]:
         maxima[s:s + SCAN_BLOCK] = np.max(grid[s:s + SCAN_BLOCK] @ D, axis=1)
 
-    mask = maxima < -threshold
-    feasible = [ConvexCombination(row) for row in grid[mask]]
+    feasible = grid[maxima < -threshold]
     ib = int(np.argmin(maxima))
     interval = None
-    if grid.shape[1] == 2 and np.any(mask):
-        lam1 = grid[mask][:, 0]
-        interval = (float(np.min(lam1)), float(np.max(lam1)))
+    if grid.shape[1] == 2 and len(feasible):
+        interval = (float(np.min(feasible[:, 0])), float(np.max(feasible[:, 0])))
     return ScanResult(
         feasible=feasible,
         interval=interval,
-        best_lambda=ConvexCombination(grid[ib]),
+        best_lambda=grid[ib],
         best_value=float(maxima[ib]),
         grid_step=grid_step,
         threshold=threshold,
@@ -365,7 +340,7 @@ def scan_combinations(
 
 @dataclass
 class SynthesisResult:
-    combination: ConvexCombination
+    lambdas: tuple
     certificate: MultiplierCertificate
     max_derivative: float
     threshold: float
@@ -395,7 +370,7 @@ def synthesize_combination_n2(
         return result
 
     xi = result.xi
-    lam = ConvexCombination((1.0 / (1.0 + xi), xi / (1.0 + xi)))
+    lam = (1.0 / (1.0 + xi), xi / (1.0 + xi))
     d = cand.dilation
     if count is None:
         count = _default_count(d.n)
@@ -412,7 +387,7 @@ def synthesize_combination_n2(
         failure.checks = [*result.checks, record]
         return failure
     return SynthesisResult(
-        combination=lam,
+        lambdas=lam,
         certificate=result,
         max_derivative=worst,
         threshold=thr,

@@ -20,12 +20,7 @@ from slemma.image_analysis import (
     ZeroMargin,
 )
 from slemma.s_lemma import MultiplierCertificate, MultiplierFailure, ReasonCode
-from slemma.switched_systems import (
-    ConvexCombination,
-    LfhdReport,
-    ScanResult,
-    SynthesisResult,
-)
+from slemma.switched_systems import LfhdReport, ScanResult, SynthesisResult
 
 
 def run(tmp_path, *argv):
@@ -358,11 +353,9 @@ def test_result_keys_are_the_report_fields(tmp_path, problems_dir, command, prob
     """One key per report field, apart from the exceptions docs/schema.md lists."""
     run(tmp_path, command, str(problems_dir / problem))
     result = read_payload(tmp_path, f"{command}_{problem}")["result"]
+    assert set(result) == _names(report)
     if report is SynthesisResult:
-        assert set(result) == _names(report, drop=("combination",), add=("lambdas",))
         assert set(result["certificate"]) == _names(MultiplierCertificate)
-    else:
-        assert set(result) == _names(report)
     if report is ShsConditionReport:
         assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter"),
                                               add=("direction_count",))
@@ -404,6 +397,16 @@ def test_simulate_without_a_step_is_a_usage_error(tmp_path, problems_dir, capsys
 
 def test_lfhd_needs_a_system(tmp_path, problems_dir):
     assert run(tmp_path, "lfhd", str(problems_dir / "cubic_shared_zero.json")) == 2
+
+
+def test_a_malformed_section_is_a_parse_error(tmp_path, problems_dir, capsys):
+    # a Lyapunov section that is a name, not an object of names
+    raw = json.loads((problems_dir / "switch_sextic.json").read_text())
+    path = tmp_path / "bad_lyapunov.json"
+    path.write_text(json.dumps(dict(raw, lyapunov="V")))
+    assert run(tmp_path / "out", "lfhd", str(path)) == 2
+    assert capsys.readouterr().err == "error: 'lyapunov' must be a JSON object\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_subcommand_is_a_usage_error(tmp_path, problems_dir):
@@ -613,8 +616,8 @@ VERDICT_TABLE = [
       if reason is not ReasonCode.VERIFICATION_FAILED],
     (LfhdReport, "covered", True, Verdict.HOLDS, 0),
     (LfhdReport, "covered", False, Verdict.FAILS, 1),
-    (ScanResult, "feasible", [ConvexCombination(np.array([0.5, 0.5]))], Verdict.HOLDS, 0),
-    (ScanResult, "feasible", [], Verdict.FAILS, 1),
+    (ScanResult, "feasible", np.array([[0.5, 0.5]]), Verdict.HOLDS, 0),
+    (ScanResult, "feasible", np.empty((0, 2)), Verdict.FAILS, 1),
     (SynthesisResult, "ok", True, Verdict.HOLDS, 0),
 ]
 

@@ -86,9 +86,11 @@ def test_full_plane_needs_refinement(sector_gallery, d2):
     # the raw grid keeps a spurious gap that adaptive refinement closes
     _, _, _, p4 = sector_gallery
     pair = SampledPair.draw(*p4, d2)
-    raw = pair.image(refine=False)
+    nz = np.hypot(pair.F, pair.G) > 1e-12 * pair.scale
+    raw = np.sort(np.arctan2(pair.G[nz], pair.F[nz]))
+    raw_gap = np.max(np.diff(np.append(raw, raw[0] + TWO_PI)))
+    assert raw_gap > GAP_FACTOR * TWO_PI / pair.count  # so unrefined, phi < 2 pi
     refined = pair.image()
-    assert raw.phi < 2.0 * np.pi
     assert refined.phi == pytest.approx(2.0 * np.pi)
     assert 0 < refined.refinement_evals <= REFINE_BUDGET
 
@@ -138,7 +140,7 @@ def test_degenerate_when_all_samples_vanish(d2):
     # both vanish on the axes; a 4-point aligned grid sees only zeros
     p = GP.from_terms(2, [(2, (3, 1)), (2, (1, 3))])
     with pytest.raises(DegenerateImageError):
-        SampledPair.draw(p, p, d2, count=4).image(refine=False)
+        SampledPair.draw(p, p, d2, count=4).image()
 
 
 def test_zero_pair_rejected(d2):

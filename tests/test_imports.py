@@ -2,12 +2,13 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.  Five
+lists the imported names that nothing in the module refers to.  Six
 more guards read the same trees: every top-level function, class or
 constant is referenced, no `except` clause but the last resort of `cli.main`
 catches every exception, only `homog_core._compile_function` turns
-text into code, no statement evaluates two polynomials apart, and no
-command handler of `cli` returns an exit code.
+text into code, no statement evaluates two polynomials apart, no module
+but `homog_core` evaluates a polynomial alone, and no command handler of
+`cli` returns an exit code.
 """
 
 import ast
@@ -166,6 +167,23 @@ def test_polynomials_on_the_same_points_are_evaluated_in_one_pass(tmp_path):
                       "        return f.evaluate(X) - g.evaluate(X)\n")
     assert evaluate_pairs(sample) == ["sample.py:3 h"]
     assert [item for path in sorted(SRC.glob("*.py")) for item in evaluate_pairs(path)] == []
+
+
+def evaluate_calls(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each call of an attribute named
+    `evaluate` in `path`; <function> is the innermost function or class
+    holding it."""
+    return [f"{path.name}:{node.lineno} {owner}" for node, owner in owned_nodes(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "evaluate"]
+
+
+def test_only_homog_core_evaluates_a_polynomial_alone():
+    # outside homog_core every pass over sample points goes through
+    # evaluate_many, so that a second polynomial on the same points joins
+    # the pass instead of taking the powers of the points again
+    assert [item for path in sorted(SRC.glob("*.py")) if path.name != "homog_core.py"
+            for item in evaluate_calls(path)] == []
 
 
 def exit_code_returns(path: Path) -> list[str]:

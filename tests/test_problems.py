@@ -211,5 +211,34 @@ def test_lyapunov_unknown_reference(tmp_path):
         load_problem(write_problem(tmp_path, bad))
 
 
+TERM_X2 = {"coeff": 1.0, "powers": [{"num": 2, "den": 1}, {"num": 0, "den": 1}]}
+
+
+# Each of these once escaped load_problem as an AttributeError, TypeError,
+# IndexError or OverflowError, which the CLI reports as exit 3.
+MALFORMED = {
+    "functions list": {"functions": [1]},
+    "dilation list": {"dilation": []},
+    "weights number": {"dilation": {"weights": 5}},
+    "weight null": {"dilation": {"weights": [None, 1]}},
+    "l null": {"dilation": {"l": None}},
+    "l list": {"dilation": {"l": [2]}},
+    "systems list": {"systems": [1]},
+    "lyapunov string": {"lyapunov": "V"},
+    "coeffs list": {"functions": {"f": {"coeffs": []}}},
+    "abs too short": {"functions": {"f": [dict(TERM_X2, abs=[True])]}},
+    "infinite num": {"functions": {"f": [dict(TERM_X2, powers=[{"num": float("inf")},
+                                                               {"num": 0}])]}},
+    "field reference list": {"systems": {"S": {"fields": [[["f"], "f"], ["f", "f"]]}}},
+    "lyapunov reference list": {"lyapunov": {"V": ["f"]}},
+}
+
+
+@pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_sections_raise_problem_errors(tmp_path, change):
+    with pytest.raises(ProblemError):
+        load_problem(write_problem(tmp_path, dict(BASE, **change)))
+
+
 def test_problem_error_is_a_value_error():
     assert issubclass(ProblemError, ValueError)
