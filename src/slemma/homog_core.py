@@ -257,7 +257,11 @@ class GeneralizedPolynomial:
                 raise ValueError(f"term {i}: expected {n} powers, got {len(powers)}")
             fr = []
             for j, p in enumerate(powers):
-                num, den = int(p["num"]), int(p.get("den", 1))
+                num, den = p["num"], p.get("den", 1)
+                # a bool, a string or a fraction is not an exponent part
+                if not all(type(v) in (int, float) and float(v).is_integer() for v in (num, den)):
+                    raise ValueError(f"term {i}, variable {j}: exponent parts must be integers")
+                num, den = int(num), int(den)
                 if den <= 0 or den % 2 == 0:
                     raise ValueError(f"term {i}, variable {j}: denominator must be odd and positive")
                 if num < 0:

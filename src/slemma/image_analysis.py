@@ -360,27 +360,9 @@ class SampledPair:
             for i in np.nonzero(gaps > gap_tol)[0]
         ]
         boundary = sorted({_wrap_angle(edge) for a, b in confirmed for edge in (a, b)})
-
-        if largest <= gap_tol:
-            phi = TWO_PI
-            cls = ImageClass.FULL_PLANE
-        else:
-            phi = TWO_PI - largest
-            cls = ImageClass.ANGULAR_SECTOR
-            if len(confirmed) == 2:
-                # two narrow antipodal clusters are a line through the origin
-                (a1, b1), (a2, b2) = confirmed
-                arc1 = a2 - b1
-                arc2 = TWO_PI - (b2 - a1)
-                centers = (b1 + arc1 / 2.0, b2 + arc2 / 2.0)
-                narrow = max(arc1, arc2) <= 5.0 * TWO_PI / count
-                antipodal = abs(_circ_diff(centers[0], centers[1]) - math.pi) <= 5.0 * TWO_PI / count
-                if narrow and antipodal:
-                    cls = ImageClass.LINE_THROUGH_ORIGIN
-
-        return ImageSummary(
-            classification=cls,
-            phi=float(phi),
+        summary = ImageSummary(
+            classification=ImageClass.ANGULAR_SECTOR if confirmed else ImageClass.FULL_PLANE,
+            phi=TWO_PI - largest if confirmed else TWO_PI,
             largest_gap=largest,
             directions=dirs,
             sample_count=count,
@@ -392,6 +374,17 @@ class SampledPair:
             refinement_complete=complete,
             scatter=scatter,
         )
+        if len(confirmed) == 2:
+            # two narrow antipodal clusters are a line through the origin,
+            # which is convex: a violation the probe finds rules it out
+            (a1, b1), (a2, b2) = confirmed
+            arcs = (a2 - b1, TWO_PI - (b2 - a1))
+            centers = (b1 + arcs[0] / 2.0, b2 + arcs[1] / 2.0)
+            tol = 5.0 * TWO_PI / count
+            if (max(arcs) <= tol and abs(_circ_diff(*centers) - math.pi) <= tol
+                    and not self.convexity_probe(summary)):
+                summary.classification = ImageClass.LINE_THROUGH_ORIGIN
+        return summary
 
     def zero_margin(self, threshold: float = 1e-9) -> ZeroMargin:
         """min over the samples of max(|f|, |g|), the verdict whether f and
@@ -493,75 +486,72 @@ class SampledPair:
             seed=self.seed,
         )
 
-    def convexity_probe(self, summary: ImageSummary, trials: int = 200) -> list[dict]:
-        """Search for midpoints of image points that leave the image.
+    def convexity_probe(self, summary: ImageSummary) -> list[dict]:
+        """Midpoints of image points that leave the image.
 
-        Because U is a union of rays, a midpoint whose direction falls
-        strictly inside a confirmed direction gap of `summary` (this pair's
-        image) cannot be in U; each such pair is reported as a violation.
-        Pairs are drawn from a seeded generator plus all pairs of
-        coordinate-axis samples, which anchor the probe deterministically.
-        Before a violation is reported, a local search tries to attain the
-        midpoint direction on the sphere, which discards gaps that only
-        reflect thin direction sampling.  Quadratic form pairs, whose image
-        is convex, produce an empty list.  A float64 overflow anywhere in
-        the probe raises FloatingPointError naming the stage.
-
-        Midpoints whose directions round to one multiple of the clearance
-        share one search, aimed at the first of them in pair order.  The
-        pairs are scanned for these targets first; `_direction_misses`
-        then runs the searches in lockstep on stacked proposals, relying
-        on `evaluate`, `radius` and `scale` rounding each row alone, so
-        the probe returns what a scan that searched in pair order would.
+        The image is the cone over its direction set, so a midpoint whose
+        direction lies inside a gap, beyond the clearance, is not in it.
+        The candidates are every pair of coordinate-axis samples, then for
+        each admitted gap the last sample at or before it and the first at
+        or after it.  The largest gap is admitted, or every confirmed gap
+        of an n = 2 pair with an exact common zero, whose direction set
+        can be several arcs.  With no common zero the set is one arc, and
+        the list is non-empty exactly when pi < phi < 2 pi (unless a coarse
+        sample's clearance covers the edge midpoint).  n >= 3 gaps
+        are only sampled and can be spurious, so there `_direction_misses`
+        searches for each midpoint direction, one per multiple of the
+        clearance it rounds to, and drops the ones it attains.  A float64
+        overflow raises FloatingPointError naming the probe.
         """
-        if not summary.gaps:
+        gaps = summary.gaps
+        if len(gaps) > 1 and not (self.d.n == 2 and self._exact_common_zero):
+            gaps = [max(gaps, key=lambda gap: gap[1] - gap[0])]
+        if not gaps:
             return []
-        f, g, d, seed = self.f, self.g, self.d, self.seed
+        f, g, d = self.f, self.g, self.d
         clearance = GAP_FACTOR * TWO_PI / self.count
 
         with overflow_guard("convexity probe"):
             pts = self.joint_values
             pts_axis = np.column_stack(evaluate_many((f, g), _axis_points(d.n)))
-
-            scale = self.scale
-            ztol = 1e-12 * scale
-            keep = np.hypot(pts[:, 0], pts[:, 1]) > ztol
+            keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * self.scale
             pts = pts[keep]
             if len(pts) < 2:
                 return []
-
-            # all pairs of axis samples, then the drawn pairs of distinct samples
-            first, second = np.triu_indices(len(pts_axis), 1)
-            rng = np.random.default_rng(seed)
-            ij = np.array([rng.integers(0, len(pts), size=2) for _ in range(trials)],
-                          dtype=int).reshape(-1, 2)
-            ij = ij[ij[:, 0] != ij[:, 1]]
-            U = np.concatenate([pts_axis[first], pts[ij[:, 0]]])
-            V = np.concatenate([pts_axis[second], pts[ij[:, 1]]])
-
             dirs = np.arctan2(pts[:, 1], pts[:, 0])
+
+            # all pairs of axis samples, then the samples that bound each
+            # gap, nearest its center on either side
+            first, second = np.triu_indices(len(pts_axis), 1)
+            centers = np.array([[0.5 * (a + b)] for a, b in gaps])
+            before = np.argmin(np.remainder(centers - dirs, TWO_PI), axis=1)
+            after = np.argmin(np.remainder(dirs - centers, TWO_PI), axis=1)
+            U = np.concatenate([pts_axis[first], pts[before]])
+            V = np.concatenate([pts_axis[second], pts[after]])
 
             # pairs whose midpoint falls in a gap, and the first midpoint
             # direction of each search key, which is that search's target
             in_gap, targets = [], {}
             for u, v, mid in zip(U.tolist(), V.tolist(), (0.5 * (U + V)).tolist()):
-                if math.hypot(mid[0], mid[1]) <= 1e-9 * scale:
+                if math.hypot(mid[0], mid[1]) <= 1e-9 * self.scale:
                     continue
                 direction = math.atan2(mid[1], mid[0])
-                hit = _inside_gap(direction, summary.gaps, clearance)
+                hit = _inside_gap(direction, gaps, clearance)
                 if hit is None:
                     continue
                 key = int(round(direction / clearance))
                 targets.setdefault(key, direction)
                 in_gap.append((u, v, mid, direction, hit, key))
-            misses = _direction_misses(
-                f, g, d, self.X[keep], dirs, list(targets.values()), clearance, seed)
-            attained = {key: miss <= clearance for key, miss in zip(targets, misses)}
+            attained = set()
+            if d.n >= 3 and targets:
+                misses = _direction_misses(f, g, d, self.X[keep], dirs, list(targets.values()),
+                                           clearance, self.seed)
+                attained = {key for key, miss in zip(targets, misses) if miss <= clearance}
 
             return [
                 {"u": u, "v": v, "midpoint": mid, "direction": direction, "gap": list(hit)}
                 for u, v, mid, direction, hit, key in in_gap
-                if not attained[key]
+                if key not in attained
             ]
 
 

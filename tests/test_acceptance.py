@@ -7,11 +7,13 @@ eigenvalue cancellation, and interval containment for the simplex scans.
 """
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -39,6 +41,8 @@ from slemma import (
     synthesize_combination_n2,
     zero_margin,
 )
+from slemma.cli import main
+from slemma.problems import load_problem
 from slemma.stp_poly import CoeffVecPolynomial, homogenize
 
 GP = GeneralizedPolynomial
@@ -175,6 +179,114 @@ def test_shared_zero_negative_case(capsys, cubic_pair, d2):
         ck.append(("midpoint (0, 1/4) reported as a convexity violation", found))
 
 
+# f = g + s^2 with s = (x1 - 2 x2)(2 x1 - x2), g = x1^4 - x2^4, and the
+# system F1 = -f x, F2 = g x under V = |x|^2 / 2
+TANGENT = Path(__file__).resolve().parent.parent / "problems" / "tangent_quartic.json"
+# the exit code that the exact argument below gives each command on it;
+# combo-scan is left out, because it passes the grid point (1/2, 1/2) on
+# a sampled margin although no combination exists
+TANGENT_EXITS = {"copositive --strict": 0, "zeros": 0, "shs-check": 1, "shs-xi": 1,
+                 "hs-xi": 0, "image": 0, "lfhd": 0, "combo-synth": 1}
+
+
+def _exact(p):
+    """A polynomial of integer powers as {(a, b): c}, each float
+    coefficient read as the exact rational it is."""
+    assert all(e.denominator == 1 for powers, _ in p.terms for e in powers)
+    return {tuple(int(e) for e in powers): Fraction(c) for (powers, _), c in p.terms.items()}
+
+
+def _combine(*scaled):
+    """sum c * p over the (c, p) pairs, without zero coefficients."""
+    out = {}
+    for c, p in scaled:
+        for key, v in p.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _mul(p, q):
+    out = {}
+    for (a, b), c in p.items():
+        for (e, h), k in q.items():
+            out[a + e, b + h] = out.get((a + e, b + h), 0) + c * k
+    return _combine((1, out))
+
+
+def _at(p, x):
+    return sum(c * x[0] ** a * x[1] ** b for (a, b), c in p.items())
+
+
+def _tangent_pair_checks(f, g):
+    """The exact evidence of the tangent pair: (name, bool) checks."""
+    s = _mul({(1, 0): 1, (0, 1): -2}, {(1, 0): 2, (0, 1): -1})
+    return [
+        ("f - g = s^2 with s = (x1 - 2 x2)(2 x1 - x2)", _combine((1, f), (-1, g)) == _mul(s, s)),
+        ("(2, 1) and (1, 2) span the root lines of s", _at(s, (2, 1)) == _at(s, (1, 2)) == 0),
+        ("g != 0 on both root lines", _at(g, (2, 1)) != 0 != _at(g, (1, 2))),
+        ("f = g = 15 at (2, 1)", _at(f, (2, 1)) == _at(g, (2, 1)) == 15),
+        ("f = g = -15 at (1, 2)", _at(f, (1, 2)) == _at(g, (1, 2)) == -15),
+    ]
+
+
+@pytest.fixture(scope="module")
+def tangent_runs(tmp_path_factory):
+    """{command: (exit code, JSON result)} of each command on the tangent pair."""
+    out = tmp_path_factory.mktemp("tangent")
+    runs = {}
+    for command in TANGENT_EXITS:
+        name, *flags = command.split()
+        with redirect_stdout(io.StringIO()):
+            code = main([name, str(TANGENT), *flags, "--out-dir", str(out)])
+        suffix = "_strict" if flags else ""
+        path = out / f"{name}_{TANGENT.stem}{suffix}.json"
+        runs[command] = (code, json.loads(path.read_text())["result"])
+    return runs
+
+
+def _verdicts_agree(runs):
+    got = {command: code for command, (code, _) in runs.items()}
+    return (f"every verdict but combo-scan's agrees: {got}", got == TANGENT_EXITS)
+
+
+def test_strict_s_lemma_fails_beyond_quadratic_forms(capsys, tangent_runs):
+    # Where g >= 0, f = g + s^2 >= s^2 >= 0, and f = 0 would need g = s = 0,
+    # which g != 0 on the root lines of s rules out: f is strictly
+    # copositive with g.  f - xi g > 0 at (2, 1) needs xi < 1 and at (1, 2)
+    # xi > 1, so no strict multiplier exists; xi = 1 is a non-strict one.
+    with criterion(capsys, "claim 1: strict copositivity without a strict multiplier") as ck:
+        t0 = time.perf_counter()
+        ck.extend(_tangent_pair_checks(*map(_exact, load_problem(TANGENT).pair())))
+        ck.append(_verdicts_agree(tangent_runs))
+        ck.append(("hs-xi finds xi = 1", abs(tangent_runs["hs-xi"][1].get("xi", np.nan) - 1.0) <= 1e-6))
+        ck.append(("runtime < 5 s", time.perf_counter() - t0 < 5.0))
+
+
+def test_covered_without_a_stabilizing_combination_beyond_linear(capsys, tangent_runs):
+    # grad V = x, so D1 = -f |x|^2 and D2 = g |x|^2.  Where g >= 0, f > 0
+    # (claim 1), so D1 < 0 or D2 < 0 at every x != 0: the system is
+    # covered.  At (2, 1) l1 D1 + l2 D2 = 75 (l2 - l1) and at (1, 2)
+    # 75 (l1 - l2), so no weights make it negative at both.
+    with criterion(capsys, "claim 2: coverage without a stabilizing combination") as ck:
+        t0 = time.perf_counter()
+        problem = load_problem(TANGENT)
+        f, g = map(_exact, problem.pair())
+        ck.extend(_tangent_pair_checks(f, g))
+        (_, system), (_, V) = problem.single_system(), problem.first_lyapunov()
+        norm = {(2, 0): 1, (0, 2): 1}
+        ck.append(("V = |x|^2 / 2", _exact(V) == _combine((Fraction(1, 2), norm))))
+        x1, x2 = {(1, 0): 1}, {(0, 1): 1}
+        D1, D2 = (_combine((1, _mul(x1, _exact(a))), (1, _mul(x2, _exact(b))))
+                  for a, b in system.fields)
+        ck.append(("D1 = -f |x|^2 and D2 = g |x|^2",
+                   D1 == _mul(_combine((-1, f)), norm) and D2 == _mul(g, norm)))
+        ck.append(("D1 = -D2 = -75 at (2, 1) and 75 at (1, 2)",
+                   _at(D1, (2, 1)) == -_at(D2, (2, 1)) == -75
+                   and _at(D1, (1, 2)) == -_at(D2, (1, 2)) == 75))
+        ck.append(_verdicts_agree(tangent_runs))
+        ck.append(("runtime < 5 s", time.perf_counter() - t0 < 5.0))
+
+
 def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilation,
                           sextic_system, sextic_V, d2):
     with criterion(capsys, "identity, convexity, soundness, and descent battery") as ck:
@@ -237,7 +349,7 @@ def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilatio
                 continue
             accepted += 1
             pair = SampledPair.draw(qf, qg, d2, count=1024)
-            if pair.convexity_probe(pair.image(), trials=100):
+            if pair.convexity_probe(pair.image()):
                 dines_ok = False
         ck.append(("no convexity violations for 50 quadratic pairs", dines_ok))
 

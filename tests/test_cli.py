@@ -542,9 +542,9 @@ def test_overflow_is_an_internal_failure_naming_its_stage(tmp_path, problems_dir
     assert not (tmp_path / "out").exists()
 
 
-def test_image_passes_over_probe_proposals_whose_radius_underflows(tmp_path, problems_dir):
-    # at l = 1000 some proposals of the probe's local search have radius 0
-    # by underflow; they cannot be projected onto the sphere
+def test_image_reads_a_wide_sector_on_the_l_1000_sphere(tmp_path, problems_dir):
+    # every theta point is projected onto the sphere with l = 1000, and the
+    # probe reads the violation off the largest gap
     raw = json.loads((problems_dir / "sector_quartic_wide.json").read_text())
     raw["dilation"]["l"] = 1000
     path = tmp_path / "wide_l1000.json"

@@ -11,11 +11,11 @@ commands with CSV/SVG output run once with `--format csv` and once with
 `--format svg` (both also write the JSON report); the others run with
 `--format json`.  Three more runs pass the comma-separated vector flags
 (`--lambdas`, `--x0`, `--z1`/`--z2`), which the default runs leave
-unset.  `image` also runs at a few non-default seeds, because
-the pairs its convexity probe tests, and the local searches it starts
-from them, depend on the seed; at 1,024 samples the probe reports
-violations on the three problems of `PROBE_PROBLEMS`, so those runs
-freeze the violation lists too.  f >= 0 on `quartic3_pair`'s samples, so
+unset.  `image` also runs at a few non-default seeds, because n >= 3
+samples and the convexity probe's local searches depend on the seed;
+at 1,024 samples the probe reports violations on the three problems of
+`PROBE_PROBLEMS`, so those runs freeze the violation lists at a coarser
+sample spacing too.  f >= 0 on `quartic3_pair`'s samples, so
 its non-strict chain takes xi = 0 without a margin scan; `MARGIN_RUNS`
 cover the n >= 3 scan at several seeds, with `hs-xi` on a second
 generated quartic pair (`fixtures/quartic3_margin.json`, written by

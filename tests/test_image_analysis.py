@@ -1,6 +1,8 @@
 """Image-set sampling, sector angles, zero margins, and the mixing curve."""
 
+import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from slemma.image_analysis import (
     mixing_curve,
     zero_margin,
 )
+from slemma.cli import main
 from slemma.problems import load_problem
 
 from conftest import quad_form, random_symmetric
@@ -115,11 +118,17 @@ def test_ray_closure_directions(sextic_pair, d2):
         assert a1 == pytest.approx(a0, abs=1e-9)
 
 
-def test_line_through_origin():
+def test_line_through_origin(d2):
     d1 = Dilation.standard(1)
     cube = GP.from_terms(1, [(1, (3,))])
     s = SampledPair.draw(cube, cube, d1).image()
     assert s.classification is ImageClass.LINE_THROUGH_ORIGIN
+    # a line is convex: the probe, which the classification reads, finds nothing
+    f = GP.from_terms(2, [(1, (2, 0)), (-1, (0, 2))])
+    pair = SampledPair.draw(f, 2.0 * f, d2)
+    s = pair.image()
+    assert s.classification is ImageClass.LINE_THROUGH_ORIGIN
+    assert pair.convexity_probe(s) == []
 
 
 def test_full_plane_odd_pair(d2):
@@ -345,6 +354,13 @@ def test_mixing_curve_rejects_tiny_step_count(sextic_pair, d2):
 # ---------------------------------------------------------- convexity probe
 
 
+ROOT = Path(__file__).resolve().parent.parent
+IMAGE_PROBLEMS = [ROOT / "problems" / f"{name}.json" for name in (
+    "cubic_shared_zero", "sector_quartic_pi", "sector_quartic_wide",
+    "sector_sextic_full", "sector_sextic_wide", "switch_fractional",
+    "switch_sextic")] + [ROOT / "tests" / "fixtures" / "quartic3_pair.json"]
+
+
 def test_probe_finds_cubic_pair_violation(cubic_pair, d2):
     pair = SampledPair.draw(*cubic_pair, d2)
     violations = pair.convexity_probe(pair.image())
@@ -392,14 +408,101 @@ def test_probe_empty_for_higher_dimension_quadratics():
             checked += 1
 
 
+@pytest.mark.parametrize("count", [None, 1024])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+def test_probe_is_nonempty_exactly_when_phi_lies_between_pi_and_two_pi(seed, count):
+    # with no common zero the direction set is one arc, and the cone over
+    # it is convex exactly when the arc spans at most pi or the whole circle
+    read = set()
+    for path in sorted((ROOT / "problems").glob("*.json")):
+        problem = load_problem(path)
+        if "f" not in problem.functions or problem.function("f").homogeneity_degree(
+                problem.dilation) is None:
+            continue
+        pair = SampledPair.draw(*problem.pair(), problem.dilation, count, seed)
+        if pair.zero_margin().common_zero:
+            continue
+        summary = pair.image()
+        nonconvex = math.pi < summary.phi < TWO_PI
+        assert bool(pair.convexity_probe(summary)) == nonconvex, path.stem
+        read.add(nonconvex)
+    assert read == {False, True}
+
+
+@pytest.mark.parametrize("path", [ROOT / "problems" / f"{name}.json" for name in (
+    "cubic_shared_zero", "sector_quartic_wide", "sector_sextic_wide")] + [
+    ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"], ids=lambda p: p.stem)
+def test_probe_witnesses_are_image_values_whose_midpoints_lie_in_the_gap(path):
+    problem = load_problem(path)
+    f, g = problem.pair()
+    pair = SampledPair.draw(f, g, problem.dilation)
+    summary = pair.image()
+    clearance = GAP_FACTOR * TWO_PI / pair.count
+    points = np.concatenate([pair.X, _axis_points(problem.n)])
+    values = np.column_stack([[f(x) for x in points], [g(x) for x in points]])
+    violations = pair.convexity_probe(summary)
+    assert violations
+    for violation in violations:
+        u, v = np.array(violation["u"]), np.array(violation["v"])
+        for w in (u, v):
+            assert np.any(np.all(np.abs(values - w) <= 1e-12 * pair.scale, axis=1)), w
+        assert violation["midpoint"] == (0.5 * (u + v)).tolist()
+        a, b = violation["gap"]
+        assert (a, b) in summary.gaps
+        direction = math.atan2(violation["midpoint"][1], violation["midpoint"][0])
+        assert (direction - a) % TWO_PI > clearance
+        assert (b - direction) % TWO_PI > clearance
+        assert (direction - a) % TWO_PI < b - a
+
+
+def test_a_line_through_the_origin_carries_no_violations(tmp_path):
+    # at 64 samples cubic_shared_zero's two lobes look like narrow
+    # antipodal clusters, yet midpoints of its image points leave the image
+    problem = load_problem(ROOT / "problems" / "cubic_shared_zero.json")
+    for count in (16, 32, 48, 64, 96, 128):
+        pair = SampledPair.draw(*problem.pair(), problem.dilation, count)
+        summary = pair.image()
+        if summary.classification is ImageClass.LINE_THROUGH_ORIGIN:
+            assert pair.convexity_probe(summary) == [], count
+    assert main(["image", str(problem.path), "--samples", "64",
+                 "--out-dir", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "image_cubic_shared_zero.json").read_text())["result"]
+    assert result["classification"] == "angular_sector"
+    assert result["convexity_violations"]
+
+
+def test_an_n2_probe_never_searches(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an n = 2 probe searched")
+
+    monkeypatch.setattr(image_analysis, "_direction_misses", refuse)
+    found = 0
+    planar = IMAGE_PROBLEMS[:-1] + [ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"]
+    for path in planar:
+        problem = load_problem(path)
+        for count in (None, 1024):
+            pair = SampledPair.draw(*problem.pair(), problem.dilation, count)
+            found += len(pair.convexity_probe(pair.image()))
+    assert found
+
+
+def test_a_spurious_gap_beside_the_largest_is_not_read():
+    # a pair with no common zero admits only its largest gap: a narrower
+    # confirmed gap inside the image arc, as sampling alone can leave for
+    # n >= 3, holds no violation
+    problem = load_problem(ROOT / "problems" / "sector_sextic_wide.json")
+    pair = SampledPair.draw(*problem.pair(), problem.dilation)
+    summary = pair.image()
+    (a, b), = summary.gaps
+    inside = a - 0.5 * (TWO_PI - (b - a))
+    spurious = (inside - 0.3, inside + 0.3)
+    want = pair.convexity_probe(summary)
+    assert want and all(v["gap"] == [a, b] for v in want)
+    for gaps in ([spurious, (a, b)], [(a, b), spurious]):
+        assert pair.convexity_probe(dataclasses.replace(summary, gaps=gaps)) == want
+
+
 # ------------------------------------------- the probe's batched local search
-
-
-ROOT = Path(__file__).resolve().parent.parent
-IMAGE_PROBLEMS = [ROOT / "problems" / f"{name}.json" for name in (
-    "cubic_shared_zero", "sector_quartic_pi", "sector_quartic_wide",
-    "sector_sextic_full", "sector_sextic_wide", "switch_fractional",
-    "switch_sextic")] + [ROOT / "tests" / "fixtures" / "quartic3_pair.json"]
 
 
 def _reference_direction_miss(f, g, d, X, dirs, target, tol, seed):
@@ -459,35 +562,44 @@ def _targets(summary, f, g, d, per_gap=4, attained=8):
     return [math.remainder(float(t), TWO_PI) for t in out]
 
 
-def _reference_probe(pair, summary, trials):
-    """convexity_probe with its searches run one at a time, in pair order,
-    by the one-row reference search."""
+def _reference_probe(pair, summary):
+    """convexity_probe by its rule, one candidate at a time: every pair of
+    axis samples, then for each admitted gap (all confirmed gaps of an
+    n = 2 pair with a common zero, else the largest) the last sample at or
+    before it and the first at or after it.  For n >= 3 each midpoint
+    direction in a gap is searched, in candidate order, by the one-row
+    reference search."""
     f, g, d, seed = pair.f, pair.g, pair.d, pair.seed
     clearance = GAP_FACTOR * TWO_PI / pair.count
+    gaps = summary.gaps
+    if len(gaps) > 1 and not (d.n == 2 and _common_zero_n2(f, g)):
+        gaps = [max(gaps, key=lambda gap: gap[1] - gap[0])]
     axis = _axis_points(d.n)
     pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
     pts = pair.joint_values
     keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * pair.scale
     pts = pts[keep]
-    pairs = list(itertools.combinations(pts_axis, 2))
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        i, j = rng.integers(0, len(pts), size=2)
-        if i != j:
-            pairs.append((pts[i], pts[j]))
     dirs = np.arctan2(pts[:, 1], pts[:, 0])
+    pairs = list(itertools.combinations(pts_axis, 2))
+    for a, b in gaps:
+        # the nearest sample on either side of the gap's center, the first
+        # in sample order where an even pair's x and -x tie
+        center = 0.5 * (a + b)
+        back = [(center - t) % TWO_PI for t in dirs.tolist()]
+        ahead = [(t - center) % TWO_PI for t in dirs.tolist()]
+        pairs.append((pts[back.index(min(back))], pts[ahead.index(min(ahead))]))
     attained, violations = {}, []
     for u, v in pairs:
         mid = 0.5 * (u + v)
         if math.hypot(mid[0], mid[1]) <= 1e-9 * pair.scale:
             continue
         direction = math.atan2(mid[1], mid[0])
-        hit = _inside_gap(direction, summary.gaps, clearance)
+        hit = _inside_gap(direction, gaps, clearance)
         if hit is None:
             continue
         key = int(round(direction / clearance))
         if key not in attained:
-            attained[key] = _reference_direction_miss(
+            attained[key] = d.n >= 3 and _reference_direction_miss(
                 f, g, d, pair.X[keep], dirs, direction, clearance, seed) <= clearance
         if not attained[key]:
             violations.append({"u": [float(u[0]), float(u[1])],
@@ -522,12 +634,13 @@ def test_batched_search_matches_the_one_row_search(path):
 
 
 @pytest.mark.parametrize("name", ["cubic_shared_zero", "sector_sextic_wide"])
-def test_probe_lists_match_the_one_row_search_across_seeds(name):
+def test_probe_lists_match_the_reference_rule_across_counts(name):
+    # an n = 2 probe reads no seed; the sample count moves the gap edges
     path = ROOT / "problems" / f"{name}.json"
-    for seed in range(1, 21):
-        pair, summary = _search_inputs(path, seed=seed, count=1024)[:2]
-        got = pair.convexity_probe(summary, trials=60)
-        assert got and got == _reference_probe(pair, summary, trials=60), seed
+    for count in (64, 100, 128, 256, 333, 512, 1000, 1024, 2048, 4096):
+        pair, summary = _search_inputs(path, count=count)[:2]
+        got = pair.convexity_probe(summary)
+        assert got and got == _reference_probe(pair, summary), count
 
 
 def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
@@ -631,23 +744,20 @@ def test_zero_radius_proposals_are_passed_over_as_the_one_row_search_does():
 
 def test_a_midpoint_overflow_raises_what_the_pair_order_scan_raises():
     # Scaled to near the float64 limit, cubic_shared_zero's midpoints
-    # overflow; a scan in pair order runs the searches of earlier pairs
-    # first, which on the fragile dilation pass over zero radii.
+    # overflow; the probe raises what a scan of its candidates in order
+    # raises.
     problem = load_problem(ROOT / "problems" / "cubic_shared_zero.json")
     d = problem.dilation
     f, g = problem.pair()
     factor = 1.7e308 / 1.5 / max(abs(c) for p in (f, g) for c in p.terms.values())
     f, g = (GP(p.n, {key: c * factor for key, c in p.terms.items()}) for p in (f, g))
-    fragile = _FragileDilation(d.weights, d.l)
-    for seed in range(1, 6):
-        drawn = SampledPair.draw(f, g, d, 1024, seed)
-        summary = drawn.image()
-        pair = SampledPair(f, g, drawn.X, 1024, seed, fragile, drawn.degree)
-        with pytest.raises(FloatingPointError) as got:
-            pair.convexity_probe(summary)
-        with pytest.raises(FloatingPointError) as want, overflow_guard("convexity probe"):
-            _reference_probe(pair, summary, trials=200)
-        assert str(got.value) == str(want.value), seed
+    pair = SampledPair.draw(f, g, d, 1024)
+    summary = pair.image()
+    with pytest.raises(FloatingPointError) as got:
+        pair.convexity_probe(summary)
+    with pytest.raises(FloatingPointError) as want, overflow_guard("convexity probe"):
+        _reference_probe(pair, summary)
+    assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------- direction refinement

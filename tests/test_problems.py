@@ -10,6 +10,7 @@ from slemma import (
     ProblemError,
     load_problem,
 )
+from slemma.cli import main
 from slemma.stp_poly import homogenize
 
 ALL_NAMES = [
@@ -22,6 +23,7 @@ ALL_NAMES = [
     "switch_fractional",
     "switch_sextic",
     "switch_three_linear",
+    "tangent_quartic",
 ]
 
 
@@ -238,6 +240,27 @@ MALFORMED = {
 def test_malformed_sections_raise_problem_errors(tmp_path, change):
     with pytest.raises(ProblemError):
         load_problem(write_problem(tmp_path, dict(BASE, **change)))
+
+
+@pytest.mark.parametrize("value", [True, False, "2", 1.5, 2.9, None, float("nan")],
+                         ids=["true", "false", "string", "1.5", "2.9", "null", "nan"])
+@pytest.mark.parametrize("part", ["num", "den"])
+def test_exponent_parts_must_be_integers(tmp_path, part, value):
+    # a truncated exponent would give a confident verdict on another polynomial
+    powers = [{"num": 2, "den": 1}, {"num": 2, "den": 1}]
+    powers[0][part] = value
+    term = {"coeff": 1.0, "powers": powers}
+    path = write_problem(tmp_path, dict(BASE, functions={"f": [term], "g": [TERM_X2]}))
+    with pytest.raises(ProblemError, match="bad function 'f'"):
+        load_problem(path)
+    assert main(["zeros", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_exponent_parts_are_read():
+    term = {"coeff": 1.0, "powers": [{"num": 2.0, "den": 1.0}, {"num": 0, "den": 3.0}]}
+    assert GeneralizedPolynomial.from_json_terms(2, [term]).terms == \
+        GeneralizedPolynomial.from_json_terms(2, [TERM_X2]).terms
 
 
 def test_problem_error_is_a_value_error():
