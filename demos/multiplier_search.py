@@ -10,13 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slemma import (
-    SampledPair,
-    find_strict_multiplier,
-    is_copositive,
-    load_problem,
-    shs_condition,
-)
+from slemma import SampledPair, find_strict_multiplier, load_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -26,16 +20,18 @@ def main() -> None:
     f, g = prob.pair()
     d = prob.dilation
 
-    cop = is_copositive(f, g, d, strict=True)
+    # one sample set carries every hypothesis check
+    pair = SampledPair.draw(f, g, d)
+
+    cop = pair.is_copositive(strict=True)
     print(f"strict copositivity: {cop.holds} "
           f"(min f over sampled g >= 0 region: {cop.min_value:.6f})")
 
-    shs = shs_condition(f, g, d)
+    shs = pair.shs_condition()
     print(f"sector condition: {shs.holds} "
           f"(symmetrized uncovered arc: {shs.symmetrized_gap:.6f} rad)")
 
     # a hand-picked xi for comparison before the search
-    pair = SampledPair.draw(f, g, d)
     vals = pair.F - 2.0 * pair.G
     m2, where = np.min(vals), pair.X[np.argmin(vals)]
     print(f"margin of f - 2 g on the sphere: {m2:.6f} at ({where[0]:+.4f}, {where[1]:+.4f})")

@@ -27,7 +27,6 @@ from .image_analysis import (
     ShsConditionReport,
     ZeroMargin,
     mixing_curve,
-    zero_margin,
 )
 from .problems import Problem, ProblemError, load_problem
 from .s_lemma import (
@@ -37,8 +36,6 @@ from .s_lemma import (
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
-    is_copositive,
-    shs_condition,
 )
 from .stp_poly import CoeffVecPolynomial, homogenize, index_to_multidegree
 from .switched_systems import (
@@ -75,7 +72,6 @@ __all__ = [
     "SampledPair",
     "ZeroMargin",
     "mixing_curve",
-    "zero_margin",
     "Problem",
     "ProblemError",
     "load_problem",
@@ -87,8 +83,6 @@ __all__ = [
     "find_nhs_multiplier",
     "find_nonstrict_multiplier",
     "find_strict_multiplier",
-    "is_copositive",
-    "shs_condition",
     "CoeffVecPolynomial",
     "homogenize",
     "index_to_multidegree",

@@ -29,20 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .homog_core import DEFAULT_SEED, TWO_PI, UsageError, Verdict
-from .image_analysis import (
-    DegenerateImageError,
-    SampledPair,
-    mixing_curve,
-    zero_margin,
-)
+from .image_analysis import DegenerateImageError, SampledPair, mixing_curve
 from .problems import Problem, ProblemError, load_problem
 from .s_lemma import (
     MultiplierFailure,
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
-    is_copositive,
-    shs_condition,
 )
 from .switched_systems import (
     DivergenceError,
@@ -243,8 +236,8 @@ def cmd_image(args, problem: Problem) -> tuple[Verdict, str]:
 def cmd_zeros(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
     threshold = 1e-9 if args.threshold is None else args.threshold
-    zm = zero_margin(f, g, problem.dilation, threshold=threshold,
-                     count=args.samples, seed=args.seed)
+    zm = SampledPair.draw(f, g, problem.dilation, args.samples,
+                          args.seed).zero_margin(threshold)
     _write_report(args, problem, zm)
     return zm.verdict, (f"zeros: margin = {zm.margin:.6g} "
                         f"({'common zero detected' if zm.common_zero else 'no common zero'})")
@@ -278,8 +271,8 @@ def cmd_curve(args, problem: Problem) -> tuple[Verdict, str]:
 
 def cmd_copositive(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
-    rep = is_copositive(f, g, problem.dilation, strict=args.strict,
-                        count=args.samples, seed=args.seed)
+    rep = SampledPair.draw(f, g, problem.dilation, args.samples,
+                           args.seed).is_copositive(args.strict)
     _write_report(args, problem, rep, "_strict" if args.strict else "")
     kind = "strictly copositive" if args.strict else "copositive"
     line = f"copositive: f is {'' if rep.holds else 'NOT '}{kind} with g"
@@ -291,7 +284,8 @@ def cmd_copositive(args, problem: Problem) -> tuple[Verdict, str]:
 
 def cmd_shs_check(args, problem: Problem) -> tuple[Verdict, str]:
     f, g = problem.pair()
-    rep = shs_condition(f, g, problem.dilation, count=args.samples, seed=args.seed)
+    rep = SampledPair.draw(f, g, problem.dilation, args.samples,
+                           args.seed).shs_condition()
     _write_report(args, problem, _fields(rep, image=_image_fields(rep.image)))
     return rep.verdict, (f"shs-check: {'holds' if rep.holds else 'fails'} "
                          f"(symmetrized gap {rep.symmetrized_gap:.6f} rad)")

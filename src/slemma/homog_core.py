@@ -277,19 +277,6 @@ class GeneralizedPolynomial:
             entries.append((float(term["coeff"]), tuple(fr), tuple(signed)))
         return cls.from_terms(n, entries)
 
-    def to_json_terms(self) -> list[dict]:
-        out = []
-        for (powers, signed), coeff in sorted(self.terms.items()):
-            term = {
-                "coeff": coeff,
-                "powers": [{"num": p.numerator, "den": p.denominator} for p in powers],
-            }
-            natural = tuple(p > 0 and p.numerator % 2 == 1 for p in powers)
-            if natural != signed:
-                term["abs"] = [not s for s in signed]
-            out.append(term)
-        return out
-
     # ------------------------------------------------------------- evaluate
 
     def _compile(self):

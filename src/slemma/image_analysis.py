@@ -8,10 +8,7 @@ angular sector, full plane), decides exactly for n = 2 whether f and g
 share a zero off the origin, and probes midpoint convexity.  All of
 these, and the copositivity and SHS checks of the multiplier searches,
 are methods of a `SampledPair`, which evaluates f and g once on one
-sample set.  Only `zero_margin` here and
-`is_copositive` and `shs_condition` in `s_lemma` draw a pair for the
-caller: the `zeros`, `copositive` and `shs-check` commands call them,
-and the traced benchmark times them by name.
+sample set.
 
 Direction gaps are the load-bearing quantity.  A gap in the sampled set
 can be real (the pair of rays is genuinely missing) or an artifact of
@@ -633,19 +630,6 @@ def _common_zero_n2(f: GeneralizedPolynomial, g: GeneralizedPolynomial) -> bool:
     return any(_vanishes_off_origin(_sturm(_restrict(f, sigma, tau, q),
                                            _restrict(g, sigma, tau, q))[-1])
                for sigma in (1, -1) for tau in (1, -1))
-
-
-def zero_margin(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    d: Dilation,
-    threshold: float = 1e-9,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-) -> ZeroMargin:
-    """min over sphere samples of max(|f|, |g|), and whether f and g
-    share a zero (`SampledPair.zero_margin`)."""
-    return SampledPair.draw(f, g, d, count, seed).zero_margin(threshold)
 
 
 # -------------------------------------------------------------- mixing curve

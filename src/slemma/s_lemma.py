@@ -129,34 +129,6 @@ def _fresh_samples(d: Dilation, count: int, seed: int) -> np.ndarray:
     return sphere_samples(d, count, seed + 1, offset=offset)
 
 
-# ------------------------------------------------- copositivity, SHS condition
-
-
-def is_copositive(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    d: Dilation,
-    strict: bool = False,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-) -> CopositivityReport:
-    """Test min of f over the sampled part of the sphere where g >= 0
-    (`SampledPair.is_copositive`)."""
-    return SampledPair.draw(f, g, d, count, seed).is_copositive(strict)
-
-
-def shs_condition(
-    f: GeneralizedPolynomial,
-    g: GeneralizedPolynomial,
-    d: Dilation,
-    count: int | None = None,
-    seed: int = DEFAULT_SEED,
-) -> ShsConditionReport:
-    """Solvability-gap condition: the sector angle of U is < pi
-    (`SampledPair.shs_condition`)."""
-    return SampledPair.draw(f, g, d, count, seed).shs_condition()
-
-
 # ------------------------------------------------------------ margin search
 
 

@@ -9,6 +9,7 @@ eigenvalue cancellation, and interval containment for the simplex scans.
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -33,13 +34,11 @@ from slemma import (
     derivative_along,
     find_nonstrict_multiplier,
     find_strict_multiplier,
-    is_copositive,
     linear_combination_eigencheck,
     linear_matrix,
     scan_combinations,
     simulate_min_switching,
     synthesize_combination_n2,
-    zero_margin,
 )
 from slemma.cli import main
 from slemma.problems import load_problem
@@ -146,9 +145,9 @@ def test_sector_gallery_angles(capsys, sector_gallery, sextic_pair, d2):
 def test_shared_zero_negative_case(capsys, cubic_pair, d2):
     with criterion(capsys, "shared-zero pair fails with honest reasons") as ck:
         f, g = cubic_pair
-        ck.append(("copositive", is_copositive(f, g, d2).holds))
+        ck.append(("copositive", SampledPair.draw(f, g, d2).is_copositive().holds))
         ck.append(("not strictly copositive",
-                   not is_copositive(f, g, d2, strict=True).holds))
+                   not SampledPair.draw(f, g, d2).is_copositive(strict=True).holds))
         allowed = {ReasonCode.COMMON_ZERO, ReasonCode.SECTOR_GE_PI}
         strict = find_strict_multiplier(f, g, d2)
         nonstrict = find_nonstrict_multiplier(f, g)
@@ -207,14 +206,15 @@ def _combine(*scaled):
 
 def _mul(p, q):
     out = {}
-    for (a, b), c in p.items():
-        for (e, h), k in q.items():
-            out[a + e, b + h] = out.get((a + e, b + h), 0) + c * k
+    for a, c in p.items():
+        for e, k in q.items():
+            key = tuple(i + j for i, j in zip(a, e))
+            out[key] = out.get(key, 0) + c * k
     return _combine((1, out))
 
 
 def _at(p, x):
-    return sum(c * x[0] ** a * x[1] ** b for (a, b), c in p.items())
+    return sum(c * math.prod(v ** e for v, e in zip(x, a)) for a, c in p.items())
 
 
 def _tangent_pair_checks(f, g):
@@ -287,6 +287,41 @@ def test_covered_without_a_stabilizing_combination_beyond_linear(capsys, tangent
         ck.append(("runtime < 5 s", time.perf_counter() - t0 < 5.0))
 
 
+# f = 2 - t and g = 1 - t^4: a non-homogeneous pair of degree 4
+NHS_QUARTIC = TANGENT.with_name("nhs_univariate_quartic.json")
+
+
+def test_nhs_lemma_holds_beyond_degree_two(capsys, tmp_path):
+    # f - g = (t^2 - 1/2)^2 + (t - 1/2)^2 + 1/2 > 0, so xi = 1 is a
+    # multiplier, and g takes both signs.  For xi > 0, f - xi g =
+    # 2 - xi - t + xi t^4 is least where 4 xi t^3 = 1, at 2 - xi - 3t/4,
+    # so it is positive on R exactly when 0 < xi < 2 and
+    # 256 xi (2 - xi)^3 > 27.
+    with criterion(capsys, "NHS-lemma: a multiplier for a univariate quartic pair") as ck:
+        t0 = time.perf_counter()
+        f, g = map(_exact, load_problem(NHS_QUARTIC).pair())
+        ck.append(("f = 2 - t and g = 1 - t^4",
+                   f == {(0,): 2, (1,): -1} and g == {(0,): 1, (4,): -1}))
+        half = Fraction(1, 2)
+        s1, s2 = {(2,): 1, (0,): -half}, {(1,): 1, (0,): -half}
+        ck.append(("f - g = (t^2 - 1/2)^2 + (t - 1/2)^2 + 1/2",
+                   _combine((1, f), (-1, g))
+                   == _combine((1, _mul(s1, s1)), (1, _mul(s2, s2)), (half, {(0,): 1}))))
+        ck.append(("g(0) = 1 > 0 > -15 = g(2)", _at(g, (0,)) == 1 and _at(g, (2,)) == -15))
+        with redirect_stdout(io.StringIO()):
+            code = main(["nhs-xi", str(NHS_QUARTIC), "--out-dir", str(tmp_path)])
+        report = json.loads((tmp_path / f"nhs-xi_{NHS_QUARTIC.stem}.json").read_text())
+        result = report["result"]
+        ck.append(("nhs-xi exits 0", code == 0))
+        ck.append(("lift degree 4", result["details"]["lift_degree"] == 4))
+        ck.append(("all 13 checks ok", len(result["checks"]) == 13
+                   and all(c["ok"] for c in result["checks"])))
+        xi = Fraction(result["xi"])
+        ck.append(("0 < xi < 2 and 256 xi (2 - xi)^3 > 27",
+                   0 < xi < 2 and 256 * xi * (2 - xi) ** 3 > 27))
+        ck.append(("runtime < 5 s", time.perf_counter() - t0 < 5.0))
+
+
 def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilation,
                           sextic_system, sextic_V, d2):
     with criterion(capsys, "identity, convexity, soundness, and descent battery") as ck:
@@ -345,7 +380,7 @@ def test_property_battery(capsys, sextic_pair, frac_system, frac_V, frac_dilatio
         while accepted < 50:
             qf = quad_form(random_symmetric(rng, 2))
             qg = quad_form(random_symmetric(rng, 2))
-            if zero_margin(qf, qg, d2, count=512).margin <= 1e-3:
+            if SampledPair.draw(qf, qg, d2, count=512).zero_margin().margin <= 1e-3:
                 continue
             accepted += 1
             pair = SampledPair.draw(qf, qg, d2, count=1024)

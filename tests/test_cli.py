@@ -16,6 +16,7 @@ from slemma.homog_core import DEFAULT_SEED, Verdict
 from slemma.image_analysis import (
     CopositivityReport,
     ImageSummary,
+    SampledPair,
     ShsConditionReport,
     ZeroMargin,
 )
@@ -668,7 +669,7 @@ def test_internal_value_errors_exit_3(tmp_path, problems_dir, monkeypatch, capsy
     def broken(*args, **kwargs):
         return np.zeros(3) + np.zeros(2)
 
-    monkeypatch.setattr("slemma.cli.zero_margin", broken)
+    monkeypatch.setattr(SampledPair, "zero_margin", broken)
     assert run(tmp_path, "zeros", str(problems_dir / "switch_sextic.json")) == 3
     assert capsys.readouterr().err.startswith("internal error: ValueError: operands")
 

@@ -70,7 +70,11 @@ def test_arithmetic_is_pointwise():
 
 def test_json_terms_round_trip():
     p = GP.from_terms(2, [(np.sqrt(3.0), (3, 1)), (-0.125, ((2, 3), 4))])
-    q = GP.from_json_terms(2, p.to_json_terms())
+    q = GP.from_json_terms(2, [
+        {"coeff": np.sqrt(3.0), "powers": [{"num": 3}, {"num": 1}]},
+        {"coeff": -0.125, "powers": [{"num": 2, "den": 3}, {"num": 4}]},
+    ])
+    assert q.terms == p.terms
     assert (p - q).is_zero
 
 

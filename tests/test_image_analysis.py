@@ -36,7 +36,6 @@ from slemma.image_analysis import (
     _inside_gap,
     _refine_directions,
     mixing_curve,
-    zero_margin,
 )
 from slemma.cli import main
 from slemma.problems import load_problem
@@ -171,7 +170,7 @@ def test_cubic_pair_boundary_slopes(cubic_pair, d2):
 
 
 def test_zero_margin_cubic_pair(cubic_pair, d2):
-    zm = zero_margin(*cubic_pair, d2)
+    zm = SampledPair.draw(*cubic_pair, d2).zero_margin()
     assert zm.margin < 1e-6
     assert not zm.refined
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -182,13 +181,13 @@ def test_zero_margin_cubic_pair(cubic_pair, d2):
 def test_zero_margin_trivial_one_dimensional():
     d1 = Dilation.standard(1)
     p = GP.from_terms(1, [(1, (2,))])
-    zm = zero_margin(p, p, d1)
+    zm = SampledPair.draw(p, p, d1).zero_margin()
     assert zm.margin == pytest.approx(1.0)
     assert zm.refined
 
 
 def test_zero_margin_sextic_pair_certified(sextic_pair, d2):
-    zm = zero_margin(*sextic_pair, d2)
+    zm = SampledPair.draw(*sextic_pair, d2).zero_margin()
     assert zm.margin > 0.25
     assert zm.refined
     assert not _common_zero_n2(*sextic_pair)
@@ -263,7 +262,7 @@ def test_exact_common_zero_reads_the_float_coefficients(d2):
     nudged = GP.from_terms(2, [(1, (2, 0)), (-math.nextafter(1.0, 2.0), (1, 1))])
     assert _common_zero_n2(f, g)
     assert not _common_zero_n2(f, nudged)
-    zm = zero_margin(f, nudged, d2)
+    zm = SampledPair.draw(f, nudged, d2).zero_margin()
     assert zm.margin < 1e-9
     assert not zm.common_zero and zm.refined
 
@@ -282,14 +281,14 @@ def test_zero_margin_refined_on_the_shipped_pairs(name):
     path = ROOT / "problems" / f"{name}.json"
     problem = load_problem(path if path.exists() else ROOT / "tests" / "fixtures" / f"{name}.json")
     f, g = problem.pair()
-    assert zero_margin(f, g, problem.dilation).refined is REFINED[name]
+    assert SampledPair.draw(f, g, problem.dilation).zero_margin().refined is REFINED[name]
     assert _common_zero_n2(f, g) is not REFINED[name]
 
 
 def test_zero_margin_scales_linearly(sextic_pair, d2):
     f, g = sextic_pair
-    base = zero_margin(f, g, d2)
-    scaled = zero_margin(2.5 * f, 2.5 * g, d2)
+    base = SampledPair.draw(f, g, d2).zero_margin()
+    scaled = SampledPair.draw(2.5 * f, 2.5 * g, d2).zero_margin()
     assert scaled.margin == pytest.approx(2.5 * base.margin, rel=1e-9)
 
 
@@ -297,7 +296,7 @@ def test_zero_margin_higher_dimension_not_refined():
     d3 = Dilation.standard(3)
     f = GP.from_terms(3, [(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
     g = GP.from_terms(3, [(1, (2, 0, 0)), (-1, (0, 2, 0))])
-    zm = zero_margin(f, g, d3, count=4096)
+    zm = SampledPair.draw(f, g, d3, count=4096).zero_margin()
     assert zm.margin > 0.5
     assert not zm.refined
 
@@ -386,7 +385,7 @@ def test_probe_empty_for_quadratic_forms():
     while checked < 50:
         f = quad_form(random_symmetric(rng, 2))
         g = quad_form(random_symmetric(rng, 2))
-        if zero_margin(f, g, d2, count=512).margin < 1e-3:
+        if SampledPair.draw(f, g, d2, count=512).zero_margin().margin < 1e-3:
             continue
         pair = SampledPair.draw(f, g, d2, count=1024)
         assert pair.convexity_probe(pair.image()) == []
@@ -401,7 +400,7 @@ def test_probe_empty_for_higher_dimension_quadratics():
         while checked < 3:
             f = quad_form(random_symmetric(rng, n))
             g = quad_form(random_symmetric(rng, n))
-            if zero_margin(f, g, d, count=4096).margin < 1e-2:
+            if SampledPair.draw(f, g, d, count=4096).zero_margin().margin < 1e-2:
                 continue
             pair = SampledPair.draw(f, g, d, count=8192)
             assert pair.convexity_probe(pair.image()) == []

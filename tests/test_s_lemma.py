@@ -17,9 +17,7 @@ from slemma import (
     find_nhs_multiplier,
     find_nonstrict_multiplier,
     find_strict_multiplier,
-    is_copositive,
     load_problem,
-    shs_condition,
 )
 from slemma import homog_core, image_analysis, s_lemma
 from slemma.cli import main
@@ -35,8 +33,9 @@ GP = GeneralizedPolynomial
 
 def test_cubic_pair_copositive_but_not_strictly(cubic_pair, d2):
     f, g = cubic_pair
-    assert is_copositive(f, g, d2, strict=False).holds
-    rep = is_copositive(f, g, d2, strict=True)
+    pair = SampledPair.draw(f, g, d2)
+    assert pair.is_copositive(strict=False).holds
+    rep = pair.is_copositive(strict=True)
     assert not rep.holds
     # the strict minimum sits at the shared diagonal zero
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -49,13 +48,13 @@ def test_positive_definite_is_strictly_copositive(d2):
     # (x^2+y^2)^3 expanded
     f = GP.from_terms(2, [(1, (6, 0)), (3, (4, 2)), (3, (2, 4)), (1, (0, 6))])
     g = GP.from_terms(2, [(1, (6, 0)), (-1, (0, 6))])
-    rep = is_copositive(f, g, d2, strict=True)
+    rep = SampledPair.draw(f, g, d2).is_copositive(strict=True)
     assert rep.holds and not rep.vacuous
     assert rep.min_value > 0
 
 
 def test_sextic_pair_strictly_copositive(sextic_pair, d2):
-    rep = is_copositive(*sextic_pair, d2, strict=True)
+    rep = SampledPair.draw(*sextic_pair, d2).is_copositive(strict=True)
     assert rep.holds
     assert rep.min_value == pytest.approx(0.8978315521281335, rel=1e-9)
 
@@ -63,7 +62,7 @@ def test_sextic_pair_strictly_copositive(sextic_pair, d2):
 def test_vacuous_constraint_region(d2):
     f = GP.from_terms(2, [(1, (6, 0)), (1, (0, 6))])
     g = GP.from_terms(2, [(-1, (6, 0)), (-1, (0, 6))])
-    rep = is_copositive(f, g, d2, strict=True)
+    rep = SampledPair.draw(f, g, d2).is_copositive(strict=True)
     assert rep.holds and rep.vacuous
     assert rep.min_value is None
 
@@ -108,7 +107,7 @@ def test_copositivity_against_dense_grid(d2):
         scale = np.abs(F).max()
         if abs(brute) < 1e-4 * scale:
             continue  # too close to the boundary to classify robustly
-        rep = is_copositive(f, g, d2, strict=True)
+        rep = SampledPair.draw(f, g, d2).is_copositive(strict=True)
         assert rep.holds == (brute > 0)
 
 
@@ -116,7 +115,7 @@ def test_copositivity_against_dense_grid(d2):
 
 
 def test_sextic_pair_gap_condition(sextic_pair, d2):
-    rep = shs_condition(*sextic_pair, d2)
+    rep = SampledPair.draw(*sextic_pair, d2).shs_condition()
     assert rep.holds
     assert rep.symmetrized_gap == pytest.approx(0.409807265615424, rel=1e-6)
     a, b = rep.witness_direction
@@ -124,8 +123,9 @@ def test_sextic_pair_gap_condition(sextic_pair, d2):
 
 
 def test_gap_condition_witness_avoids_image(sextic_pair, d2):
-    rep = shs_condition(*sextic_pair, d2)
-    summary = SampledPair.draw(*sextic_pair, d2).image()
+    pair = SampledPair.draw(*sextic_pair, d2)
+    rep = pair.shs_condition()
+    summary = pair.image()
     a, b = rep.witness_direction
     for target in (np.arctan2(b, a), np.arctan2(-b, -a)):
         delta = np.abs((summary.directions - target + np.pi) % (2 * np.pi) - np.pi)
@@ -134,13 +134,13 @@ def test_gap_condition_witness_avoids_image(sextic_pair, d2):
 
 def test_gap_condition_fails_when_sector_reaches_pi(sector_gallery, d2):
     p1, _, _, p4 = sector_gallery
-    assert not shs_condition(*p1, d2).holds
-    assert not shs_condition(*p4, d2).holds
+    assert not SampledPair.draw(*p1, d2).shs_condition().holds
+    assert not SampledPair.draw(*p4, d2).shs_condition().holds
 
 
 def test_gap_condition_requires_even_pair(cubic_pair, d2):
     with pytest.raises(ValueError):
-        shs_condition(*cubic_pair, d2)
+        SampledPair.draw(*cubic_pair, d2).shs_condition()
 
 
 # ---------------------------------------------------------- strict multiplier
@@ -326,7 +326,7 @@ def test_failure_sector_at_least_pi(wide_copositive_pair, d2):
     # strictly copositive, yet the image sector spans more than pi, so no
     # single multiplier can work; the gap condition is what fails
     f, g = wide_copositive_pair
-    assert is_copositive(f, g, d2, strict=True).holds
+    assert SampledPair.draw(f, g, d2).is_copositive(strict=True).holds
     res = find_strict_multiplier(f, g, d2)
     assert not res.ok
     assert res.reason is ReasonCode.SECTOR_GE_PI

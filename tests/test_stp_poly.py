@@ -125,7 +125,12 @@ def test_coeffvec_evaluate_matches_generalized():
 def test_coeffvec_json_round_trip():
     # a coeffs literal and the term list it parses to describe one polynomial
     p = parse(2, {"6:0": -7.0, "6:7": -2.0, "0:0": 1.5})
-    assert GP.from_json_terms(2, p.to_json_terms()).terms == p.terms
+    # index 7 of degree 6 is x1*x1*x1*x2*x2*x2
+    assert GP.from_json_terms(2, [
+        {"coeff": -7.0, "powers": [{"num": 6}, {"num": 0}]},
+        {"coeff": -2.0, "powers": [{"num": 3}, {"num": 3}]},
+        {"coeff": 1.5, "powers": [{"num": 0}, {"num": 0}]},
+    ]).terms == p.terms
     with pytest.raises(ValueError):
         CoeffVecPolynomial.from_json(2, {"60": 1.0})
 
