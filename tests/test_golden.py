@@ -26,7 +26,12 @@ generated quartic pair (`fixtures/quartic3_margin.json`, written by
 exponent l != 2, so `SPHERE_RUNS` run `image` on `sector_quartic_wide`
 with l = 3 (`fixtures/sector_quartic_wide_l3.json`), where every point
 of the theta grid and of direction refinement is projected onto the
-sphere.  No shipped problem mixes weights 1 and 2 either, so
+sphere.  Only n >= 3 gaps are searched before the probe reads them, and
+no shipped pair's probe searches, so `SEARCH_RUNS` run `image` on a pair
+of quadratic forms on R^3 (`fixtures/quadratic3_spurious_gap.json`),
+whose image is convex (Dines) but whose samples leave a gap wider than
+pi: the probe searches its one midpoint direction and attains it.  No
+shipped problem mixes weights 1 and 2 either, so
 `MIXED_RUNS` run `zeros`, `copositive` and `image` on a quartic pair
 with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
 projecting each theta point scales a weight-1 and a weight-2 column
@@ -88,6 +93,11 @@ MARGIN_RUNS = (
 SPHERE_RUNS = (
     ("image", FIXTURES / "sector_quartic_wide_l3.json", (None, *IMAGE_SEEDS)),
 )
+# runs whose convexity probe searches: a pair of quadratic forms on R^3
+# has a convex image, yet its samples leave a spurious gap above pi
+SEARCH_RUNS = (
+    ("image", FIXTURES / "quadratic3_spurious_gap.json", (None, *IMAGE_SEEDS)),
+)
 # (command, format): runs on a (1, 2) dilation with l = 3
 MIXED = FIXTURES / "mixed_quartic_l3.json"
 MIXED_RUNS = (("zeros", "json"), ("copositive", "json"), ("image", "csv"))
@@ -139,7 +149,7 @@ def _runs():
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
-    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS:
+    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS + SEARCH_RUNS:
         for seed in seeds:
             key = f"{command} {problem.name} json"
             argv = [command, str(problem), "--format", "json"]
