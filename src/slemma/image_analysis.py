@@ -488,17 +488,15 @@ class SampledPair:
 
         The image is the cone over its direction set, so a midpoint whose
         direction lies inside a gap, beyond the clearance, is not in it.
-        The candidates are every pair of coordinate-axis samples, then for
-        each admitted gap the last sample at or before it and the first at
-        or after it.  The largest gap is admitted, or every confirmed gap
-        of an n = 2 pair with an exact common zero, whose direction set
-        can be several arcs.  With no common zero the set is one arc, and
-        the list is non-empty exactly when pi < phi < 2 pi (unless a coarse
-        sample's clearance covers the edge midpoint).  n >= 3 gaps
-        are only sampled and can be spurious, so there `_direction_misses`
-        searches for each midpoint direction, one per multiple of the
-        clearance it rounds to, and drops the ones it attains.  A float64
-        overflow raises FloatingPointError naming the probe.
+        The largest gap is admitted, or every confirmed gap of an n = 2
+        pair with an exact common zero, whose direction set can be several
+        arcs.  With no common zero the set is one arc, and the list is
+        non-empty exactly when pi < phi < 2 pi (unless a coarse sample's
+        clearance covers the edge midpoint).  n >= 3 gaps are only sampled
+        and can be spurious, so there `_direction_miss` searches each
+        midpoint direction, once per multiple of the clearance it rounds
+        to, and the midpoints whose direction it attains are dropped.  A
+        float64 overflow raises FloatingPointError naming the probe.
         """
         gaps = summary.gaps
         if len(gaps) > 1 and not (self.d.n == 2 and self._exact_common_zero):
@@ -526,9 +524,7 @@ class SampledPair:
             U = np.concatenate([pts_axis[first], pts[before]])
             V = np.concatenate([pts_axis[second], pts[after]])
 
-            # pairs whose midpoint falls in a gap, and the first midpoint
-            # direction of each search key, which is that search's target
-            in_gap, targets = [], {}
+            attained, violations = {}, []
             for u, v, mid in zip(U.tolist(), V.tolist(), (0.5 * (U + V)).tolist()):
                 if math.hypot(mid[0], mid[1]) <= 1e-9 * self.scale:
                     continue
@@ -537,19 +533,13 @@ class SampledPair:
                 if hit is None:
                     continue
                 key = int(round(direction / clearance))
-                targets.setdefault(key, direction)
-                in_gap.append((u, v, mid, direction, hit, key))
-            attained = set()
-            if d.n >= 3 and targets:
-                misses = _direction_misses(f, g, d, self.X[keep], dirs, list(targets.values()),
-                                           clearance, self.seed)
-                attained = {key for key, miss in zip(targets, misses) if miss <= clearance}
-
-            return [
-                {"u": u, "v": v, "midpoint": mid, "direction": direction, "gap": list(hit)}
-                for u, v, mid, direction, hit, key in in_gap
-                if key not in attained
-            ]
+                if key not in attained:
+                    attained[key] = d.n >= 3 and _direction_miss(
+                        f, g, d, self.X[keep], dirs, direction, clearance, self.seed) <= clearance
+                if not attained[key]:
+                    violations.append({"u": u, "v": v, "midpoint": mid,
+                                       "direction": direction, "gap": list(hit)})
+            return violations
 
 
 # --------------------------------------------------------------- zero margin
@@ -682,122 +672,43 @@ def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float]
     return None
 
 
-# sweeps of proposals a direction search draws from its generator at a time
-SEARCH_CHUNK = 10
+def _direction_miss(f, g, d, X, dirs, target: float, tol: float, seed) -> float:
+    """Local search for a sphere point whose image direction hits
+    `target` in [-pi, pi]: the smallest angular distance to it reached,
+    stopping as soon as that is <= tol.
 
-
-def _direction_misses(f, g, d, X, dirs, targets, tol: float, seed) -> list[float]:
-    """Local searches for sphere points whose image directions hit targets
-    in [-pi, pi].
-
-    Returns, for each target, the smallest angular distance to it that its
-    search reached; a search stops as soon as that distance is <= tol.  A
-    confirmed gap can be spurious where the pushforward density of
-    directions vanishes (sector boundaries without the n = 2 adaptive
-    refinement); a gap direction reachable by a short descent is not
-    evidence that the midpoint left the image.
-
-    Each search starts at the sample whose direction is nearest its
-    target and draws its steps from its own generator, seeded by (seed,
-    target).  A sweep takes six proposals x + step*scale*prop, prop a
-    row of `rng.normal`, and moves x to the first one that improves the
-    miss; a sweep without a move shrinks the step.  A search draws the
-    rows of `SEARCH_CHUNK` sweeps at once, the rows that one draw of
-    size (6, n) per sweep gives.  The searches run in lockstep on arrays
-    indexed by search: each round stacks the pending proposals of every
-    live search, calls `radius`, `scale` and `evaluate_many` on f and g
-    once on the stack, and moves each search to its first improving row;
-    its later rows are built again from the new x in the next round.
-    This takes the same draws and steps, and reaches bit for bit the same
-    points, as one search after another projecting and evaluating one
-    proposal at a time (tests/test_image_analysis.py keeps that one-row
-    search as its reference), because
-    - NumPy's array `**`, `abs`, `sign` and sum over the last axis in
-      `radius`, `scale` and `evaluate_many` round each row the same whatever
-      the other rows of the array are (checked with NumPy 2.4 on AVX-512,
-      and by a property test over the shipped problems);
-    - the projection factor rad**(-1/l) is taken one row at a time by
-      float `**`, which rounds as `Dilation.project`'s NumPy scalar `**`
-      on a single point (the array `**` rounds differently in about 5% of
-      rows); where it overflows, NumPy scalars raise or warn as there;
-    - the miss of each row is `_row_misses`'s, scalar `math.atan2`
-      (`np.arctan2` rounds differently) and an exact remainder;
-    - a proposal whose radius is 0, exactly or by underflow, cannot be
-      projected, and both pass over it.
-    An overflow under the caller's `overflow_guard` raises from the round
-    it happens in.
+    A confirmed n >= 3 gap can be spurious where the pushforward density
+    of directions vanishes; a gap direction reachable by a short descent
+    is not evidence that a midpoint left the image.  The search starts at
+    the sample whose direction is nearest the target and draws its steps
+    from its own generator, seeded by (seed, target).
     """
-    starts, miss = [], []
-    for target in targets:
-        # |np.remainder(dirs - target + pi, 2 pi) - pi|: for x in [-pi, 3 pi]
-        # that remainder is x - 2 pi (exact) from 2 pi on, x + 2 pi below 0
-        gap = dirs - target
-        gap += math.pi
-        np.subtract(gap, TWO_PI, out=gap, where=gap >= TWO_PI)
-        np.add(gap, TWO_PI, out=gap, where=gap < 0.0)
-        gap -= math.pi
-        starts.append(int(np.argmin(np.abs(gap, out=gap))))
-        miss.append(gap[starts[-1]])
-    miss, aim, x = np.array(miss, dtype=float), np.array(targets, dtype=float), X[starts]
-    live = np.flatnonzero(miss > tol)
-    step, moved = np.full(len(x), 0.3), np.zeros(len(x), bool)
-    k, sweeps = np.zeros(len(x), int), np.zeros(len(x), int)
-    rngs = {i: np.random.default_rng([abs(int(seed)), int(round(targets[i] * 1e6)) % (2 ** 32)])
-            for i in live.tolist()}
-    props = np.empty((len(x), 6 * SEARCH_CHUNK, X.shape[1]))
+    gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
+    best_i = int(np.argmin(gap))
+    best = float(gap[best_i])
+    if best <= tol:
+        return best
+    x = X[best_i]
+    rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
     scale = max(1.0, float(np.max(np.abs(X))))
-    power = -1.0 / d.l
-    while len(live):
-        for i in live[(k[live] == 0) & (sweeps[live] % SEARCH_CHUNK == 0)].tolist():
-            props[i] = rngs[i].normal(size=props.shape[1:])
-        left = 6 - k[live]
-        owner = np.repeat(live, left)
-        # each pending proposal's index in its sweep, and its row in the chunk
-        prop = np.arange(len(owner)) - np.repeat(np.cumsum(left) - left, left) + k[owner]
-        row = sweeps[owner] % SEARCH_CHUNK * 6 + prop
-        Y = x[owner] + (step * scale)[owner, None] * props[owner, row]
-        rad = d.radius(Y)
-        rows = np.flatnonzero(rad > 0)
-        try:
-            eps = [v ** power for v in rad[rows].tolist()]
-        except OverflowError:
-            eps = [v ** power for v in rad[rows]]
-        P = d.scale(np.array(eps), Y[rows])
-        U, V = evaluate_many((f, g), P)
-        who = owner[rows]
-        cand = _row_misses(U, V, aim[who])
-        better = np.flatnonzero(cand < miss[who])
-        # a search's rows are adjacent: its first improving row is taken
-        first = np.ones(len(better), bool)
-        first[1:] = who[better[1:]] != who[better[:-1]]
-        hit = better[first]
-        won = who[hit]
-        miss[won], x[won], moved[won] = cand[hit], P[hit], True
-        k[live] = 6
-        k[won] = prop[rows[hit]] + 1
-        live = live[miss[live] > tol]
-        end = k[live] == 6
-        ended = live[end]
-        step[ended[~moved[ended]]] *= 0.6
-        sweeps[ended] += 1
-        k[ended], moved[ended] = 0, False
-        # of the searches whose sweep ended, those out of steps stop
-        end[end] = (step[ended] < 1e-6) | (sweeps[ended] == 60)
-        live = live[~end]
-    return miss.tolist()
-
-
-def _row_misses(U, V, aim) -> np.ndarray:
-    """abs(math.remainder(math.atan2(v, u) - aim, 2 pi)) of each row, and
-    inf where math.hypot(u, v) <= 1e-12, which a search passes over.  For
-    aim in [-pi, pi] that remainder of x = atan2 - aim is exact: |x| up
-    to pi (a tie keeps x), and 2 pi - |x| above.  math.hypot(u, v) is at
-    least max(|u|, |v|), so it is only taken where both are <= 1e-12."""
-    cand = np.fromiter(map(math.atan2, memoryview(V), memoryview(U)), float, len(U))
-    cand -= aim
-    np.abs(cand, out=cand)
-    np.subtract(TWO_PI, cand, out=cand, where=cand > math.pi)
-    for j in np.flatnonzero((np.abs(U) <= 1e-12) & (np.abs(V) <= 1e-12)).tolist():
-        if math.hypot(U[j], V[j]) <= 1e-12:
-            cand[j] = math.inf
-    return cand
+    step = 0.3
+    for _ in range(60):
+        moved = False
+        for prop in rng.normal(size=(6, X.shape[1])):
+            y = x + step * scale * prop
+            if not d.radius(y) > 0:
+                continue
+            y = d.project(y)
+            u, v = evaluate_many((f, g), y).tolist()
+            if math.hypot(u, v) <= 1e-12:
+                continue
+            miss = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
+            if miss < best:
+                best, x, moved = miss, y, True
+                if best <= tol:
+                    return best
+        if not moved:
+            step *= 0.6
+            if step < 1e-6:
+                break
+    return best

@@ -32,7 +32,7 @@ from slemma.image_analysis import (
     _axis_points,
     _circ_diff,
     _common_zero_n2,
-    _direction_misses,
+    _direction_miss,
     _inside_gap,
     _refine_directions,
     mixing_curve,
@@ -474,7 +474,7 @@ def test_an_n2_probe_never_searches(monkeypatch):
     def refuse(*args):
         raise AssertionError("an n = 2 probe searched")
 
-    monkeypatch.setattr(image_analysis, "_direction_misses", refuse)
+    monkeypatch.setattr(image_analysis, "_direction_miss", refuse)
     found = 0
     planar = IMAGE_PROBLEMS[:-1] + [ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"]
     for path in planar:
@@ -501,13 +501,12 @@ def test_a_spurious_gap_beside_the_largest_is_not_read():
         assert pair.convexity_probe(dataclasses.replace(summary, gaps=gaps)) == want
 
 
-# ------------------------------------------- the probe's batched local search
+# --------------------------------------------------- the probe's local search
 
 
 def _reference_direction_miss(f, g, d, X, dirs, target, tol, seed):
-    """One direction search projecting and evaluating one proposal at a
-    time: the reference the lockstep batches of `_direction_misses` must
-    match bit for bit."""
+    """One direction search evaluating f and g one at a time: the
+    reference `_direction_miss` must match bit for bit."""
     gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
     best_i = int(np.argmin(gap))
     best = float(gap[best_i])
@@ -612,8 +611,8 @@ def _reference_probe(pair, summary):
     ROOT / "tests" / "fixtures" / f"{name}.json"
     for name in ("mixed_quartic_l3", "sector_quartic_wide_l3")], ids=lambda p: p.stem)
 def test_batched_search_matches_the_one_row_search(path):
-    # all of a problem's targets share one call, so its batches mix
-    # searches that stop at their start, attain their target and run out
+    # the targets take in searches that stop at their start, attain their
+    # target and run out
     _, summary, f, g, d, X, dirs, clearance = _search_inputs(path)
     targets = _targets(summary, f, g, d)
     starts = [_reference_direction_miss(f, g, d, X, dirs, t, math.inf, DEFAULT_SEED)
@@ -621,12 +620,12 @@ def test_batched_search_matches_the_one_row_search(path):
     outcomes = set()
     # tol = 1e-9 keeps nearly every search going until it runs out of steps
     for tol in (clearance, clearance / 50, 1e-9):
-        got = _direction_misses(f, g, d, X, dirs, targets, tol, DEFAULT_SEED)
-        want = [_reference_direction_miss(f, g, d, X, dirs, t, tol, DEFAULT_SEED)
-                for t in targets]
-        assert got == want, tol
-        outcomes |= {"start" if start <= tol else "attained" if miss <= tol else "exhausted"
-                     for start, miss in zip(starts, got)}
+        for target, start in zip(targets, starts):
+            miss = _direction_miss(f, g, d, X, dirs, target, tol, DEFAULT_SEED)
+            assert miss == _reference_direction_miss(
+                f, g, d, X, dirs, target, tol, DEFAULT_SEED), (target, tol)
+            outcomes.add("start" if start <= tol else "attained" if miss <= tol
+                         else "exhausted")
     assert {"start", "exhausted"} <= outcomes
     # cubic_shared_zero's image directions are a few rays: no descent moves
     assert "attained" in outcomes or path.stem == "cubic_shared_zero"
@@ -642,27 +641,6 @@ def test_probe_lists_match_the_reference_rule_across_counts(name):
         assert got and got == _reference_probe(pair, summary), count
 
 
-def test_batched_search_makes_fewer_evaluate_calls(monkeypatch):
-    _, summary, f, g, d, X, dirs, clearance = _search_inputs(
-        ROOT / "problems" / "cubic_shared_zero.json")
-    targets = _targets(summary, f, g, d)
-    # one call per polynomial evaluated, whether alone or with the other
-    calls = [0]
-    evaluate_many = homog_core.evaluate_many
-
-    def counting(polys, pts):
-        calls[0] += len(polys)
-        return evaluate_many(polys, pts)
-
-    monkeypatch.setattr(homog_core, "evaluate_many", counting)
-    monkeypatch.setattr(image_analysis, "evaluate_many", counting)
-    _direction_misses(f, g, d, X, dirs, targets, clearance, DEFAULT_SEED)
-    batched, calls[0] = calls[0], 0
-    for target in targets:
-        _reference_direction_miss(f, g, d, X, dirs, target, clearance, DEFAULT_SEED)
-    assert 0 < batched < calls[0] / 10, (batched, calls[0])
-
-
 def test_probe_plans_its_pair_once_across_its_rounds(monkeypatch):
     _, summary, f, g, d, X, dirs, clearance = _search_inputs(
         ROOT / "problems" / "sector_sextic_wide.json")
@@ -676,34 +654,10 @@ def test_probe_plans_its_pair_once_across_its_rounds(monkeypatch):
 
     monkeypatch.setattr(image_analysis, "evaluate_many", counting)
     homog_core._plan_frees.cache_clear()
-    _direction_misses(f, g, d, X, dirs, targets, 1e-9, DEFAULT_SEED)
+    for target in targets:
+        _direction_miss(f, g, d, X, dirs, target, 1e-9, DEFAULT_SEED)
     info = homog_core._plan_frees.cache_info()
     assert rounds[0] > 10 and (info.misses, info.hits) == (1, rounds[0] - 1), (rounds, info)
-
-
-def test_misses_are_the_remainder_forms_at_the_ends_of_the_circle():
-    # start gaps and row misses take the remainders in closed form; the
-    # forms they replace decide, on directions at and next to -pi, 0, pi
-    rng = np.random.default_rng(11)
-    ends = [a for e in (-math.pi, 0.0, math.pi) for a in
-            (e, math.nextafter(e, -4.0), math.nextafter(e, 4.0), e / 2)] + [-0.0]
-    dirs = np.clip(np.concatenate([ends, rng.uniform(-math.pi, math.pi, 40)]), -math.pi, math.pi)
-    targets = dirs.tolist()
-    for i in range(len(dirs)):
-        # the start gap to each target from one direction
-        got = _direction_misses(None, None, Dilation.standard(2), np.zeros((1, 2)),
-                                dirs[i:i + 1], targets, math.inf, DEFAULT_SEED)
-        assert got == [abs(float(np.remainder(dirs[i] - t + math.pi, TWO_PI)) - math.pi)
-                       for t in targets], dirs[i]
-    # row misses of each direction, and of zeros, near-zeros, NaN and inf
-    U, V = np.cos(dirs), np.sin(dirs)
-    U[:7] = [0.0, -0.0, 1e-12, 7e-13, 8e-13, math.nan, math.inf]
-    V[:7] = [0.0, 1e-12, 0.0, 7e-13, 8e-13, 1.0, 1.0]
-    U, V = np.tile(U, 40), np.tile(V, 40)
-    aim = np.repeat(targets[:40], len(dirs))
-    want = [math.inf if math.hypot(u, v) <= 1e-12 else
-            abs(math.remainder(math.atan2(v, u) - t, TWO_PI)) for u, v, t in zip(U, V, aim)]
-    assert image_analysis._row_misses(U, V, aim).tobytes() == np.array(want).tobytes()
 
 
 class _FragileDilation(Dilation):
@@ -727,17 +681,12 @@ def test_zero_radius_proposals_are_passed_over_as_the_one_row_search_does():
         fragile = _FragileDilation(d.weights, d.l)
         targets = _targets(summary, f, g, d, per_gap=8, attained=16)
         for tol in (clearance, clearance / 50, 1e-9):
-            wants = []
             for target in targets:
                 args = (f, g, fragile, X, dirs, target, tol, DEFAULT_SEED)
                 want = _reference_direction_miss(*args)
-                assert _direction_misses(*args[:5], [target], tol, DEFAULT_SEED) == [want], (
-                    name, target, tol)
-                wants.append(want)
-            # searches that pass over zero radii and searches that do not, in one call
-            fragile.zeros[0] = 0
-            assert _direction_misses(f, g, fragile, X, dirs, targets, tol, DEFAULT_SEED) == wants
-            fragile_rows += fragile.zeros[0]
+                fragile.zeros[0] = 0
+                assert _direction_miss(*args) == want, (name, target, tol)
+                fragile_rows += fragile.zeros[0]
     assert fragile_rows
 
 
