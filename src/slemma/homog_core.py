@@ -247,6 +247,7 @@ class GeneralizedPolynomial:
 
         Each term is {"coeff": number, "powers": [{"num": int, "den": odd int}, ...]}
         with an optional "abs": [bool, ...] forcing |x_i| factors (no sign flag).
+        A bool or a string is not a number.
         """
         entries = []
         for i, term in enumerate(data):
@@ -268,13 +269,16 @@ class GeneralizedPolynomial:
                     raise ValueError(f"term {i}, variable {j}: exponents must be nonnegative")
                 fr.append(Fraction(num, den))
             absflags = term.get("abs")
-            signed = []
-            for j, p in enumerate(fr):
-                s = p > 0 and p.numerator % 2 == 1
-                if absflags is not None and absflags[j]:
-                    s = False
-                signed.append(s)
-            entries.append((float(term["coeff"]), tuple(fr), tuple(signed)))
+            if absflags is None:
+                absflags = [False] * n
+            if not (isinstance(absflags, list) and len(absflags) == n
+                    and all(type(a) is bool for a in absflags)):
+                raise ValueError(f"term {i}: 'abs' must be a list of {n} booleans")
+            coeff = term["coeff"]
+            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
+                raise ValueError(f"term {i}: coeff must be a number")
+            signed = tuple(p > 0 and p.numerator % 2 == 1 and not a for p, a in zip(fr, absflags))
+            entries.append((float(coeff), tuple(fr), signed))
         return cls.from_terms(n, entries)
 
     # ------------------------------------------------------------- evaluate

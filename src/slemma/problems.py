@@ -103,7 +103,7 @@ def load_problem(path) -> Problem:
         raise ProblemError("problem file must contain a JSON object")
 
     version = raw.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ProblemError(
             f"unrecognized schema version {version!r}; this build reads "
             f"version {SCHEMA_VERSION}"
@@ -118,9 +118,12 @@ def load_problem(path) -> Problem:
     weights = dspec.get("weights", [1.0] * n)
     if not isinstance(weights, list) or len(weights) != n:
         raise ProblemError("dilation weights must be a list as long as 'variables'")
+    l = dspec.get("l", 2.0)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (*weights, l)):
+        raise ProblemError("bad dilation: weights and l must be numbers")
     try:
-        dilation = Dilation(tuple(float(w) for w in weights), float(dspec.get("l", 2.0)))
-    except (ValueError, TypeError) as e:
+        dilation = Dilation(tuple(float(w) for w in weights), float(l))
+    except (ValueError, OverflowError) as e:
         raise ProblemError(f"bad dilation: {e}") from None
 
     functions = {}

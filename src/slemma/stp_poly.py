@@ -22,6 +22,7 @@ of an auxiliary last variable.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .homog_core import GeneralizedPolynomial, UsageError
@@ -64,12 +65,15 @@ class CoeffVecPolynomial:
 
     @classmethod
     def from_json(cls, n: int, coeffs: dict) -> "CoeffVecPolynomial":
-        """Parse the flat {"<degree>:<index>": coeff} key form."""
+        """Parse the flat {"<degree>:<index>": coeff} key form: each key is
+        two runs of ASCII digits, and each coeff a number (not a bool)."""
         layers: dict[int, dict[int, float]] = {}
         for key, coeff in coeffs.items():
-            deg_s, _, idx_s = key.partition(":")
-            if not idx_s:
+            if not re.fullmatch(r"[0-9]+:[0-9]+", key):
                 raise ValueError(f"key {key!r} is not of the form 'degree:index'")
+            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
+                raise ValueError(f"coefficient of {key!r} must be a number")
+            deg_s, _, idx_s = key.partition(":")
             layer = layers.setdefault(int(deg_s), {})
             idx = int(idx_s)
             layer[idx] = layer.get(idx, 0.0) + float(coeff)

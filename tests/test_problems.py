@@ -233,7 +233,26 @@ MALFORMED = {
                                                                {"num": 0}])]}},
     "field reference list": {"systems": {"S": {"fields": [[["f"], "f"], ["f", "f"]]}}},
     "lyapunov reference list": {"lyapunov": {"V": ["f"]}},
+    "weight huge int": {"dilation": {"weights": [10 ** 400, 1]}},
+    "l huge int": {"dilation": {"l": 10 ** 400}},
 }
+# Each of these once loaded without an error, a string or a bool read as
+# the number it spells or a key read as another key.
+MALFORMED.update({
+    "coeff string": {"functions": {"f": [dict(TERM_X2, coeff="2")]}},
+    "coeff true": {"functions": {"f": [dict(TERM_X2, coeff=True)]}},
+    "coeffs value string": {"functions": {"f": {"coeffs": {"2:0": "3"}}}},
+    "coeffs value true": {"functions": {"f": {"coeffs": {"2:0": True}}}},
+    "weights strings": {"dilation": {"weights": ["1", "1"]}},
+    "weights true": {"dilation": {"weights": [True, True]}},
+    "l string": {"dilation": {"l": "3"}},
+    "l true": {"dilation": {"l": True}},
+    "version true": {"version": True},
+    "version float": {"version": 1.0},
+    "abs string": {"functions": {"f": [dict(TERM_X2, abs="no")]}},
+    "coeffs key spaces": {"functions": {"f": {"coeffs": {" 2 :0": 1.0}}}},
+    "coeffs key plus": {"functions": {"f": {"coeffs": {"2:+0": 1.0}}}},
+})
 
 
 @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
