@@ -611,8 +611,8 @@ def _reference_probe(pair, summary):
     ROOT / "tests" / "fixtures" / f"{name}.json"
     for name in ("mixed_quartic_l3", "sector_quartic_wide_l3")], ids=lambda p: p.stem)
 def test_batched_search_matches_the_one_row_search(path):
-    # the targets take in searches that stop at their start, attain their
-    # target and run out
+    # the targets' searches stop at their start, attain their target or
+    # run out of steps
     _, summary, f, g, d, X, dirs, clearance = _search_inputs(path)
     targets = _targets(summary, f, g, d)
     starts = [_reference_direction_miss(f, g, d, X, dirs, t, math.inf, DEFAULT_SEED)
