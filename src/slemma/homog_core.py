@@ -174,6 +174,13 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return s
 
 
+def _known_keys(obj: dict, keys: tuple, where: str, error=ValueError) -> None:
+    """Raise `error` naming the first key of `obj` not in `keys`, and where it is."""
+    for key in obj:
+        if key not in keys:
+            raise error(f"{where}: unknown key {key!r}")
+
+
 # A term is keyed by its exponent tuple and sign-flag tuple; the value is
 # the coefficient.  Keys are canonical, so equal-key terms always merge.
 TermKey = tuple[tuple[Fraction, ...], tuple[bool, ...]]
@@ -247,17 +254,19 @@ class GeneralizedPolynomial:
 
         Each term is {"coeff": number, "powers": [{"num": int, "den": odd int}, ...]}
         with an optional "abs": [bool, ...] forcing |x_i| factors (no sign flag).
-        A bool or a string is not a number.
+        A bool or a string is not a number, and any other key is an error.
         """
         entries = []
         for i, term in enumerate(data):
             if not isinstance(term, dict) or "coeff" not in term or "powers" not in term:
                 raise ValueError(f"term {i}: expected keys 'coeff' and 'powers'")
+            _known_keys(term, ("coeff", "powers", "abs"), f"term {i}")
             powers = term["powers"]
             if len(powers) != n:
                 raise ValueError(f"term {i}: expected {n} powers, got {len(powers)}")
             fr = []
             for j, p in enumerate(powers):
+                _known_keys(p, ("num", "den"), f"term {i}, variable {j}")
                 num, den = p["num"], p.get("den", 1)
                 # a bool, a string or a fraction is not an exponent part
                 if not all(type(v) in (int, float) and float(v).is_integer() for v in (num, den)):

@@ -18,6 +18,14 @@ samples, bisecting the sphere parameter must close an artifact gap,
 while a real gap survives down to the width floor.  For n = 2 the
 sampler therefore adaptively refines every steep jump before trusting a
 gap; without this, steep-but-continuous pairs are misread as sectors.
+
+For n >= 3 the samples are not spread evenly, so the gaps are read off a
+cover instead.  Consecutive samples along a Z-order curve of their
+coordinates are joined when they lie at most JOIN_DISTANCE median steps
+apart, their directions differ by at most JOIN_TURN, and neither is a
+zero of the image, which severs the direction path.  Between such near
+samples the continuous direction is taken to sweep the principal arc
+between theirs, which is covered; leaving a join out keeps a gap open.
 """
 
 from __future__ import annotations
@@ -57,6 +65,10 @@ GAP_FACTOR = 3.0
 REFINE_WIDTH_FLOOR = 1e-9
 REFINE_BUDGET = 200000
 
+MORTON_BITS = 10
+JOIN_DISTANCE = 4.0
+JOIN_TURN = math.pi / 4
+
 
 class ImageClass(Enum):
     SINGLETON = "singleton"
@@ -83,6 +95,7 @@ class ImageSummary:
     refinement_evals: int = 0
     refinement_complete: bool = True
     scatter: np.ndarray | None = None
+    arcs: np.ndarray | None = None
 
 
 @dataclass
@@ -152,10 +165,37 @@ def _circ_diff(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _gap_list(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Circular gaps of a sorted direction array: (gap widths, gap starts)."""
-    gaps = np.diff(np.append(dirs, dirs[0] + TWO_PI))
-    return gaps, dirs
+def _uncovered(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, starts) of the gaps after each arc [start, end] of `arcs`,
+    start in [-pi, pi], taken in order of start: width 0 where the next arc
+    starts inside the union so far.  An arc past pi also covers beyond -pi."""
+    arcs = np.concatenate([arcs[arcs[:, 1] > math.pi] - TWO_PI, arcs])
+    order = np.argsort(arcs[:, 0], kind="stable")
+    starts, ends = arcs[order, 0], np.maximum.accumulate(arcs[order, 1])
+    return np.maximum(np.append(starts[1:], starts[0] + TWO_PI) - ends, 0.0), ends
+
+
+def _cover(X: np.ndarray, F: np.ndarray, G: np.ndarray, ztol: float) -> np.ndarray:
+    """The arcs that the joins of samples X (entries in [-1, 1]) with image
+    values F, G cover, as rows [start, end] of a (k, 2) array: the joined
+    samples' directions, counterclockwise, with end + 2 pi across pi."""
+    if len(X) < 2:
+        return np.empty((0, 2))
+    # the Z-order curve: interleaved bits of the coordinates, high bits first
+    q = np.clip((X + 1.0) * (1 << MORTON_BITS - 1), 0, (1 << MORTON_BITS) - 1).astype(np.uint16)
+    bits = q[:, None, :] >> np.arange(MORTON_BITS - 1, -1, -1, dtype=np.uint16)[:, None] & 1
+    order = np.lexsort(np.packbits(bits.reshape(len(X), -1).astype(np.uint8), axis=1).T[::-1])
+    F, G, X = F[order], G[order], X[order]
+    dirs = np.arctan2(G, F)
+    step = np.linalg.norm(np.diff(X, axis=0), axis=1)
+    turn = np.remainder(np.diff(dirs) + math.pi, TWO_PI) - math.pi
+    live = np.hypot(F, G) > ztol
+    join = live[:-1] & live[1:] & (step <= JOIN_DISTANCE * np.median(step))
+    join &= np.abs(turn) <= JOIN_TURN
+    arcs = np.column_stack([dirs[:-1], dirs[1:]])[join]
+    arcs[turn[join] < 0.0] = arcs[turn[join] < 0.0, ::-1]
+    arcs[arcs[:, 1] < arcs[:, 0], 1] += TWO_PI
+    return arcs
 
 
 def _sample_splits(theta, F, G, ztol, gap_tol) -> list:
@@ -307,7 +347,9 @@ class SampledPair:
 
         The sector angle is phi = 2*pi minus the largest direction gap when
         that gap is confirmed (above 3x sample spacing, surviving adaptive
-        refinement for n = 2), else 2*pi.
+        refinement for n = 2, left open by the cover for n >= 3), else 2*pi.
+        `arcs` holds what the gaps were read off: each direction as a
+        zero-width arc, and for n >= 3 the cover's arcs.
         """
         k, n, count, seed = self.degree, self.d.n, self.count, self.seed
         F, G = self.F, self.G
@@ -325,10 +367,7 @@ class SampledPair:
                 scatter=np.array([[0.0, u, v]]),
             )
 
-        if n == 2:
-            params = theta_grid(count)
-        else:
-            params = np.arange(len(self.X), dtype=float)
+        params = theta_grid(count) if n == 2 else np.arange(len(self.X), dtype=float)
         scatter = np.column_stack([params[: len(F)], F, G])
 
         with overflow_guard("image classification"):
@@ -340,16 +379,19 @@ class SampledPair:
             dirs = np.arctan2(G[nz], F[nz])
             gap_tol = GAP_FACTOR * TWO_PI / count
 
-            evals, complete = 0, True
+            evals, complete, cover = 0, True, np.empty((0, 2))
             if n == 2:
                 extras, evals, complete = _refine_directions(
                     self.f, self.g, self.d, params, F, G, gap_tol
                 )
                 if len(extras):
                     dirs = np.concatenate([dirs, extras])
+            elif n >= 3:
+                cover = _cover(self.X, F, G, ztol)
 
             dirs = np.sort(dirs)
-            gaps, starts = _gap_list(dirs)
+            arcs = np.concatenate([np.column_stack([dirs, dirs]), cover])
+            gaps, starts = _uncovered(arcs)
             largest = float(np.max(gaps))
 
         confirmed = [
@@ -370,6 +412,7 @@ class SampledPair:
             refinement_evals=evals,
             refinement_complete=complete,
             scatter=scatter,
+            arcs=arcs,
         )
         if len(confirmed) == 2:
             # two narrow antipodal clusters are a line through the origin,
@@ -459,9 +502,10 @@ class SampledPair:
             raise UsageError("degree must be positive")
         summary = self.image()
 
-        dirs = summary.directions
-        sym = np.sort(np.concatenate([dirs, ((dirs + math.pi + math.pi) % TWO_PI) - math.pi]))
-        gaps, starts = _gap_list(sym)
+        arcs = summary.arcs
+        turned = ((arcs[:, 0] + math.pi + math.pi) % TWO_PI) - math.pi
+        gaps, starts = _uncovered(np.concatenate([arcs, np.column_stack(
+            [turned, turned + (arcs[:, 1] - arcs[:, 0])])]))
         i = int(np.argmax(gaps))
         largest = float(gaps[i])
         gap_tol = GAP_FACTOR * TWO_PI / self.count
@@ -492,23 +536,19 @@ class SampledPair:
         pair with an exact common zero, whose direction set can be several
         arcs.  With no common zero the set is one arc, and the list is
         non-empty exactly when pi < phi < 2 pi (unless a coarse sample's
-        clearance covers the edge midpoint).  n >= 3 gaps are only sampled
-        and can be spurious, so there `_direction_miss` searches each
-        midpoint direction, once per multiple of the clearance it rounds
-        to, and the midpoints whose direction it attains are dropped.  A
-        float64 overflow raises FloatingPointError naming the probe.
+        clearance covers the edge midpoint).  A float64 overflow raises
+        FloatingPointError naming the probe.
         """
         gaps = summary.gaps
         if len(gaps) > 1 and not (self.d.n == 2 and self._exact_common_zero):
             gaps = [max(gaps, key=lambda gap: gap[1] - gap[0])]
         if not gaps:
             return []
-        f, g, d = self.f, self.g, self.d
         clearance = GAP_FACTOR * TWO_PI / self.count
 
         with overflow_guard("convexity probe"):
             pts = self.joint_values
-            pts_axis = np.column_stack(evaluate_many((f, g), _axis_points(d.n)))
+            pts_axis = np.column_stack(evaluate_many((self.f, self.g), _axis_points(self.d.n)))
             keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * self.scale
             pts = pts[keep]
             if len(pts) < 2:
@@ -524,19 +564,13 @@ class SampledPair:
             U = np.concatenate([pts_axis[first], pts[before]])
             V = np.concatenate([pts_axis[second], pts[after]])
 
-            attained, violations = {}, []
+            violations = []
             for u, v, mid in zip(U.tolist(), V.tolist(), (0.5 * (U + V)).tolist()):
                 if math.hypot(mid[0], mid[1]) <= 1e-9 * self.scale:
                     continue
                 direction = math.atan2(mid[1], mid[0])
                 hit = _inside_gap(direction, gaps, clearance)
-                if hit is None:
-                    continue
-                key = int(round(direction / clearance))
-                if key not in attained:
-                    attained[key] = d.n >= 3 and _direction_miss(
-                        f, g, d, self.X[keep], dirs, direction, clearance, self.seed) <= clearance
-                if not attained[key]:
+                if hit is not None:
                     violations.append({"u": u, "v": v, "midpoint": mid,
                                        "direction": direction, "gap": list(hit)})
             return violations
@@ -670,45 +704,3 @@ def _inside_gap(direction: float, gaps, clearance: float) -> tuple[float, float]
             if a + clearance < cand < b - clearance:
                 return (a, b)
     return None
-
-
-def _direction_miss(f, g, d, X, dirs, target: float, tol: float, seed) -> float:
-    """Local search for a sphere point whose image direction hits
-    `target` in [-pi, pi]: the smallest angular distance to it reached,
-    stopping as soon as that is <= tol.
-
-    A confirmed n >= 3 gap can be spurious where the pushforward density
-    of directions vanishes; a gap direction reachable by a short descent
-    is not evidence that a midpoint left the image.  The search starts at
-    the sample whose direction is nearest the target and draws its steps
-    from its own generator, seeded by (seed, target).
-    """
-    gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
-    best_i = int(np.argmin(gap))
-    best = float(gap[best_i])
-    if best <= tol:
-        return best
-    x = X[best_i]
-    rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
-    scale = max(1.0, float(np.max(np.abs(X))))
-    step = 0.3
-    for _ in range(60):
-        moved = False
-        for prop in rng.normal(size=(6, X.shape[1])):
-            y = x + step * scale * prop
-            if not d.radius(y) > 0:
-                continue
-            y = d.project(y)
-            u, v = evaluate_many((f, g), y).tolist()
-            if math.hypot(u, v) <= 1e-12:
-                continue
-            miss = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
-            if miss < best:
-                best, x, moved = miss, y, True
-                if best <= tol:
-                    return best
-        if not moved:
-            step *= 0.6
-            if step < 1e-6:
-                break
-    return best

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .homog_core import Dilation, GeneralizedPolynomial
+from .homog_core import Dilation, GeneralizedPolynomial, _known_keys
 from .stp_poly import CoeffVecPolynomial
 from .switched_systems import SwitchedSystem
 
@@ -31,6 +31,7 @@ def parse_function(n: int, spec) -> GeneralizedPolynomial:
     if isinstance(spec, list):
         return GeneralizedPolynomial.from_json_terms(n, spec)
     if isinstance(spec, dict) and isinstance(spec.get("coeffs"), dict):
+        _known_keys(spec, ("coeffs",), "coeffs literal", ProblemError)
         return CoeffVecPolynomial.from_json(n, spec["coeffs"]).to_generalized()
     raise ProblemError(
         "function literal must be a term list or a {'coeffs': {...}} object"
@@ -101,6 +102,8 @@ def load_problem(path) -> Problem:
         raise ProblemError(f"problem file is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ProblemError("problem file must contain a JSON object")
+    _known_keys(raw, ("version", "variables", "dilation", "functions", "systems", "lyapunov"),
+               "problem file", ProblemError)
 
     version = raw.get("version")
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -113,8 +116,11 @@ def load_problem(path) -> Problem:
     if not isinstance(variables, list) or not variables:
         raise ProblemError("'variables' must be a nonempty list of names")
     n = len(variables)
+    if not all(isinstance(v, str) and v for v in variables) or len(set(variables)) != n:
+        raise ProblemError("'variables' must be distinct, nonempty strings")
 
     dspec = _section(raw, "dilation")
+    _known_keys(dspec, ("weights", "l"), "'dilation'", ProblemError)
     weights = dspec.get("weights", [1.0] * n)
     if not isinstance(weights, list) or len(weights) != n:
         raise ProblemError("dilation weights must be a list as long as 'variables'")
@@ -138,6 +144,7 @@ def load_problem(path) -> Problem:
         flds = spec.get("fields") if isinstance(spec, dict) else None
         if not isinstance(flds, list) or not flds:
             raise ProblemError(f"system '{name}' needs a 'fields' list")
+        _known_keys(spec, ("fields",), f"system '{name}'", ProblemError)
         resolved = []
         for comps in flds:
             if not isinstance(comps, list) or len(comps) != n:

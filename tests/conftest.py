@@ -35,6 +35,50 @@ def random_symmetric(rng, n):
     return (A + A.T) / 2.0
 
 
+# angles t of the pencil cos t*A + sin t*B, 3.2e-4 rad apart
+PENCIL_T = np.linspace(-np.pi, np.pi, 20000, endpoint=False)
+
+
+def pencil_min_eigenvalues(A, B):
+    """lambda_min(cos t*A + sin t*B) at each t of PENCIL_T."""
+    c, s = np.cos(PENCIL_T)[:, None, None], np.sin(PENCIL_T)[:, None, None]
+    return np.linalg.eigvalsh(c * A + s * B)[:, 0]
+
+
+def quadratic_image(A, B):
+    """(phi, margin, center) of the joint image of x^T A x and x^T B x on
+    R^n, n >= 3, exact up to the grid of PENCIL_T.
+
+    The image is convex (Dines 1941).  It is the whole plane exactly when
+    margin = max_t lambda_min(cos t*A + sin t*B) < 0.  Otherwise the set T
+    of t where the pencil is positive semidefinite is an arc, the image is
+    the sector of angle phi = pi - |T| dual to it, and both are centered
+    at the angle `center` (None for the whole plane)."""
+    lam = pencil_min_eigenvalues(A, B)
+    margin = float(lam.max())
+    if margin < 0:
+        return 2 * np.pi, margin, None
+    t = PENCIL_T[lam >= 0]
+    center = float(np.arctan2(np.sin(t).sum(), np.cos(t).sum()))
+    return np.pi - 2 * np.pi * len(t) / len(PENCIL_T), margin, center
+
+
+def quadratic_pairs(seed, per_n=6):
+    """Pairs (A, B) of symmetric matrices for n = 3 and 4, every other one
+    planted with A = B + 3I (so that A - B is positive definite), keeping
+    those whose `quadratic_image` margin is more than 0.01 from 0."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in (3, 4):
+        for k in range(per_n):
+            A, B = random_symmetric(rng, n), random_symmetric(rng, n)
+            if k % 2:
+                A = B + 3.0 * np.eye(n)
+            if abs(quadratic_image(A, B)[1]) > 0.01:
+                pairs.append((A, B))
+    return pairs
+
+
 # Coefficients clear of the 1e-15 relative cutoff that drops negligible terms.
 COEFFS = st.builds(lambda m, s: m * s, st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]))
 

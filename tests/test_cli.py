@@ -23,6 +23,8 @@ from slemma.image_analysis import (
 from slemma.s_lemma import MultiplierCertificate, MultiplierFailure, ReasonCode
 from slemma.switched_systems import LfhdReport, ScanResult, SynthesisResult
 
+from conftest import PENCIL_T, pencil_min_eigenvalues, quadratic_image, quadratic_pairs
+
 
 def run(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
@@ -358,10 +360,43 @@ def test_result_keys_are_the_report_fields(tmp_path, problems_dir, command, prob
     if report is SynthesisResult:
         assert set(result["certificate"]) == _names(MultiplierCertificate)
     if report is ShsConditionReport:
-        assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter"),
+        assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter", "arcs"),
                                               add=("direction_count",))
     if report is MultiplierFailure:
         assert result["ok"] is False and result["reason"] == "COMMON_ZERO"
+
+
+def _quadratic_problem(path, A, B):
+    """A problem file with f = x^T A x and g = x^T B x."""
+    n = len(A)
+
+    def terms(Q):
+        return [{"coeff": float(Q[i, j] if i == j else 2.0 * Q[i, j]),
+                 "powers": [{"num": (k == i) + (k == j), "den": 1} for k in range(n)]}
+                for i in range(n) for j in range(i, n)]
+
+    path.write_text(json.dumps({"version": 1, "variables": [f"x{k + 1}" for k in range(n)],
+                                "functions": {"f": terms(A), "g": terms(B)}}))
+    return path
+
+
+def test_n3_strict_search_agrees_with_the_exact_quadratic_answer(tmp_path):
+    # For t in (-pi/2, 0), cos t*A + sin t*B is cos t*(A - xi*B) with
+    # xi = -tan t > 0, so the pencil's eigenvalues there grid xi over
+    # (0, inf).  shs-xi certifies exactly when some xi > 0 makes A - xi*B
+    # positive definite, and shs-check holds exactly when phi < pi.
+    outcomes = set()
+    for i, (A, B) in enumerate(quadratic_pairs(7)):
+        lam = pencil_min_eigenvalues(A, B)[(-np.pi / 2 < PENCIL_T) & (PENCIL_T < 0)]
+        if abs(lam.max()) <= 0.01:
+            continue
+        strict = bool(lam.max() > 0)
+        path = _quadratic_problem(tmp_path / f"pair{i}.json", A, B)
+        assert (run(tmp_path, "shs-xi", str(path)) == 0) == strict, i
+        assert (run(tmp_path, "shs-check", str(path)) == 0) == (
+            quadratic_image(A, B)[0] < np.pi), i
+        outcomes.add(strict)
+    assert outcomes == {False, True}
 
 
 # -------------------------------------------------------------- error paths

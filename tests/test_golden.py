@@ -14,7 +14,7 @@ commands with CSV/SVG output run once with `--format csv` and once with
 `--format json`.  Three more runs pass the comma-separated vector flags
 (`--lambdas`, `--x0`, `--z1`/`--z2`), which the default runs leave
 unset.  `image` also runs at a few non-default seeds, because n >= 3
-samples and the convexity probe's local searches depend on the seed;
+samples, and the cover their gaps are read off, depend on the seed;
 at 1,024 samples the probe reports violations on the three problems of
 `PROBE_PROBLEMS`, so those runs freeze the violation lists at a coarser
 sample spacing too.  f >= 0 on `quartic3_pair`'s samples, so
@@ -26,12 +26,12 @@ generated quartic pair (`fixtures/quartic3_margin.json`, written by
 exponent l != 2, so `SPHERE_RUNS` run `image` on `sector_quartic_wide`
 with l = 3 (`fixtures/sector_quartic_wide_l3.json`), where every point
 of the theta grid and of direction refinement is projected onto the
-sphere.  Only n >= 3 gaps are searched before the probe reads them, and
-no shipped pair's probe searches, so `SEARCH_RUNS` run `image` on a pair
-of quadratic forms on R^3 (`fixtures/quadratic3_spurious_gap.json`),
-whose image is convex (Dines) but whose samples leave a gap wider than
-pi: the probe searches its one midpoint direction and attains it.  No
-shipped problem mixes weights 1 and 2 either, so
+sphere.  No shipped pair is n >= 3 with an image that is the whole
+plane, so `COVER_RUNS` run `image` on a pair of quadratic forms on R^3
+(`fixtures/quadratic3_spurious_gap.json`): its image is convex (Dines)
+and is the whole plane, though its sorted sample directions leave
+thousands of gaps above the tolerance, one of them wider than pi, which
+the cover closes.  No shipped problem mixes weights 1 and 2 either, so
 `MIXED_RUNS` run `zeros`, `copositive` and `image` on a quartic pair
 with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
 projecting each theta point scales a weight-1 and a weight-2 column
@@ -93,9 +93,9 @@ MARGIN_RUNS = (
 SPHERE_RUNS = (
     ("image", FIXTURES / "sector_quartic_wide_l3.json", (None, *IMAGE_SEEDS)),
 )
-# runs whose convexity probe searches: a pair of quadratic forms on R^3
-# has a convex image, yet its samples leave a spurious gap above pi
-SEARCH_RUNS = (
+# n >= 3 runs whose cover closes every gap between sample directions: a
+# pair of quadratic forms on R^3 whose image is the whole plane
+COVER_RUNS = (
     ("image", FIXTURES / "quadratic3_spurious_gap.json", (None, *IMAGE_SEEDS)),
 )
 # (command, format): runs on a (1, 2) dilation with l = 3
@@ -149,7 +149,7 @@ def _runs():
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
-    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS + SEARCH_RUNS:
+    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS + COVER_RUNS:
         for seed in seeds:
             key = f"{command} {problem.name} json"
             argv = [command, str(problem), "--format", "json"]

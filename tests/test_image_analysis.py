@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slemma.image_analysis as image_analysis
-from slemma import homog_core
 from slemma import Dilation, GeneralizedPolynomial
 from slemma.homog_core import (
     DEFAULT_SEED,
@@ -32,15 +31,16 @@ from slemma.image_analysis import (
     _axis_points,
     _circ_diff,
     _common_zero_n2,
-    _direction_miss,
+    _cover,
     _inside_gap,
     _refine_directions,
+    _uncovered,
     mixing_curve,
 )
 from slemma.cli import main
 from slemma.problems import load_problem
 
-from conftest import quad_form, random_symmetric
+from conftest import quad_form, quadratic_image, quadratic_pairs, random_symmetric
 
 GP = GeneralizedPolynomial
 
@@ -471,24 +471,33 @@ def test_a_line_through_the_origin_carries_no_violations(tmp_path):
 
 
 def test_an_n2_probe_never_searches(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an n = 2 probe searched")
+    # the probe evaluates f and g at the axis points and nowhere else
+    calls = []
+    evaluate_many = image_analysis.evaluate_many
 
-    monkeypatch.setattr(image_analysis, "_direction_miss", refuse)
+    def counting(polys, pts):
+        calls.append(len(pts))
+        return evaluate_many(polys, pts)
+
     found = 0
     planar = IMAGE_PROBLEMS[:-1] + [ROOT / "tests" / "fixtures" / "sector_quartic_wide_l3.json"]
     for path in planar:
         problem = load_problem(path)
         for count in (None, 1024):
             pair = SampledPair.draw(*problem.pair(), problem.dilation, count)
-            found += len(pair.convexity_probe(pair.image()))
+            summary = pair.image()
+            monkeypatch.setattr(image_analysis, "evaluate_many", counting)
+            violations = pair.convexity_probe(summary)
+            monkeypatch.undo()
+            assert calls in ([], [2 * problem.n]), (path.stem, calls)
+            found += len(violations)
+            calls.clear()
     assert found
 
 
 def test_a_spurious_gap_beside_the_largest_is_not_read():
     # a pair with no common zero admits only its largest gap: a narrower
-    # confirmed gap inside the image arc, as sampling alone can leave for
-    # n >= 3, holds no violation
+    # confirmed gap inside the image arc holds no violation
     problem = load_problem(ROOT / "problems" / "sector_sextic_wide.json")
     pair = SampledPair.draw(*problem.pair(), problem.dilation)
     summary = pair.image()
@@ -501,73 +510,15 @@ def test_a_spurious_gap_beside_the_largest_is_not_read():
         assert pair.convexity_probe(dataclasses.replace(summary, gaps=gaps)) == want
 
 
-# --------------------------------------------------- the probe's local search
-
-
-def _reference_direction_miss(f, g, d, X, dirs, target, tol, seed):
-    """One direction search evaluating f and g one at a time: the
-    reference `_direction_miss` must match bit for bit."""
-    gap = np.abs(np.remainder(dirs - target + math.pi, TWO_PI) - math.pi)
-    best_i = int(np.argmin(gap))
-    best = float(gap[best_i])
-    if best <= tol:
-        return best
-    x = X[best_i].copy()
-    rng = np.random.default_rng([abs(int(seed)), int(round(target * 1e6)) % (2 ** 32)])
-    scale = max(1.0, float(np.max(np.abs(X))))
-    step = 0.3
-    for _ in range(60):
-        moved = False
-        for prop in rng.normal(size=(6, X.shape[1])):
-            y = x + step * scale * prop
-            if not d.radius(y) > 0:
-                continue
-            y = d.project(y)
-            u, v = float(f.evaluate(y)), float(g.evaluate(y))
-            if math.hypot(u, v) <= 1e-12:
-                continue
-            cand = abs(math.remainder(math.atan2(v, u) - target, TWO_PI))
-            if cand < best:
-                best, x, moved = cand, y, True
-                if best <= tol:
-                    return best
-        if not moved:
-            step *= 0.6
-            if step < 1e-6:
-                break
-    return best
-
-
-def _search_inputs(path, seed=DEFAULT_SEED, count=None):
-    """(pair, summary, f, g, d, X, dirs, clearance) as convexity_probe sets them up."""
-    problem = load_problem(path)
-    f, g = problem.pair()
-    pair = SampledPair.draw(f, g, problem.dilation, count, seed)
-    pts = pair.joint_values
-    keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * pair.scale
-    dirs = np.arctan2(pts[keep, 1], pts[keep, 0])
-    clearance = GAP_FACTOR * TWO_PI / pair.count
-    return pair, pair.image(), f, g, problem.dilation, pair.X[keep], dirs, clearance
-
-
-def _targets(summary, f, g, d, per_gap=4, attained=8):
-    """Directions inside each confirmed gap, where searches run out of
-    steps, and image directions of unsampled sphere points, which a
-    search can attain."""
-    out = [a + (b - a) * (i + 0.5) / per_gap for a, b in summary.gaps for i in range(per_gap)]
-    Y = d.project(np.random.default_rng(5).normal(size=(attained, d.n)))
-    out += list(np.arctan2(g.evaluate(Y), f.evaluate(Y)))
-    return [math.remainder(float(t), TWO_PI) for t in out]
+# ------------------------------------------------ the probe's reference rule
 
 
 def _reference_probe(pair, summary):
     """convexity_probe by its rule, one candidate at a time: every pair of
     axis samples, then for each admitted gap (all confirmed gaps of an
     n = 2 pair with a common zero, else the largest) the last sample at or
-    before it and the first at or after it.  For n >= 3 each midpoint
-    direction in a gap is searched, in candidate order, by the one-row
-    reference search."""
-    f, g, d, seed = pair.f, pair.g, pair.d, pair.seed
+    before it and the first at or after it."""
+    f, g, d = pair.f, pair.g, pair.d
     clearance = GAP_FACTOR * TWO_PI / pair.count
     gaps = summary.gaps
     if len(gaps) > 1 and not (d.n == 2 and _common_zero_n2(f, g)):
@@ -586,20 +537,14 @@ def _reference_probe(pair, summary):
         back = [(center - t) % TWO_PI for t in dirs.tolist()]
         ahead = [(t - center) % TWO_PI for t in dirs.tolist()]
         pairs.append((pts[back.index(min(back))], pts[ahead.index(min(ahead))]))
-    attained, violations = {}, []
+    violations = []
     for u, v in pairs:
         mid = 0.5 * (u + v)
         if math.hypot(mid[0], mid[1]) <= 1e-9 * pair.scale:
             continue
         direction = math.atan2(mid[1], mid[0])
         hit = _inside_gap(direction, gaps, clearance)
-        if hit is None:
-            continue
-        key = int(round(direction / clearance))
-        if key not in attained:
-            attained[key] = d.n >= 3 and _reference_direction_miss(
-                f, g, d, pair.X[keep], dirs, direction, clearance, seed) <= clearance
-        if not attained[key]:
+        if hit is not None:
             violations.append({"u": [float(u[0]), float(u[1])],
                                "v": [float(v[0]), float(v[1])],
                                "midpoint": [float(mid[0]), float(mid[1])],
@@ -607,87 +552,15 @@ def _reference_probe(pair, summary):
     return violations
 
 
-@pytest.mark.parametrize("path", IMAGE_PROBLEMS + [
-    ROOT / "tests" / "fixtures" / f"{name}.json"
-    for name in ("mixed_quartic_l3", "sector_quartic_wide_l3")], ids=lambda p: p.stem)
-def test_batched_search_matches_the_one_row_search(path):
-    # the targets' searches stop at their start, attain their target or
-    # run out of steps
-    _, summary, f, g, d, X, dirs, clearance = _search_inputs(path)
-    targets = _targets(summary, f, g, d)
-    starts = [_reference_direction_miss(f, g, d, X, dirs, t, math.inf, DEFAULT_SEED)
-              for t in targets]
-    outcomes = set()
-    # tol = 1e-9 keeps nearly every search going until it runs out of steps
-    for tol in (clearance, clearance / 50, 1e-9):
-        for target, start in zip(targets, starts):
-            miss = _direction_miss(f, g, d, X, dirs, target, tol, DEFAULT_SEED)
-            assert miss == _reference_direction_miss(
-                f, g, d, X, dirs, target, tol, DEFAULT_SEED), (target, tol)
-            outcomes.add("start" if start <= tol else "attained" if miss <= tol
-                         else "exhausted")
-    assert {"start", "exhausted"} <= outcomes
-    # cubic_shared_zero's image directions are a few rays: no descent moves
-    assert "attained" in outcomes or path.stem == "cubic_shared_zero"
-
-
 @pytest.mark.parametrize("name", ["cubic_shared_zero", "sector_sextic_wide"])
 def test_probe_lists_match_the_reference_rule_across_counts(name):
     # an n = 2 probe reads no seed; the sample count moves the gap edges
-    path = ROOT / "problems" / f"{name}.json"
+    problem = load_problem(ROOT / "problems" / f"{name}.json")
     for count in (64, 100, 128, 256, 333, 512, 1000, 1024, 2048, 4096):
-        pair, summary = _search_inputs(path, count=count)[:2]
+        pair = SampledPair.draw(*problem.pair(), problem.dilation, count)
+        summary = pair.image()
         got = pair.convexity_probe(summary)
         assert got and got == _reference_probe(pair, summary), count
-
-
-def test_probe_plans_its_pair_once_across_its_rounds(monkeypatch):
-    _, summary, f, g, d, X, dirs, clearance = _search_inputs(
-        ROOT / "problems" / "sector_sextic_wide.json")
-    targets = _targets(summary, f, g, d)
-    rounds = [0]
-    evaluate_many = homog_core.evaluate_many
-
-    def counting(polys, pts):
-        rounds[0] += 1
-        return evaluate_many(polys, pts)
-
-    monkeypatch.setattr(image_analysis, "evaluate_many", counting)
-    homog_core._plan_frees.cache_clear()
-    for target in targets:
-        _direction_miss(f, g, d, X, dirs, target, 1e-9, DEFAULT_SEED)
-    info = homog_core._plan_frees.cache_info()
-    assert rounds[0] > 10 and (info.misses, info.hits) == (1, rounds[0] - 1), (rounds, info)
-
-
-class _FragileDilation(Dilation):
-    """A dilation whose radius reads 0 at about one point in 256 (picked
-    by the low bits of x_0), as if every entry had underflowed.  `zeros`
-    counts the zero radii it has returned."""
-
-    zeros = [0]
-
-    def radius(self, x):
-        fragile = np.asarray(x, dtype=float)[..., 0].view(np.uint64) % 256 == 0
-        self.zeros[0] += int(np.sum(fragile))
-        return super().radius(x) * ~fragile
-
-
-def test_zero_radius_proposals_are_passed_over_as_the_one_row_search_does():
-    fragile_rows = 0
-    for name in ("cubic_shared_zero", "sector_sextic_wide"):
-        _, summary, f, g, d, X, dirs, clearance = _search_inputs(
-            ROOT / "problems" / f"{name}.json")
-        fragile = _FragileDilation(d.weights, d.l)
-        targets = _targets(summary, f, g, d, per_gap=8, attained=16)
-        for tol in (clearance, clearance / 50, 1e-9):
-            for target in targets:
-                args = (f, g, fragile, X, dirs, target, tol, DEFAULT_SEED)
-                want = _reference_direction_miss(*args)
-                fragile.zeros[0] = 0
-                assert _direction_miss(*args) == want, (name, target, tol)
-                fragile_rows += fragile.zeros[0]
-    assert fragile_rows
 
 
 def test_a_midpoint_overflow_raises_what_the_pair_order_scan_raises():
@@ -706,6 +579,116 @@ def test_a_midpoint_overflow_raises_what_the_pair_order_scan_raises():
     with pytest.raises(FloatingPointError) as want, overflow_guard("convexity probe"):
         _reference_probe(pair, summary)
     assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------------ n >= 3 covers
+
+
+def _turned(A, B, alpha):
+    """The pair of forms whose image is that of (A, B) turned by alpha."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    return c * A - s * B, s * A + c * B
+
+
+def _quadratic_cases():
+    """`quadratic_pairs(7)`, with each sector also turned so that its arc,
+    and then its gap, is centered on the negative f axis, where the
+    directions wrap from pi to -pi."""
+    cases = []
+    for A, B in quadratic_pairs(7):
+        cases.append((A, B))
+        center = quadratic_image(A, B)[2]
+        if center is not None:
+            cases += [_turned(A, B, math.pi - center), _turned(A, B, -center)]
+    return cases
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+def test_quadratic_images_for_n_at_least_3_are_the_exact_ones(seed):
+    # the image of two quadratic forms on R^n, n >= 3, is convex (Dines),
+    # so phi never lies in (pi, 2 pi)
+    read = set()
+    for A, B in _quadratic_cases():
+        phi = quadratic_image(A, B)[0]
+        summary = SampledPair.draw(quad_form(A), quad_form(B), Dilation.standard(len(A)),
+                                   seed=seed).image()
+        want = ImageClass.FULL_PLANE if phi == TWO_PI else ImageClass.ANGULAR_SECTOR
+        assert summary.classification is want, (A, B)
+        assert summary.phi == pytest.approx(phi, abs=0.01), (A, B)
+        assert not math.pi < summary.phi < TWO_PI
+        read.add(want)
+    assert read == {ImageClass.FULL_PLANE, ImageClass.ANGULAR_SECTOR}
+
+
+@pytest.mark.parametrize("c", [0.08, 0.15])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+def test_a_narrow_gap_of_an_n3_image_stays_open(seed, c):
+    # p = x1^2 - x2^2 and q = x3^2 + c*(x1^2 + x2^2) share no zero, and
+    # their image is {(u, v) : v >= c|u|}; f + ig = (p + iq)^2 doubles its
+    # directions, which leaves a gap of 4*atan(c) (0.32 rad at c = 0.08),
+    # narrower than JOIN_TURN, so only the join distance keeps it open
+    f = GP.from_terms(3, [(1 - c * c, (4, 0, 0)), (-2 - 2 * c * c, (2, 2, 0)),
+                          (1 - c * c, (0, 4, 0)), (-1, (0, 0, 4)),
+                          (-2 * c, (2, 0, 2)), (-2 * c, (0, 2, 2))])
+    g = GP.from_terms(3, [(2 * c, (4, 0, 0)), (-2 * c, (0, 4, 0)),
+                          (2, (2, 0, 2)), (-2, (0, 2, 2))])
+    pair = SampledPair.draw(f, g, Dilation.standard(3), seed=seed)
+    summary = pair.image()
+    assert summary.classification is ImageClass.ANGULAR_SECTOR
+    assert summary.phi == pytest.approx(TWO_PI - 4 * math.atan(c), abs=0.01)
+    assert len(summary.gaps) == 1
+    # pi < phi < 2 pi with no common zero: midpoints leave the image
+    assert pair.convexity_probe(summary)
+
+
+def _chain(dirs, steps=None):
+    """(X, F, G) of samples on the x_0 axis of R^3, 0.01 apart (or `steps`
+    hundredths from the first) in order, with image directions `dirs`
+    (None for a zero of f and g)."""
+    X = np.zeros((len(dirs), 3))
+    X[:, 0] = -0.9 + 0.01 * (np.arange(len(dirs)) if steps is None else steps)
+    F = np.array([0.0 if d is None else math.cos(d) for d in dirs])
+    G = np.array([0.0 if d is None else math.sin(d) for d in dirs])
+    return X, F, G
+
+
+def _gaps(arcs):
+    """The gaps of a union of arcs wider than 1e-9, as (start, end) rounded."""
+    widths, starts = _uncovered(arcs)
+    return [(round(float(a), 6), round(float(a + w), 6))
+            for a, w in zip(starts, widths) if w > 1e-9]
+
+
+def _covered(X, F, G):
+    """The gaps left by the directions of a chain of samples and its cover."""
+    dirs = np.arctan2(G, F)[np.hypot(F, G) > 0]
+    return _gaps(np.concatenate([np.column_stack([dirs, dirs]), _cover(X, F, G, 0.0)]))
+
+
+def test_a_cover_joins_near_samples_whose_directions_turn_a_little():
+    dirs = list(np.linspace(0.0, 0.5, 11)) + [0.5 + 0.7, 1.2 + 0.1]
+    assert _covered(*_chain(dirs)) == [(1.3, round(TWO_PI, 6))]
+    # a step of 1.5 rad is more than JOIN_TURN, so it leaves its arc open
+    dirs = list(np.linspace(0.0, 0.5, 11)) + [2.0, 2.1]
+    assert _covered(*_chain(dirs)) == [(0.5, 2.0), (2.1, round(TWO_PI, 6))]
+
+
+def test_a_cover_leaves_far_steps_and_zeros_open():
+    # steps of 1 but one of 10, over 4 median steps: its arc stays open
+    steps = np.array([0, 1, 2, 3, 4, 5, 15, 16, 17, 18, 19, 20], dtype=float)
+    dirs = [0.1 * k for k in range(6)] + [0.6 + 0.1 * k for k in range(6)]
+    assert _covered(*_chain(dirs, steps)) == [(0.5, 0.6), (1.1, round(TWO_PI, 6))]
+    dirs = [0.0, 0.1, 0.2, None, 0.3, 0.4, 0.5]
+    assert _covered(*_chain(dirs)) == [(0.2, 0.3), (0.5, round(TWO_PI, 6))]
+
+
+def test_a_cover_takes_the_short_way_across_pi():
+    # from 3.0 up through pi to -3.0 (3.283), not down through 0
+    dirs = [3.0, 3.1, 3.1 + 0.08 - TWO_PI, -3.0]
+    assert _covered(*_chain(dirs)) == [(-3.0, 3.0)]
+    # an arc that ends past pi covers directions beyond -pi
+    arcs = np.array([[3.0, 3.3], [-3.1, -3.1], [-3.05, -3.05]])
+    assert _gaps(arcs) == [(round(3.3 - TWO_PI, 6), 3.0)]
 
 
 # ------------------------------------------------------- direction refinement

@@ -253,12 +253,40 @@ MALFORMED.update({
     "coeffs key spaces": {"functions": {"f": {"coeffs": {" 2 :0": 1.0}}}},
     "coeffs key plus": {"functions": {"f": {"coeffs": {"2:+0": 1.0}}}},
 })
+# Each of these once loaded: an unknown key was ignored, or a variable name
+# went unchecked into the reports.
+UNKNOWN_KEYS = {
+    "top-level key": ({"dilatoin": {"weights": [2, 1]}}, "problem file: unknown key 'dilatoin'"),
+    "dilation key": ({"dilation": {"weight": [2, 1]}}, "'dilation': unknown key 'weight'"),
+    "term key": ({"functions": {"f": [dict(TERM_X2, cof=2.0)]}}, "term 0: unknown key 'cof'"),
+    "power key": ({"functions": {"f": [dict(TERM_X2, powers=[{"num": 2, "dem": 3},
+                                                             {"num": 0}])]}},
+                  "term 0, variable 0: unknown key 'dem'"),
+    "system key": ({"systems": {"S": {"fields": [["f", "f"], ["f", "f"]], "field": []}}},
+                   "system 'S': unknown key 'field'"),
+    "coeffs literal key": ({"functions": {"f": {"coeffs": {"2:0": 1.0}, "n": 2}}},
+                           "coeffs literal: unknown key 'n'"),
+}
+MALFORMED.update({name: change for name, (change, _) in UNKNOWN_KEYS.items()})
+MALFORMED.update({
+    "variables repeated": {"variables": ["x", "x"]},
+    "variables numbers": {"variables": [1, 2]},
+    "variable empty": {"variables": ["x", ""]},
+})
 
 
 @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_sections_raise_problem_errors(tmp_path, change):
     with pytest.raises(ProblemError):
         load_problem(write_problem(tmp_path, dict(BASE, **change)))
+
+
+@pytest.mark.parametrize("change, message", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_an_unknown_key_is_named_with_where_it_is(tmp_path, change, message):
+    path = write_problem(tmp_path, dict(BASE, **change))
+    with pytest.raises(ProblemError, match=message):
+        load_problem(path)
+    assert main(["zeros", str(path), "--out-dir", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("value", [True, False, "2", 1.5, 2.9, None, float("nan")],
