@@ -68,8 +68,8 @@ def _fields(report, drop=(), **extra) -> dict:
 
 
 def _image_fields(summary, **extra) -> dict:
-    """An ImageSummary without its direction, scatter and arc arrays."""
-    return _fields(summary, drop=("directions", "scatter", "arcs"),
+    """An ImageSummary without its direction and scatter arrays."""
+    return _fields(summary, drop=("directions", "scatter"),
                    direction_count=len(summary.directions), **extra)
 
 

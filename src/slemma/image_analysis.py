@@ -19,13 +19,9 @@ while a real gap survives down to the width floor.  For n = 2 the
 sampler therefore adaptively refines every steep jump before trusting a
 gap; without this, steep-but-continuous pairs are misread as sectors.
 
-For n >= 3 the samples are not spread evenly, so the gaps are read off a
-cover instead.  Consecutive samples along a Z-order curve of their
-coordinates are joined when they lie at most JOIN_DISTANCE median steps
-apart, their directions differ by at most JOIN_TURN, and neither is a
-zero of the image, which severs the direction path.  Between such near
-samples the continuous direction is taken to sweep the principal arc
-between theirs, which is covered; leaving a join out keeps a gap open.
+For n >= 3 the samples are not spread evenly, so the gaps are read off
+the arcs that `_cover` joins between near samples, whose directions are
+swept by continuity; a join it leaves out can only keep a gap open.
 """
 
 from __future__ import annotations
@@ -95,7 +91,6 @@ class ImageSummary:
     refinement_evals: int = 0
     refinement_complete: bool = True
     scatter: np.ndarray | None = None
-    arcs: np.ndarray | None = None
 
 
 @dataclass
@@ -165,35 +160,50 @@ def _circ_diff(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _uncovered(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(widths, starts) of the gaps after each arc [start, end] of `arcs`,
-    start in [-pi, pi], taken in order of start: width 0 where the next arc
-    starts inside the union so far.  An arc past pi also covers beyond -pi."""
-    arcs = np.concatenate([arcs[arcs[:, 1] > math.pi] - TWO_PI, arcs])
+def _uncovered(dirs: np.ndarray, cover: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, starts) of the gaps left by the directions `dirs` and the
+    arcs [start, end] of `cover`, start in [-pi, pi], after each direction
+    or arc in order of start: width 0 where the next one starts inside the
+    union so far.  An arc past pi also covers beyond -pi."""
+    arcs = np.concatenate([cover[cover[:, 1] > math.pi] - TWO_PI,
+                           np.column_stack([dirs, dirs]), cover])
     order = np.argsort(arcs[:, 0], kind="stable")
     starts, ends = arcs[order, 0], np.maximum.accumulate(arcs[order, 1])
     return np.maximum(np.append(starts[1:], starts[0] + TWO_PI) - ends, 0.0), ends
 
 
-def _cover(X: np.ndarray, F: np.ndarray, G: np.ndarray, ztol: float) -> np.ndarray:
-    """The arcs that the joins of samples X (entries in [-1, 1]) with image
-    values F, G cover, as rows [start, end] of a (k, 2) array: the joined
-    samples' directions, counterclockwise, with end + 2 pi across pi."""
+def _cover(X: np.ndarray, F: np.ndarray, G: np.ndarray, ztol: float, pair_at) -> np.ndarray:
+    """The arcs [start, end] (counterclockwise, end + 2 pi across pi) from
+    direction to direction of joined samples X (entries in [-1, 1]) with
+    image values F, G: consecutive along a Z-order curve, at most
+    JOIN_DISTANCE median steps apart, turning at most JOIN_TURN, and with
+    no zero at either end or at the midpoint, whose direction must lie on
+    the arc.  `pair_at(M)` is (f, g) at the rows of M; a direction is
+    constant along dilation orbits, so the midpoints are not projected."""
     if len(X) < 2:
         return np.empty((0, 2))
     # the Z-order curve: interleaved bits of the coordinates, high bits first
     q = np.clip((X + 1.0) * (1 << MORTON_BITS - 1), 0, (1 << MORTON_BITS) - 1).astype(np.uint16)
-    bits = q[:, None, :] >> np.arange(MORTON_BITS - 1, -1, -1, dtype=np.uint16)[:, None] & 1
-    order = np.lexsort(np.packbits(bits.reshape(len(X), -1).astype(np.uint8), axis=1).T[::-1])
+    bits = np.empty((len(X), MORTON_BITS, X.shape[1]), np.uint8)
+    for k in range(MORTON_BITS):
+        bits[:, k] = q >> MORTON_BITS - 1 - k & 1
+    order = np.lexsort(np.packbits(bits.reshape(len(X), -1), axis=1).T[::-1])
     F, G, X = F[order], G[order], X[order]
     dirs = np.arctan2(G, F)
     step = np.linalg.norm(np.diff(X, axis=0), axis=1)
     turn = np.remainder(np.diff(dirs) + math.pi, TWO_PI) - math.pi
     live = np.hypot(F, G) > ztol
-    join = live[:-1] & live[1:] & (step <= JOIN_DISTANCE * np.median(step))
-    join &= np.abs(turn) <= JOIN_TURN
-    arcs = np.column_stack([dirs[:-1], dirs[1:]])[join]
-    arcs[turn[join] < 0.0] = arcs[turn[join] < 0.0, ::-1]
+    join = np.flatnonzero(live[:-1] & live[1:] & (step <= JOIN_DISTANCE * np.median(step))
+                          & (np.abs(turn) <= JOIN_TURN))
+    # near a common zero the direction can turn the long way round between
+    # near samples; then the midpoint's direction leaves the arc
+    Fm, Gm = pair_at(0.5 * (X[join] + X[join + 1]))
+    off = np.remainder(np.arctan2(Gm, Fm) - dirs[join] + math.pi, TWO_PI) - math.pi
+    turn = turn[join]
+    keep = (np.hypot(Fm, Gm) > ztol) & (off * (turn - off) >= 0.0)
+    join, turn = join[keep], turn[keep]
+    arcs = np.column_stack([dirs[join], dirs[join + 1]])
+    arcs[turn < 0.0] = arcs[turn < 0.0, ::-1]
     arcs[arcs[:, 1] < arcs[:, 0], 1] += TWO_PI
     return arcs
 
@@ -347,9 +357,7 @@ class SampledPair:
 
         The sector angle is phi = 2*pi minus the largest direction gap when
         that gap is confirmed (above 3x sample spacing, surviving adaptive
-        refinement for n = 2, left open by the cover for n >= 3), else 2*pi.
-        `arcs` holds what the gaps were read off: each direction as a
-        zero-width arc, and for n >= 3 the cover's arcs.
+        refinement for n = 2, left open by `cover` for n >= 3), else 2*pi.
         """
         k, n, count, seed = self.degree, self.d.n, self.count, self.seed
         F, G = self.F, self.G
@@ -379,19 +387,14 @@ class SampledPair:
             dirs = np.arctan2(G[nz], F[nz])
             gap_tol = GAP_FACTOR * TWO_PI / count
 
-            evals, complete, cover = 0, True, np.empty((0, 2))
+            evals, complete = 0, True
             if n == 2:
-                extras, evals, complete = _refine_directions(
-                    self.f, self.g, self.d, params, F, G, gap_tol
-                )
-                if len(extras):
-                    dirs = np.concatenate([dirs, extras])
-            elif n >= 3:
-                cover = _cover(self.X, F, G, ztol)
+                extras, evals, complete = _refine_directions(self.f, self.g, self.d,
+                                                             params, F, G, gap_tol)
+                dirs = np.concatenate([dirs, extras])
 
             dirs = np.sort(dirs)
-            arcs = np.concatenate([np.column_stack([dirs, dirs]), cover])
-            gaps, starts = _uncovered(arcs)
+            gaps, starts = _uncovered(dirs, self.cover)
             largest = float(np.max(gaps))
 
         confirmed = [
@@ -412,7 +415,6 @@ class SampledPair:
             refinement_evals=evals,
             refinement_complete=complete,
             scatter=scatter,
-            arcs=arcs,
         )
         if len(confirmed) == 2:
             # two narrow antipodal clusters are a line through the origin,
@@ -450,6 +452,14 @@ class SampledPair:
             sample_count=len(self.X),
             seed=self.seed,
         )
+
+    @functools.cached_property
+    def cover(self) -> np.ndarray:
+        """`_cover` of an n >= 3 pair's samples (none for n <= 2), made once."""
+        if self.d.n <= 2:
+            return np.empty((0, 2))
+        return _cover(self.X, self.F, self.G, 1e-12 * self.scale,
+                      lambda M: evaluate_many((self.f, self.g), M))
 
     @functools.cached_property
     def _exact_common_zero(self) -> bool:
@@ -502,10 +512,10 @@ class SampledPair:
             raise UsageError("degree must be positive")
         summary = self.image()
 
-        arcs = summary.arcs
-        turned = ((arcs[:, 0] + math.pi + math.pi) % TWO_PI) - math.pi
-        gaps, starts = _uncovered(np.concatenate([arcs, np.column_stack(
-            [turned, turned + (arcs[:, 1] - arcs[:, 0])])]))
+        dirs, turned = summary.directions, self.cover + math.pi
+        turned[turned[:, 0] > math.pi] -= TWO_PI
+        sym = np.concatenate([dirs, ((dirs + math.pi + math.pi) % TWO_PI) - math.pi])
+        gaps, starts = _uncovered(sym, np.concatenate([self.cover, turned]))
         i = int(np.argmax(gaps))
         largest = float(gaps[i])
         gap_tol = GAP_FACTOR * TWO_PI / self.count

@@ -360,7 +360,7 @@ def test_result_keys_are_the_report_fields(tmp_path, problems_dir, command, prob
     if report is SynthesisResult:
         assert set(result["certificate"]) == _names(MultiplierCertificate)
     if report is ShsConditionReport:
-        assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter", "arcs"),
+        assert set(result["image"]) == _names(ImageSummary, drop=("directions", "scatter"),
                                               add=("direction_count",))
     if report is MultiplierFailure:
         assert result["ok"] is False and result["reason"] == "COMMON_ZERO"

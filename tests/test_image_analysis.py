@@ -622,47 +622,67 @@ def test_quadratic_images_for_n_at_least_3_are_the_exact_ones(seed):
 
 @pytest.mark.parametrize("c", [0.08, 0.15])
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
-def test_a_narrow_gap_of_an_n3_image_stays_open(seed, c):
-    # p = x1^2 - x2^2 and q = x3^2 + c*(x1^2 + x2^2) share no zero, and
-    # their image is {(u, v) : v >= c|u|}; f + ig = (p + iq)^2 doubles its
-    # directions, which leaves a gap of 4*atan(c) (0.32 rad at c = 0.08),
-    # narrower than JOIN_TURN, so only the join distance keeps it open
+@pytest.mark.parametrize("k", [1.0, 0.0])
+def test_a_narrow_gap_of_an_n3_image_stays_open(k, seed, c):
+    # p = x1^2 - x2^2 and q = k*x3^2 + c*(x1^2 + x2^2) have the image
+    # {(u, v) : v >= c|u|}; f + ig = (p + iq)^2 doubles its directions,
+    # which leaves a gap of 4*atan(c) (0.32 rad at c = 0.08), narrower than
+    # JOIN_TURN.  With k = 1 the pair shares no zero, and only the join
+    # distance keeps the gap open.  With k = 0 the x3 axis is a common zero
+    # near which the direction turns the long way round the gap between
+    # samples that are near and turn little the short way; their joins'
+    # midpoints keep it open.
     f = GP.from_terms(3, [(1 - c * c, (4, 0, 0)), (-2 - 2 * c * c, (2, 2, 0)),
-                          (1 - c * c, (0, 4, 0)), (-1, (0, 0, 4)),
-                          (-2 * c, (2, 0, 2)), (-2 * c, (0, 2, 2))])
+                          (1 - c * c, (0, 4, 0)), (-k * k, (0, 0, 4)),
+                          (-2 * k * c, (2, 0, 2)), (-2 * k * c, (0, 2, 2))])
     g = GP.from_terms(3, [(2 * c, (4, 0, 0)), (-2 * c, (0, 4, 0)),
-                          (2, (2, 0, 2)), (-2, (0, 2, 2))])
+                          (2 * k, (2, 0, 2)), (-2 * k, (0, 2, 2))])
     pair = SampledPair.draw(f, g, Dilation.standard(3), seed=seed)
     summary = pair.image()
     assert summary.classification is ImageClass.ANGULAR_SECTOR
     assert summary.phi == pytest.approx(TWO_PI - 4 * math.atan(c), abs=0.01)
     assert len(summary.gaps) == 1
-    # pi < phi < 2 pi with no common zero: midpoints leave the image
+    # pi < phi < 2 pi and one arc of directions: midpoints leave the image
     assert pair.convexity_probe(summary)
 
 
-def _chain(dirs, steps=None):
-    """(X, F, G) of samples on the x_0 axis of R^3, 0.01 apart (or `steps`
-    hundredths from the first) in order, with image directions `dirs`
-    (None for a zero of f and g)."""
+def _chain(dirs, steps=None, mids=None):
+    """(X, F, G, pair_at) of samples on the x_0 axis of R^3, 0.01 apart (or
+    `steps` hundredths from the first) in order, with image directions
+    `dirs` (None for a zero of f and g).  `pair_at` gives each midpoint
+    the direction halfway along the short way between its samples', or
+    mids[i] between samples i and i + 1 (None for a zero)."""
     X = np.zeros((len(dirs), 3))
     X[:, 0] = -0.9 + 0.01 * (np.arange(len(dirs)) if steps is None else steps)
-    F = np.array([0.0 if d is None else math.cos(d) for d in dirs])
-    G = np.array([0.0 if d is None else math.sin(d) for d in dirs])
-    return X, F, G
+
+    def at(d):
+        return (0.0, 0.0) if d is None else (math.cos(d), math.sin(d))
+
+    def mid(i):
+        if mids is not None and i in mids:
+            return mids[i]
+        return dirs[i] + 0.5 * (((dirs[i + 1] - dirs[i] + math.pi) % TWO_PI) - math.pi)
+
+    def pair_at(M):
+        i = np.searchsorted(X[:, 0], M[:, 0]) - 1
+        F, G = zip(*(at(mid(j)) for j in i.tolist())) if len(i) else ((), ())
+        return np.array(F), np.array(G)
+
+    F, G = (np.array(v) for v in zip(*map(at, dirs)))
+    return X, F, G, pair_at
 
 
-def _gaps(arcs):
-    """The gaps of a union of arcs wider than 1e-9, as (start, end) rounded."""
-    widths, starts = _uncovered(arcs)
+def _gaps(dirs, cover):
+    """The gaps of the directions and cover arcs wider than 1e-9, as
+    (start, end) rounded."""
+    widths, starts = _uncovered(dirs, cover)
     return [(round(float(a), 6), round(float(a + w), 6))
             for a, w in zip(starts, widths) if w > 1e-9]
 
 
-def _covered(X, F, G):
+def _covered(X, F, G, pair_at):
     """The gaps left by the directions of a chain of samples and its cover."""
-    dirs = np.arctan2(G, F)[np.hypot(F, G) > 0]
-    return _gaps(np.concatenate([np.column_stack([dirs, dirs]), _cover(X, F, G, 0.0)]))
+    return _gaps(np.arctan2(G, F)[np.hypot(F, G) > 0], _cover(X, F, G, 0.0, pair_at))
 
 
 def test_a_cover_joins_near_samples_whose_directions_turn_a_little():
@@ -682,13 +702,24 @@ def test_a_cover_leaves_far_steps_and_zeros_open():
     assert _covered(*_chain(dirs)) == [(0.2, 0.3), (0.5, round(TWO_PI, 6))]
 
 
+def test_a_cover_leaves_a_join_open_when_its_midpoint_leaves_its_arc():
+    dirs = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    # the direction passes a zero between samples 0 and 1 (whose atan2, 0,
+    # is on the arc), and turns the long way round between samples 2 and 3
+    assert _covered(*_chain(dirs, mids={0: None, 2: 3.0})) == [
+        (0.0, 0.1), (0.2, 0.3), (0.5, round(TWO_PI, 6))]
+    # a midpoint at an end of its arc, or on the arc of a turn clockwise,
+    # keeps the join
+    assert _covered(*_chain(dirs[::-1], mids={0: 0.5, 1: 0.35})) == [(0.5, round(TWO_PI, 6))]
+
+
 def test_a_cover_takes_the_short_way_across_pi():
     # from 3.0 up through pi to -3.0 (3.283), not down through 0
     dirs = [3.0, 3.1, 3.1 + 0.08 - TWO_PI, -3.0]
     assert _covered(*_chain(dirs)) == [(-3.0, 3.0)]
     # an arc that ends past pi covers directions beyond -pi
-    arcs = np.array([[3.0, 3.3], [-3.1, -3.1], [-3.05, -3.05]])
-    assert _gaps(arcs) == [(round(3.3 - TWO_PI, 6), 3.0)]
+    assert _gaps(np.array([-3.1, -3.05]), np.array([[3.0, 3.3]])) == [
+        (round(3.3 - TWO_PI, 6), 3.0)]
 
 
 # ------------------------------------------------------- direction refinement
