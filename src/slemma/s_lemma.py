@@ -20,7 +20,9 @@ second, independent sample set.
 - strict (`find_strict_multiplier`): zero_margin, strict_copositivity,
   shs_condition, margin_maximization, fresh_verification.
 - non-strict (`find_nonstrict_multiplier`): zero_margin, copositivity,
-  image_lines, margin_maximization, fresh_verification.
+  image_lines (the sampled image fits a closed half-plane, phi <= pi,
+  which with no common zero means at most one line), margin_maximization,
+  fresh_verification.
 - non-homogeneous (`find_nhs_multiplier`): affine_zero_margin and
   affine_copositivity on a box sample of the pair, top_zero_margin and
   top_copositivity on a sphere sample of its top-degree forms, the three
@@ -53,6 +55,7 @@ from .homog_core import (
     sphere_samples,
 )
 from .image_analysis import (
+    GAP_FACTOR,
     CopositivityReport,
     SampledPair,
     ShsConditionReport,
@@ -61,6 +64,7 @@ from .image_analysis import (
     _default_count,
     _nonneg_tol,
     _pos_threshold,
+    _uncovered,
 )
 from .stp_poly import homogenize
 
@@ -411,34 +415,6 @@ def _antipodes(A: _Directions, B: _Directions) -> tuple[np.ndarray, list | None]
     return counts, [A.unit(i), B.unit(int(np.flatnonzero(keep)[j]))]
 
 
-def _count_lines(P: np.ndarray) -> tuple[int, list[float]]:
-    """Number of distinct lines through the origin present in a point set,
-    detected as clusters, by angle mod pi, of the rows with an antipode.
-
-    A cluster spans at most 0.02 rad from its first angle, so a continuum
-    of directions counts as many lines, not one.  A member is kept within
-    pi/2 of its cluster's first angle, and the last cluster, moved down by
-    pi, joins the first if together they keep that span: a cluster across
-    the seam at 0 = pi has its mean, taken mod pi, at the seam."""
-    D = _Directions(P)
-    counts, _ = _antipodes(D, D)
-    angles = np.sort(D.angles[counts > 0] % math.pi).tolist()
-    if not angles:
-        return 0, []
-
-    clusters: list[list[float]] = []
-    for a in angles:
-        first = clusters[-1][0] if clusters else math.inf
-        near = a - math.pi if a - first > math.pi / 2 else a
-        if abs(near - first) <= 0.02:
-            clusters[-1].append(near)
-        else:
-            clusters.append([a])
-    if len(clusters) > 1 and clusters[0][-1] - (clusters[-1][0] - math.pi) <= 0.02:
-        clusters[0].extend(a - math.pi for a in clusters.pop())
-    return len(clusters), [float(np.mean(c)) % math.pi for c in clusters]
-
-
 # ----------------------------------------------------- non-strict multiplier
 
 
@@ -453,7 +429,10 @@ def find_nonstrict_multiplier(
 
     Applies to integer-power homogeneous pairs of degree k >= 1 under the
     standard dilation.  Hypotheses: no common sphere zero, copositivity,
-    and at most one line through the origin in the image.  xi = 0 is
+    and the sampled image fits a closed half-plane (phi <= pi), which
+    with no common zero means at most one line through the origin: phi
+    is 2*pi minus the largest gap between sampled directions, allowed
+    3x the sample spacing above pi.  xi = 0 is
     returned whenever f is already nonnegative; otherwise the margin
     maximizer must reach a nonnegative margin, which forces xi > 0.
     """
@@ -472,11 +451,14 @@ def _nonstrict_chain(pair: SampledPair):
     yield _sphere_zero_check(pair)
     yield _copositivity_check("copositivity", pair.is_copositive(),
                               "f is not copositive with g", "copositivity")
-    nlines, line_angles = _count_lines(pair.joint_values)
-    yield _check("image_lines", nlines <= 1, ReasonCode.MULTIPLE_LINES,
-                 f"image contains {nlines} lines through the origin; "
-                 "at most one is allowed", "image_lines",
-                 count=nlines, angles=line_angles)
+    dirs = np.arctan2(pair.G, pair.F)[np.hypot(pair.F, pair.G) > 1e-12 * pair.scale]
+    # with no direction the sampled image is the origin, in every half-plane
+    phi = TWO_PI - float(np.max(_uncovered(dirs, np.empty((0, 2)))[0])) if len(dirs) else 0.0
+    yield _check("image_lines", phi <= math.pi + GAP_FACTOR * TWO_PI / pair.count,
+                 ReasonCode.MULTIPLE_LINES,
+                 "the sampled image directions fit no closed half-plane (sector "
+                 "angle > pi), so the image holds more than one line through the origin",
+                 "image_lines", phi=phi)
 
     min_f = float(np.min(pair.F))
     if min_f >= -_nonneg_tol(pair.scale_f):

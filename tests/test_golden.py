@@ -4,8 +4,8 @@ The shipped problems are planar but for one univariate pair
 (`nhs_univariate_quartic.json`, whose lift is planar), so the sweep also
 covers one n = 3 quartic pair (`fixtures/quartic3_pair.json`, f = xi0*g
 + p with p positive definite, built like the `lift` workload's generated
-inputs): its `hs-xi` run searches 65,536 image points for antipodal
-directions.
+inputs): its `hs-xi` run reads its line hypothesis off the largest gap
+between 65,536 image directions.
 
 Each run calls `slemma.cli.main` in process at the default seed and
 records its exit code and the sha256 of every artifact it writes.  The

@@ -1,5 +1,6 @@
 """Copositivity decisions and multiplier searches (strict and non-strict)."""
 
+import itertools
 import math
 import sys
 
@@ -20,10 +21,10 @@ from slemma import (
     load_problem,
 )
 from slemma import homog_core, image_analysis, s_lemma
-from slemma.cli import main
-from slemma.s_lemma import CROSS_TOL, _antipodes, _count_lines, _Directions
+from slemma.cli import EXIT_CODE, main
+from slemma.s_lemma import CROSS_TOL, _antipodes, _Directions
 
-from conftest import quad_form, random_symmetric
+from conftest import quad_form, quadratic_pairs, random_symmetric
 
 GP = GeneralizedPolynomial
 
@@ -417,6 +418,16 @@ def test_shared_cube_line_pair():
     assert abs(cert.margin) < 1e-9
 
 
+def test_a_pair_below_the_zero_tolerance_has_no_directions_and_fits_a_half_plane():
+    # every sampled value lies within 1e-12 of the origin, and no zero is
+    # shared: image_lines reads phi = 0, and f >= 0 gives xi = 0
+    f = GP.from_terms(2, [(1e-13, (2, 0)), (1e-13, (0, 2))])
+    g = GP.from_terms(2, [(1e-13, (2, 0))])
+    cert = find_nonstrict_multiplier(f, g)
+    assert cert.ok and cert.xi == 0.0
+    assert cert.checks[2] == {"check": "image_lines", "ok": True, "phi": 0.0}
+
+
 def test_nonstrict_failure_modes(cubic_pair):
     res = find_nonstrict_multiplier(*cubic_pair)
     assert not res.ok and res.reason is ReasonCode.COMMON_ZERO
@@ -436,6 +447,55 @@ def test_nonstrict_preconditions():
         find_nonstrict_multiplier(GP.constant(2, 1.0), GP.constant(2, 2.0))
     with pytest.raises(ValueError):
         find_nonstrict_multiplier(even, even, Dilation((3, 1)))
+
+
+@pytest.mark.parametrize("count", [256, 1024, 4096, 16384])
+def test_image_lines_reads_the_half_plane_off_the_sample_gap(count, problems_dir):
+    # sector_quartic_wide turned so that its gap is centered on 3 pi / 4:
+    # the pair is copositive, its image a cone of angle 1.0957 pi, which
+    # lies in no half-plane, so no multiplier exists at any sample count
+    wide = load_problem(problems_dir / "sector_quartic_wide.json")
+    f, g = wide.pair()
+    a, b = max(SampledPair.draw(f, g, wide.dilation).image().gaps, key=lambda gap: gap[1] - gap[0])
+    alpha = 3 * math.pi / 4 - (a + b) / 2
+    c, s = math.cos(alpha), math.sin(alpha)
+    res = find_nonstrict_multiplier(c * f - s * g, s * f + c * g, wide.dilation, count=count)
+    assert res.reason is ReasonCode.MULTIPLE_LINES and EXIT_CODE[res.verdict] == 1
+    assert res.checks[-1]["phi"] / math.pi == pytest.approx(1.0957, abs=2e-4)
+    if count > 4096:
+        return
+    # pairs with a multiplier keep it, with the same xi, at every count
+    for name, xi in (("tangent_quartic", {256: 1.0, 1024: 1.0, 4096: 1.0}),
+                     ("switch_sextic", {256: 2.7145887852763844, 1024: 2.6526718311430093,
+                                        4096: 2.6475887160227067})):
+        problem = load_problem(problems_dir / f"{name}.json")
+        cert = find_nonstrict_multiplier(*problem.pair(), problem.dilation, count=count)
+        assert cert.ok and cert.xi == xi[count], name
+
+
+def test_image_lines_agrees_with_the_n3_image(problems_dir):
+    # a cover join turns at most JOIN_TURN, so it fills no sample gap
+    # wider than that: the largest sample gap is the image's wherever the
+    # image's phi is below 2 pi - JOIN_TURN, and the verdicts agree.  At
+    # 16 and 32 samples a whole-plane image leaves sample gaps near pi,
+    # which a cover of wider joins would close.
+    fixtures = problems_dir.parent / "tests" / "fixtures"
+    pairs = [(quad_form(A), quad_form(B)) for A, B in quadratic_pairs(7)]
+    pairs += [load_problem(fixtures / f"{name}.json").pair()
+              for name in ("quartic3_pair", "quartic3_margin")]
+    compared = 0
+    for (f, g), count, seed in itertools.product(pairs, (16, 32, None),
+                                                 (homog_core.DEFAULT_SEED, 1)):
+        pair = SampledPair.draw(f, g, Dilation.standard(f.n), count, seed)
+        # the chain's third record, whatever the checks before it found
+        chain = s_lemma._nonstrict_chain(pair)
+        record, phi = [next(chain)[0] for _ in range(3)][2], pair.image().phi
+        tol = image_analysis.GAP_FACTOR * 2 * math.pi / pair.count
+        assert record["ok"] == (phi <= math.pi + tol)
+        if phi < 2 * math.pi - image_analysis.JOIN_TURN:
+            assert record["phi"] == phi
+            compared += 1
+    assert compared >= 60
 
 
 def test_nonstrict_fresh_seed_soundness(sextic_pair):
@@ -590,63 +650,6 @@ def test_direction_collisions_count_every_pair():
     D = _Directions(P)
     counts, _ = _antipodes(D, D)
     assert counts.sum() == _reference_antipodes(P, P).sum() >= 600
-
-
-def test_count_lines_clusters_antipodal_directions():
-    ray = np.linspace(0.2, 1.0, 8)
-    axis = np.column_stack([ray, 0 * ray])
-    diag = np.column_stack([ray, 2.0 * ray])
-    one_line = np.vstack([axis, -axis])
-    assert _count_lines(one_line)[0] == 1
-    two_lines = np.vstack([axis, -axis, diag, -diag])
-    count, angles = _count_lines(two_lines)
-    assert count == 2
-    assert sorted(round(a, 6) for a in angles) == pytest.approx(
-        [0.0, np.arctan(2.0)], abs=1e-6)
-    assert _count_lines(np.vstack([axis, diag]))[0] == 0
-
-
-def test_count_lines_puts_a_line_near_angle_zero_at_the_seam():
-    # directions at +-0.001 rad and their negations are one line along the
-    # x-axis; mod pi they sit at both ends of [0, pi), and their plain mean
-    # would be the y-axis.  Alone, the first cluster takes them all; with a
-    # line at 1 rad between, the seam merge joins the two ends.
-    t = np.array([0.001, -0.001])
-    seam = np.column_stack([np.cos(t), np.sin(t)])
-    middle = np.array([[math.cos(1.0), math.sin(1.0)]])
-    for U, want in ((seam, [0.0]), (np.vstack([seam, middle]), [0.0, 1.0])):
-        count, angles = _count_lines(np.vstack([U, -U]))
-        assert count == len(want)
-        assert [math.remainder(a, math.pi) for a in angles] == pytest.approx(want, abs=1e-12)
-
-
-def test_count_lines_sees_lines_past_the_first_64_collisions():
-    # Ten close directions per line give 200 collisions per line, so the
-    # first line met walking up from -pi alone would fill a 64-hit report.
-    pieces = []
-    for a in (0.3, 1.2, 2.0):
-        t = a + 1e-8 * np.arange(10)
-        U = np.column_stack([np.cos(t), np.sin(t)])
-        pieces += [U, -U]
-    count, angles = _count_lines(np.vstack(pieces))
-    assert count == 3
-    assert angles == pytest.approx([0.3, 1.2, 2.0], abs=1e-6)
-
-
-def test_count_lines_splits_a_continuum_of_directions():
-    # every direction of the plane, both ways: a cluster chained through
-    # small gaps would call this one line and pass the image_lines check
-    t = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
-    r = 1.5 + np.sin(3.0 * t)
-    P = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    count, angles = _count_lines(np.vstack([P, -P]))
-    assert count == 157
-    assert len(angles) == count
-    # a fan of 0.04 rad is two clusters, away from the seam at 0 = pi,
-    # which the merge across the seam must leave apart
-    t = np.linspace(0.5, 0.54, 400)
-    U = np.column_stack([np.cos(t), np.sin(t)])
-    assert _count_lines(np.vstack([U, -U]))[0] == 2
 
 
 # ------------------------------------------------- non-homogeneous multiplier
