@@ -586,9 +586,9 @@ def _plan_frees(polys: tuple) -> tuple:
     no later term, of that polynomial or a later one, uses.
 
     Polynomials hash by identity, so a tuple of them is planned once
-    while it stays among the 8 most recent (a convexity probe evaluates
-    one pair over many rounds); few, so that the cache keeps few
-    polynomials alive after their command."""
+    while it stays among the 8 most recent (a pair's (f, g) meets its
+    samples, then cover midpoints, axis points or fresh samples); few,
+    so that the cache keeps few polynomials alive after their command."""
     later, plan = set(), []
     for k in reversed(range(len(polys))):
         for coeff, items in reversed(polys[k]._compile()):

@@ -8,7 +8,9 @@ angular sector, full plane), decides exactly for n = 2 whether f and g
 share a zero off the origin, and probes midpoint convexity.  All of
 these, and the copositivity and SHS checks of the multiplier searches,
 are methods of a `SampledPair`, which evaluates f and g once on one
-sample set.
+sample set.  The pair also owns the directions of its values and the
+tolerances that read them (no direction within 1e-12 of the scale, a
+trusted gap above GAP_FACTOR sample spacings), for every check.
 
 Direction gaps are the load-bearing quantity.  A gap in the sampled set
 can be real (the pair of rays is genuinely missing) or an artifact of
@@ -240,7 +242,7 @@ def _sample_splits(theta, F, G, ztol, gap_tol) -> list:
     return stack
 
 
-def _refine_directions(f, g, d, theta, F, G, gap_tol):
+def _refine_directions(f, g, d, theta, F, G, ztol, gap_tol):
     """Bisect steep direction jumps between consecutive theta samples.
 
     Returns extra direction samples, the evaluation count, and whether the
@@ -258,8 +260,6 @@ def _refine_directions(f, g, d, theta, F, G, gap_tol):
     code, and through `__call__` where that code raises OverflowError, is
     not finite or could not be compiled, so each value is `__call__`'s.
     """
-    scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
-    ztol = 1e-12 * scale
     pair = _compile_function(_midpoint_source(f, g, d), lambda c, s: (math.nan, math.nan))
     stack = _sample_splits(theta, F, G, ztol, gap_tol)
     extras = []
@@ -321,7 +321,9 @@ class SampledPair:
     probe of one report agree on the points they saw.  `draw` samples
     the sphere of a homogeneous pair; the constructor takes any point
     set (the non-homogeneous search samples a box), and then the zero
-    margin stays at sampled resolution.
+    margin stays at sampled resolution.  A value no longer than `ztol` =
+    1e-12 * scale has no direction, and a gap between directions wider
+    than `gap_tol` = GAP_FACTOR * 2 pi / count is trusted.
     """
 
     def __init__(self, f, g, X, count, seed, d=None, degree=None):
@@ -332,6 +334,8 @@ class SampledPair:
         self.scale_f = float(np.max(np.abs(self.F))) if len(X) else 0.0
         self.scale_g = float(np.max(np.abs(self.G))) if len(X) else 0.0
         self.scale = max(1.0, self.scale_f, self.scale_g)
+        self.ztol = 1e-12 * self.scale
+        self.gap_tol = GAP_FACTOR * TWO_PI / count
 
     @classmethod
     def draw(
@@ -347,10 +351,14 @@ class SampledPair:
             count = _default_count(d.n)
         return cls(f, g, sphere_samples(d, count, seed), count, seed, d, k)
 
-    @property
-    def joint_values(self) -> np.ndarray:
-        """The (m, 2) array of image points (f(x), g(x))."""
-        return np.column_stack([self.F, self.G])
+    def directions(self, ztol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The angles atan2(g, f) of the sample values longer than `ztol`
+        (the pair's own by default), in sample order, and the mask of those
+        values; taken when called, not kept.  A float64 overflow raises
+        FloatingPointError naming the image classification."""
+        with overflow_guard("image classification"):
+            live = np.hypot(self.F, self.G) > (self.ztol if ztol is None else ztol)
+            return np.arctan2(self.G[live], self.F[live]), live
 
     def image(self) -> ImageSummary:
         """Classify the direction set of the sampled image.
@@ -378,19 +386,15 @@ class SampledPair:
         params = theta_grid(count) if n == 2 else np.arange(len(self.X), dtype=float)
         scatter = np.column_stack([params[: len(F)], F, G])
 
+        dirs = self.directions()[0]
+        if not len(dirs):
+            raise DegenerateImageError("every sample maps to (0, 0)")
+
         with overflow_guard("image classification"):
-            ztol = 1e-12 * self.scale
-            nz = np.hypot(F, G) > ztol
-            if not np.any(nz):
-                raise DegenerateImageError("every sample maps to (0, 0)")
-
-            dirs = np.arctan2(G[nz], F[nz])
-            gap_tol = GAP_FACTOR * TWO_PI / count
-
             evals, complete = 0, True
             if n == 2:
-                extras, evals, complete = _refine_directions(self.f, self.g, self.d,
-                                                             params, F, G, gap_tol)
+                extras, evals, complete = _refine_directions(
+                    self.f, self.g, self.d, params, F, G, self.ztol, self.gap_tol)
                 dirs = np.concatenate([dirs, extras])
 
             dirs = np.sort(dirs)
@@ -399,7 +403,7 @@ class SampledPair:
 
         confirmed = [
             (float(starts[i]), float(starts[i] + gaps[i]))
-            for i in np.nonzero(gaps > gap_tol)[0]
+            for i in np.nonzero(gaps > self.gap_tol)[0]
         ]
         boundary = sorted({_wrap_angle(edge) for a, b in confirmed for edge in (a, b)})
         summary = ImageSummary(
@@ -458,7 +462,7 @@ class SampledPair:
         """`_cover` of an n >= 3 pair's samples (none for n <= 2), made once."""
         if self.d.n <= 2:
             return np.empty((0, 2))
-        return _cover(self.X, self.F, self.G, 1e-12 * self.scale,
+        return _cover(self.X, self.F, self.G, self.ztol,
                       lambda M: evaluate_many((self.f, self.g), M))
 
     @functools.cached_property
@@ -518,8 +522,7 @@ class SampledPair:
         gaps, starts = _uncovered(sym, np.concatenate([self.cover, turned]))
         i = int(np.argmax(gaps))
         largest = float(gaps[i])
-        gap_tol = GAP_FACTOR * TWO_PI / self.count
-        holds = largest > gap_tol
+        holds = largest > self.gap_tol
         witness = None
         interval = None
         if holds:
@@ -541,29 +544,26 @@ class SampledPair:
         """Midpoints of image points that leave the image.
 
         The image is the cone over its direction set, so a midpoint whose
-        direction lies inside a gap, beyond the clearance, is not in it.
+        direction lies inside a gap, beyond the clearance `gap_tol`, is not in it.
         The largest gap is admitted, or every confirmed gap of an n = 2
         pair with an exact common zero, whose direction set can be several
         arcs.  With no common zero the set is one arc, and the list is
         non-empty exactly when pi < phi < 2 pi (unless a coarse sample's
-        clearance covers the edge midpoint).  A float64 overflow raises
-        FloatingPointError naming the probe.
+        clearance covers the edge midpoint).  A float64 overflow in its own
+        arithmetic raises FloatingPointError naming the probe.
         """
         gaps = summary.gaps
         if len(gaps) > 1 and not (self.d.n == 2 and self._exact_common_zero):
             gaps = [max(gaps, key=lambda gap: gap[1] - gap[0])]
         if not gaps:
             return []
-        clearance = GAP_FACTOR * TWO_PI / self.count
 
+        dirs, keep = self.directions()
         with overflow_guard("convexity probe"):
-            pts = self.joint_values
             pts_axis = np.column_stack(evaluate_many((self.f, self.g), _axis_points(self.d.n)))
-            keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * self.scale
-            pts = pts[keep]
+            pts = np.column_stack([self.F[keep], self.G[keep]])
             if len(pts) < 2:
                 return []
-            dirs = np.arctan2(pts[:, 1], pts[:, 0])
 
             # all pairs of axis samples, then the samples that bound each
             # gap, nearest its center on either side
@@ -579,7 +579,7 @@ class SampledPair:
                 if math.hypot(mid[0], mid[1]) <= 1e-9 * self.scale:
                     continue
                 direction = math.atan2(mid[1], mid[0])
-                hit = _inside_gap(direction, gaps, clearance)
+                hit = _inside_gap(direction, gaps, self.gap_tol)
                 if hit is not None:
                     violations.append({"u": u, "v": v, "midpoint": mid,
                                        "direction": direction, "gap": list(hit)})

@@ -55,7 +55,6 @@ from .homog_core import (
     sphere_samples,
 )
 from .image_analysis import (
-    GAP_FACTOR,
     CopositivityReport,
     SampledPair,
     ShsConditionReport,
@@ -276,6 +275,17 @@ def _sphere_zero_check(pair: SampledPair):
                        "zero_margin", refined=zm.refined)
 
 
+def _line_check(pair: SampledPair):
+    """The `image_lines` check: the sample directions fit a closed half-plane."""
+    dirs = pair.directions()[0]
+    # with no direction the sampled image is the origin, in every half-plane
+    phi = TWO_PI - float(np.max(_uncovered(dirs, np.empty((0, 2)))[0])) if len(dirs) else 0.0
+    return _check("image_lines", phi <= math.pi + pair.gap_tol, ReasonCode.MULTIPLE_LINES,
+                  "the sampled image directions fit no closed half-plane (sector "
+                  "angle > pi), so the image holds more than one line through the origin",
+                  "image_lines", phi=phi)
+
+
 def _fresh_margin(pair: SampledPair, xi: float) -> float:
     """min of f - xi*g on an independent sample set of the pair's sphere."""
     Xv = _fresh_samples(pair.d, pair.count, pair.seed)
@@ -367,52 +377,41 @@ def _strict_chain(pair: SampledPair):
 # --------------------------------------------------- direction collisions
 
 
-class _Directions:
-    """A planar point set with the angle and length of each row, taken once
-    for every query it joins."""
-
-    def __init__(self, P: np.ndarray):
-        self.P = np.asarray(P, dtype=float)
-        self.angles = np.arctan2(self.P[:, 1], self.P[:, 0])
-        self.norms = np.hypot(self.P[:, 0], self.P[:, 1])
-        self.peak = float(np.max(np.abs(self.P))) if len(self.P) else 0.0
-
-    def unit(self, i: int) -> list[float]:
-        return (self.P[i] / self.norms[i]).tolist()
-
-
-def _antipodes(A: _Directions, B: _Directions) -> tuple[np.ndarray, list | None]:
-    """For each row u of A, the number of rows v of B pointing the opposite
-    way, and the first such pair.
+def _antipodes(A: SampledPair, B: SampledPair) -> tuple[np.ndarray, list | None]:
+    """For each sample value u of A, the number of values v of B pointing
+    the opposite way, and the first such pair.
 
     Opposite means |cross(u, v)| <= CROSS_TOL and u . v < 0 on the unit
     vectors, i.e. the angle of v lies within asin(CROSS_TOL) of the angle
-    of u plus pi.  Rows no longer than the query's zero tolerance have no
-    direction.  B's angles, shifted by pi, are sorted once, with those
-    near the +-pi seam copied across it, so two binary searches count the
-    antipodes of every u.  The pair is the first walking up from angle
-    -pi: the u of least angle and its v of least shifted angle, as unit
-    vectors, or None when no u has an antipode.
+    of u plus pi.  Values no longer than the larger `ztol` of the two
+    pairs have no direction.  B's angles, shifted by pi, are sorted once,
+    with those near the +-pi seam copied across it, so two binary
+    searches count the antipodes of every u.  The pair is the first
+    walking up from angle -pi: the u of least angle and its v of least
+    shifted angle, as unit vectors, or None when no u has an antipode.
     """
-    ztol = 1e-12 * max(1.0, A.peak, B.peak)
+    ztol = max(A.ztol, B.ztol)
+    a, live = A.directions(ztol)
+    b, keep = (a, live) if B is A else B.directions(ztol)
     w = math.asin(CROSS_TOL)
-    keep = B.norms > ztol
-    s = B.angles[keep] + math.pi
+    s = b + math.pi
     s[s > math.pi] -= TWO_PI
     order = np.argsort(s)
     s = s[order]
     below, above = s <= w - math.pi, s >= math.pi - w
     s = np.concatenate([s[above] - TWO_PI, s, s[below] + TWO_PI])
-    lo = np.searchsorted(s, A.angles - w, side="left")
-    counts = np.searchsorted(s, A.angles + w, side="right")
-    counts -= lo
-    counts[~(A.norms > ztol)] = 0
-    hits = np.flatnonzero(counts)
+    lo = np.searchsorted(s, a - w, side="left")
+    found = np.searchsorted(s, a + w, side="right") - lo
+    counts = np.zeros(len(live), dtype=found.dtype)
+    counts[live] = found
+    hits = np.flatnonzero(found)
     if not len(hits):
         return counts, None
-    i = int(hits[np.argmin(A.angles[hits])])
-    j = np.concatenate([order[above], order, order[below]])[lo[i]]
-    return counts, [A.unit(i), B.unit(int(np.flatnonzero(keep)[j]))]
+    k = int(hits[np.argmin(a[hits])])
+    j = np.concatenate([order[above], order, order[below]])[lo[k]]
+    i, j = int(np.flatnonzero(live)[k]), int(np.flatnonzero(keep)[j])
+    return counts, [(np.array([P.F[m], P.G[m]]) / np.hypot(P.F[m], P.G[m])).tolist()
+                    for P, m in ((A, i), (B, j))]
 
 
 # ----------------------------------------------------- non-strict multiplier
@@ -451,14 +450,7 @@ def _nonstrict_chain(pair: SampledPair):
     yield _sphere_zero_check(pair)
     yield _copositivity_check("copositivity", pair.is_copositive(),
                               "f is not copositive with g", "copositivity")
-    dirs = np.arctan2(pair.G, pair.F)[np.hypot(pair.F, pair.G) > 1e-12 * pair.scale]
-    # with no direction the sampled image is the origin, in every half-plane
-    phi = TWO_PI - float(np.max(_uncovered(dirs, np.empty((0, 2)))[0])) if len(dirs) else 0.0
-    yield _check("image_lines", phi <= math.pi + GAP_FACTOR * TWO_PI / pair.count,
-                 ReasonCode.MULTIPLE_LINES,
-                 "the sampled image directions fit no closed half-plane (sector "
-                 "angle > pi), so the image holds more than one line through the origin",
-                 "image_lines", phi=phi)
+    yield _line_check(pair)
 
     min_f = float(np.min(pair.F))
     if min_f >= -_nonneg_tol(pair.scale_f):
@@ -549,16 +541,15 @@ def _nhs_chain(lift, k, affine: SampledPair):
                               "the top-degree form of f is not copositive with that of g",
                               "top_form")
 
-    A, T = _Directions(affine.joint_values), _Directions(top.joint_values)
-    yield _collision_check("item_1_top_antipodal", T, T,
+    yield _collision_check("item_1_top_antipodal", top, top,
                            ReasonCode.NHS_ITEM_1,
                            "the top-form image contains a pair of opposite directions",
                            "item_1")
-    yield _collision_check("item_2_affine_antipodal", A, A,
+    yield _collision_check("item_2_affine_antipodal", affine, affine,
                            ReasonCode.NHS_ITEM_2,
                            "the image of (f, g) contains collinear opposite-pointing values",
                            "item_2")
-    yield _collision_check("item_3_4_cross_antipodal", A, T,
+    yield _collision_check("item_3_4_cross_antipodal", affine, top,
                            ReasonCode.NHS_ITEM_3,
                            "an image value of (f, g) opposes a top-form image direction",
                            "item_3_4")

@@ -548,15 +548,17 @@ def test_simulate_overflow_reaches_the_user_only_as_divergence(tmp_path, problem
 
 
 def _scaled(tmp_path, problems_dir, problem, factor):
-    """`problem` with f and g multiplied by factor."""
+    """`problem` with f and g multiplied by factor, or by factor["f"] and
+    factor["g"]."""
     raw = json.loads((problems_dir / problem).read_text())
     for name in ("f", "g"):
         spec = raw["functions"][name]
+        c = factor[name] if isinstance(factor, dict) else factor
         if isinstance(spec, list):
             for term in spec:
-                term["coeff"] *= factor
+                term["coeff"] *= c
         else:
-            spec["coeffs"] = {k: c * factor for k, c in spec["coeffs"].items()}
+            spec["coeffs"] = {k: v * c for k, v in spec["coeffs"].items()}
     path = tmp_path / problem
     path.write_text(json.dumps(raw))
     return path
@@ -568,6 +570,10 @@ def _scaled(tmp_path, problems_dir, problem, factor):
     ("nhs-xi", "affine_sextic_shift.json", "sample evaluation", 1e306),
     # largest coefficient 1.7e308/1.05: the samples stay finite, their hypot does not
     ("image", "cubic_shared_zero.json", "image classification", 1.7e308 / 1.05),
+    # f's and g's largest coefficients (7 and 5) each scaled to 1.7e308/1.05:
+    # the line check's directions overflow before the margin scan
+    ("hs-xi", "switch_sextic.json", "image classification",
+     {"f": 1.7e308 / 1.05 / 7, "g": 1.7e308 / 1.05 / 5}),
 ])
 def test_overflow_is_an_internal_failure_naming_its_stage(tmp_path, problems_dir, capsys,
                                                           command, problem, stage, factor):

@@ -525,7 +525,7 @@ def _reference_probe(pair, summary):
         gaps = [max(gaps, key=lambda gap: gap[1] - gap[0])]
     axis = _axis_points(d.n)
     pts_axis = np.column_stack([f.evaluate(axis), g.evaluate(axis)])
-    pts = pair.joint_values
+    pts = np.column_stack([pair.F, pair.G])
     keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12 * pair.scale
     pts = pts[keep]
     dirs = np.arctan2(pts[:, 1], pts[:, 0])
@@ -725,13 +725,11 @@ def test_a_cover_takes_the_short_way_across_pi():
 # ------------------------------------------------------- direction refinement
 
 
-def _reference_refine_directions(f, g, d, theta, F, G, gap_tol):
+def _reference_refine_directions(f, g, d, theta, F, G, ztol, gap_tol):
     """Refinement as it was before directions were carried on the stack:
     every split test takes math.hypot and math.atan2 of both ends again,
     and f and g at a midpoint are `__call__`'s.  `_refine_directions`
     must match it bit for bit."""
-    scale = max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
-    ztol = 1e-12 * scale
     m = len(theta)
 
     def needs_split(fa, ga, fb, gb):
@@ -766,23 +764,30 @@ def _reference_refine_directions(f, g, d, theta, F, G, gap_tol):
     return np.array(extras), evals, not stack
 
 
-def _assert_refines_as_reference(f, g, d, theta, F, G, gap_tol):
-    """Run both refinements; return (evals, complete)."""
-    got = _refine_directions(f, g, d, theta, F, G, gap_tol)
-    want = _reference_refine_directions(f, g, d, theta, F, G, gap_tol)
+def _assert_refines_as_reference(*args):
+    """Run both refinements on (f, g, d, theta, F, G, ztol, gap_tol);
+    return (evals, complete)."""
+    got = _refine_directions(*args)
+    want = _reference_refine_directions(*args)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
     return got[1:]
 
 
+def _ztol(F, G):
+    """The zero tolerance of a pair with sample values F, G."""
+    return 1e-12 * max(1.0, float(np.max(np.abs(F))), float(np.max(np.abs(G))))
+
+
 def _grid_inputs(problem, count, offset=0.0):
-    """(f, g, d, theta, F, G, gap_tol) for the theta grid rotated by
+    """(f, g, d, theta, F, G, ztol, gap_tol) for the theta grid rotated by
     `offset` grid spacings, as `SampledPair.image` passes them at 0."""
     f, g = problem.pair()
     d = problem.dilation
     theta = theta_grid(count) + offset * (TWO_PI / count)
     X = sphere_samples(d, count, offset=offset)
-    return f, g, d, theta, f.evaluate(X), g.evaluate(X), GAP_FACTOR * TWO_PI / count
+    F, G = f.evaluate(X), g.evaluate(X)
+    return f, g, d, theta, F, G, _ztol(F, G), GAP_FACTOR * TWO_PI / count
 
 
 # the planar pairs of IMAGE_PROBLEMS, and two on a sphere with l = 3
@@ -817,7 +822,7 @@ def test_nan_inf_and_zero_samples_refine_as_the_reference_does(monkeypatch):
     # that the zero at 21 splits.  An infinite sample makes every end a
     # zero, so those runs split until the budget, lowered for them, ends.
     monkeypatch.setattr(image_analysis, "REFINE_BUDGET", 3000)
-    f, g, d, theta, F0, G0, gap_tol = _grid_inputs(
+    f, g, d, theta, F0, G0, _, gap_tol = _grid_inputs(
         load_problem(ROOT / "problems" / "switch_sextic.json"), 64)
     cases = {
         "nan f": {5: (math.nan, None)},
@@ -832,7 +837,8 @@ def test_nan_inf_and_zero_samples_refine_as_the_reference_does(monkeypatch):
         for i, (u, v) in entries.items():
             F[i] = F[i] if u is None else u
             G[i] = G[i] if v is None else v
-        evals, complete = _assert_refines_as_reference(f, g, d, theta, F, G, gap_tol)
+        evals, complete = _assert_refines_as_reference(f, g, d, theta, F, G, _ztol(F, G),
+                                                       gap_tol)
         assert complete == (name not in ("inf", "nan and inf")), name
 
 
@@ -851,7 +857,7 @@ def test_a_direction_difference_on_the_split_threshold_splits_as_the_reference_d
     for F, G in rng.normal(size=(200, 2, 2)) * 10.0 ** rng.integers(-3, 4, size=(200, 2, 1)):
         diff = _circ_diff(math.atan2(G[0], F[0]), math.atan2(G[1], F[1]))
         for gap_tol in (diff, math.nextafter(diff, 0.0)):
-            evals, _ = _assert_refines_as_reference(f, g, d2, theta, F, G, gap_tol)
+            evals, _ = _assert_refines_as_reference(f, g, d2, theta, F, G, _ztol(F, G), gap_tol)
             splits += evals > 0
     assert 0 < splits < 400
 
@@ -880,7 +886,8 @@ def test_midpoints_that_straight_line_code_cannot_give_are_called(monkeypatch):
         lost = ~(np.isfinite(F) & np.isfinite(G))
         assert lost.any()
         F[lost] = G[lost] = 0.0
-        args = (f, g, problem.dilation, theta_grid(64), F, G, GAP_FACTOR * TWO_PI / 64)
+        args = (f, g, problem.dilation, theta_grid(64), F, G, _ztol(F, G),
+                GAP_FACTOR * TWO_PI / 64)
         with monkeypatch.context() as patch:
             patch.setattr(GP, "__call__", counted)
             got = _refine_directions(*args)

@@ -2,13 +2,14 @@
 
 A deletion that leaves an import behind keeps a dead dependency between
 modules; this guard reads each module's syntax tree (no import runs) and
-lists the imported names that nothing in the module refers to.  Six
+lists the imported names that nothing in the module refers to.  Seven
 more guards read the same trees: every top-level function, class or
 constant is referenced, no `except` clause but the last resort of `cli.main`
 catches every exception, only `homog_core._compile_function` turns
 text into code, no statement evaluates two polynomials apart, no module
-but `homog_core` evaluates a polynomial alone, and no command handler of
-`cli` returns an exit code.
+but `homog_core` evaluates a polynomial alone, no command handler of
+`cli` returns an exit code, and only `SampledPair` turns GAP_FACTOR into
+a gap tolerance.
 """
 
 import ast
@@ -217,3 +218,28 @@ def test_command_handlers_return_verdicts_not_exit_codes(tmp_path):
                       "    return 0\n")
     assert sorted(exit_code_returns(sample)) == ["sample.py:3 cmd_a", "sample.py:4 cmd_a"]
     assert exit_code_returns(SRC / "cli.py") == []
+
+
+def gap_factor_uses(path: Path) -> list[str]:
+    """`<file>:<line> <function>` for each name or attribute `GAP_FACTOR`
+    that `path` reads or imports, outside its own definition;
+    <function> is the innermost function or class holding it."""
+    return [f"{path.name}:{node.lineno} {owner}" for node, owner in owned_nodes(path)
+            if (isinstance(node, ast.Name) and node.id == "GAP_FACTOR"
+                and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "GAP_FACTOR")
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name == "GAP_FACTOR" for alias in node.names))]
+
+
+def test_only_the_sampled_pair_reads_the_gap_factor(tmp_path):
+    # a pair's gap_tol is the one trusted gap width of its samples; a
+    # second copy of GAP_FACTOR * 2 pi / count could drift from it
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .image_analysis import GAP_FACTOR\n"
+                      "GAP_FACTOR = 3.0\n"
+                      "def h(count):\n"
+                      "    return image_analysis.GAP_FACTOR / count\n")
+    assert gap_factor_uses(sample) == ["sample.py:1 <module>", "sample.py:4 h"]
+    assert [item for path in sorted(SRC.glob("*.py")) for item in gap_factor_uses(path)
+            if not re.fullmatch(r"image_analysis\.py:\d+ __init__", item)] == []

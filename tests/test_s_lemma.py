@@ -22,7 +22,7 @@ from slemma import (
 )
 from slemma import homog_core, image_analysis, s_lemma
 from slemma.cli import EXIT_CODE, main
-from slemma.s_lemma import CROSS_TOL, _antipodes, _Directions
+from slemma.s_lemma import CROSS_TOL, _antipodes
 
 from conftest import quad_form, quadratic_pairs, random_symmetric
 
@@ -526,31 +526,49 @@ def _reference_antipodes(A, B):
     return counts
 
 
+X1, X2 = GP.from_terms(2, [(1.0, (1, 0))]), GP.from_terms(2, [(1.0, (0, 1))])
+
+
+def _points(P):
+    """The rows of P as the sample values of a `SampledPair`: the
+    coordinate functions x1, x2 on the points P, whose values are P's
+    except that -0.0 evaluates to +0.0."""
+    P = np.asarray(P, dtype=float).reshape(-1, 2)
+    return SampledPair(X1, X2, P, 1, 0)
+
+
+def _values(pair):
+    """The (m, 2) array of a pair's sample values (f, g)."""
+    return np.column_stack([pair.F, pair.G])
+
+
 def _assert_matches_the_reference(A, B):
-    counts, witness = _antipodes(_Directions(A), _Directions(B))
-    want = _reference_antipodes(A, B)
+    """`_antipodes` of the pairs A and B against the definition on their values."""
+    counts, witness = _antipodes(A, B)
+    P = _values(A)
+    want = _reference_antipodes(P, _values(B))
     assert counts.tolist() == want.tolist()
     if not want.any():
         assert witness is None
         return
     # the witness is an antipodal pair whose u has the least angle
     (u0, u1), (v0, v1) = witness
-    first = np.flatnonzero(want)[np.argmin(np.arctan2(A[want > 0, 1], A[want > 0, 0]))]
-    assert np.array([u0, u1]) == pytest.approx(A[first] / np.hypot(*A[first]), abs=1e-15)
+    first = np.flatnonzero(want)[np.argmin(np.arctan2(P[want > 0, 1], P[want > 0, 0]))]
+    assert np.array([u0, u1]) == pytest.approx(P[first] / np.hypot(*P[first]), abs=1e-15)
     assert abs(u0 * v1 - u1 * v0) <= CROSS_TOL and u0 * v0 + u1 * v1 < 0
 
 
 def test_direction_collisions_detects_antipodes():
     t = np.linspace(0.1, 0.4, 5)
     A = np.column_stack([np.cos(t), np.sin(t)])
-    counts, witness = _antipodes(_Directions(A), _Directions(-A))
+    counts, witness = _antipodes(_points(A), _points(-A))
     assert counts.tolist() == [1] * 5
     assert witness == [A[0].tolist(), (-A[0]).tolist()]
 
 
 def test_direction_collisions_empty_for_half_plane():
     t = np.linspace(-1.2, 1.2, 50)
-    D = _Directions(np.column_stack([np.cos(t), np.sin(t)]))
+    D = _points(np.column_stack([np.cos(t), np.sin(t)]))
     counts, witness = _antipodes(D, D)
     assert not counts.any() and witness is None
 
@@ -561,13 +579,12 @@ def test_direction_collisions_see_past_a_crowded_angle_bin():
     # angle range hides no antipode
     t = 0.502 + 1.5e-5 * np.arange(200)
     U = np.column_stack([np.cos(t), np.sin(t)])
-    P = np.vstack([U, -U[150:151]])
-    D = _Directions(P)
+    D = _points(np.vstack([U, -U[150:151]]))
     counts, witness = _antipodes(D, D)
     assert np.flatnonzero(counts).tolist() == [150, 200]
     assert counts.sum() == 2
     assert np.array(witness) == pytest.approx(np.array([-U[150], U[150]]), abs=1e-15)
-    _assert_matches_the_reference(P, P)
+    _assert_matches_the_reference(D, D)
 
 
 def test_direction_collisions_across_the_seam():
@@ -575,16 +592,17 @@ def test_direction_collisions_across_the_seam():
     u = np.array([[math.cos(math.pi - 5e-7), math.sin(math.pi - 5e-7)]])
     v = np.array([[math.cos(2e-7), math.sin(2e-7)]])
     for A, B in ((u, v), (v, u)):
-        counts, witness = _antipodes(_Directions(A), _Directions(B))
+        counts, witness = _antipodes(_points(A), _points(B))
         assert counts.tolist() == [1]
         assert witness == [A[0].tolist(), B[0].tolist()]
-        _assert_matches_the_reference(A, B)
+        _assert_matches_the_reference(_points(A), _points(B))
     far = np.array([[math.cos(2e-6), math.sin(2e-6)]])
-    assert _antipodes(_Directions(u), _Directions(far))[0].tolist() == [0]
+    assert _antipodes(_points(u), _points(far))[0].tolist() == [0]
 
 
-# Axis directions with both signs of zero: (-1.0, 0.0) and (-1.0, -0.0)
-# lie at angles pi and -pi, on either side of the seam.
+# Axis directions with both signs of zero.  A pair's values never hold
+# -0.0 (evaluation sums from +0.0), so as sample values (`_points`) both
+# (-1.0, 0.0) and (-1.0, -0.0) lie at angle pi, on the seam.
 SIGNED_AXES = [(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0), (1.0, -0.0),
                (-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0)]
 
@@ -615,7 +633,8 @@ def test_antipodes_match_the_all_pairs_reference_on_unit_sets(U, data):
     if len(U):
         flip = data.draw(st.lists(st.integers(0, len(U) - 1), max_size=50))
         U = np.vstack([U, -U[flip]])
-    _assert_matches_the_reference(U, U)
+    D = _points(U)
+    _assert_matches_the_reference(D, D)
 
 
 @st.composite
@@ -636,6 +655,7 @@ def test_direction_collisions_match_the_all_pairs_reference(A, T, data):
     if len(A):
         flip = data.draw(st.lists(st.integers(0, len(A) - 1), max_size=200))
         T = np.vstack([T, -A[flip]])
+    A, T = _points(A), _points(T)
     for X, Y in ((T, T), (A, A), (A, T)):
         _assert_matches_the_reference(X, Y)
 
@@ -646,10 +666,9 @@ def test_direction_collisions_count_every_pair():
     # such pair counts
     t = np.linspace(0.1, 0.101, 300)
     A = np.column_stack([np.cos(t), np.sin(t)])
-    P = np.vstack([A, -A])
-    D = _Directions(P)
+    D = _points(np.vstack([A, -A]))
     counts, _ = _antipodes(D, D)
-    assert counts.sum() == _reference_antipodes(P, P).sum() >= 600
+    assert counts.sum() == _reference_antipodes(_values(D), _values(D)).sum() >= 600
 
 
 # ------------------------------------------------- non-homogeneous multiplier
