@@ -195,7 +195,11 @@ def _cover(X: np.ndarray, F: np.ndarray, G: np.ndarray, ztol: float, pair_at) ->
     step = np.linalg.norm(np.diff(X, axis=0), axis=1)
     turn = np.remainder(np.diff(dirs) + math.pi, TWO_PI) - math.pi
     live = np.hypot(F, G) > ztol
-    join = np.flatnonzero(live[:-1] & live[1:] & (step <= JOIN_DISTANCE * np.median(step))
+    # np.median's bytes without its import of numpy.ma
+    h = len(step) // 2
+    mid = np.partition(step, [h - 1, h])
+    median = mid[h] if len(step) % 2 else (mid[h - 1] + mid[h]) / 2.0
+    join = np.flatnonzero(live[:-1] & live[1:] & (step <= JOIN_DISTANCE * median)
                           & (np.abs(turn) <= JOIN_TURN))
     # near a common zero the direction can turn the long way round between
     # near samples; then the midpoint's direction leaves the arc

@@ -37,6 +37,7 @@ minimum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,6 +71,10 @@ from .stp_poly import homogenize
 XI_GRID_LO = 1e-6
 XI_GRID_HI = 1e6
 XI_GRID_POINTS = 241
+# Rows per block of the margin scan.  Sorted by F, a few blocks can hold
+# the minimum at any one xi (about 2.2 of 58 and 2.7 of 82 on the two
+# switch pairs at 4,096 samples), and the scan reads only those.
+MARGIN_BLOCK = 32
 
 CROSS_TOL = 1e-6
 
@@ -136,7 +141,7 @@ def _fresh_samples(d: Dilation, count: int, seed: int) -> np.ndarray:
 
 
 def _margin_at(F: np.ndarray, G: np.ndarray, xi: float) -> float:
-    return float(np.min(F - xi * G))
+    return float((F - xi * G).min())
 
 
 def _golden_max(fun, a: float, b: float) -> tuple[float, float]:
@@ -164,51 +169,87 @@ def _golden_max(fun, a: float, b: float) -> tuple[float, float]:
     return best_x, best_f
 
 
+@functools.cache
+def _xi_grid() -> list:
+    """The xi grid as Python floats, which sort and hash faster than NumPy
+    scalars; built on first use, as np.geomspace at import raises the
+    peak RSS of runs that scan no margin."""
+    return np.geomspace(XI_GRID_LO, XI_GRID_HI, XI_GRID_POINTS).tolist()
+
+
 def _deciding_rows(F, G, xi_max):
     """The rows of (F, G) that can set min(F - xi*G) for 0 <= xi <= xi_max,
-    in their original order.
+    in their original order, or None where the margin scan must read
+    every row.
 
     A row j with some other row k at F_k <= F_j and G_k >= G_j never sets
     it: IEEE rounding is monotone, so fl(F_k - fl(xi*G_k)) <= fl(F_j -
     fl(xi*G_j)), and every minimum over the rest is bit-identical.  In
     the order of F, a row whose G does not exceed every G before it has
     such a k, and is dropped; ties in F may keep a dominated row, but
-    never drop one that is not.  Two cases keep all rows: a non-finite
-    F or G, and an F of -0.0, the only way to a -0.0 result, since which
-    signed zero `np.min` returns then depends on the rows it sees.  Rows
-    with F - xi_max*G not finite are kept too: they are the only rows that
-    overflow at any xi <= xi_max, so a scan raises where the full one does.
+    never drop one that is not.  Two cases return None: an F - xi_max*G
+    that leaves float64 (a non-finite F or G, or an overflow at some
+    xi <= xi_max, which the scan must raise as the full one does), and
+    an F of -0.0, the only way to a -0.0 result, since which signed zero
+    `np.min` returns then depends on the rows it sees.  Otherwise each
+    F - xi*G lies between F and F - xi_max*G, and each minimum is one
+    value whichever rows a scan reads to find it.
     """
-    if not (np.isfinite(F).all() and np.isfinite(G).all()) or np.any(np.signbit(F) & (F == 0)):
-        return F, G
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(F - xi_max * G).all() or np.any(np.signbit(F) & (F == 0)):
+            return None
     order = np.argsort(F)
     Gs = G[order]
     keep = np.zeros(len(F), dtype=bool)
     keep[order[:1]] = True
     keep[order[1:][Gs[1:] > np.maximum.accumulate(Gs)[:-1]]] = True
-    with np.errstate(over="ignore"):
-        keep |= ~np.isfinite(F - xi_max * G)
     return F[keep], G[keep]
 
 
 def _maximize_margin(F, G, extra_candidates=(), allow_zero=False):
     """Globally maximize m(xi) = min(F - xi*G) over the xi search space.
 
-    Only the rows that can set a minimum are scanned (`_deciding_rows`),
-    so every margin is that of the full scan, bit for bit."""
-    cands = list(np.geomspace(XI_GRID_LO, XI_GRID_HI, XI_GRID_POINTS))
-    cands.extend(x for x in extra_candidates if x is not None and x > 0)
+    The rows that can set a minimum (`_deciding_rows`) are sorted by F
+    into blocks of MARGIN_BLOCK.  For xi >= 0, monotone rounding makes a
+    block's bound fl(min F - fl(xi*max G)) at most every fl(F_j -
+    fl(xi*G_j)) in it.  A grid xi reads the blocks whose bound is at most
+    the least value of the blocks' first rows; the golden-section phase
+    reads those whose bound over [lo, hi] (xi*max G at hi when max G >= 0,
+    else at lo) is at most the least of the first rows' larger value at lo
+    and at hi, which a row, monotone in xi, never exceeds between them.  A
+    block left out holds no minimum, and with no -0.0 and no overflow a
+    minimum is one value, so every margin, xi* and m* are the full scan's,
+    bit for bit.  Where `_deciding_rows` returns None, the plain loop
+    reads every row and raises the full scan's overflow at the same
+    operation."""
+    cands = _xi_grid() + [x for x in extra_candidates if x is not None and x > 0]
     if allow_zero:
         cands.append(0.0)
     xis = np.array(sorted(set(cands)))
-    F, G = _deciding_rows(F, G, xis[-1])
-    margins = np.empty(len(xis))
-    for s in range(0, len(xis), 32):
-        blk = xis[s:s + 32]
-        margins[s:s + 32] = np.min(F[None, :] - blk[:, None] * G[None, :], axis=1)
+    rows = _deciding_rows(F, G, xis[-1])
+    if rows is None:
+        margins = np.empty(len(xis))
+        for s in range(0, len(xis), 32):
+            blk = xis[s:s + 32]
+            margins[s:s + 32] = np.min(F[None, :] - blk[:, None] * G[None, :], axis=1)
+    else:
+        order = np.argsort(rows[0])
+        order = np.append(order, np.full(-len(order) % MARGIN_BLOCK, order[-1]))
+        Fb, Gb = (v[order].reshape(-1, MARGIN_BLOCK) for v in rows)
+        low, top, F0, G0 = Fb[:, 0], Gb.max(axis=1), Fb[:, :1], Gb[:, :1]
+        with np.errstate(over="ignore"):  # a bound of -inf only keeps its block
+            bound = low[:, None] - xis * top[:, None]
+        k, b = np.nonzero((bound <= np.min(F0 - xis * G0, axis=0)).T)
+        mins = np.min(Fb[b] - xis[k, None] * Gb[b], axis=1)
+        margins = np.minimum.reduceat(mins, np.flatnonzero(np.diff(k, prepend=-1)))
     i = int(np.argmax(margins))
     lo = xis[max(i - 1, 0)]
     hi = xis[min(i + 1, len(xis) - 1)]
+    if rows is not None:
+        with np.errstate(over="ignore"):
+            bound = low - np.where(top >= 0, hi, lo) * top
+        live = bound <= np.min(np.maximum(F0 - lo * G0, F0 - hi * G0))
+        F, G = Fb[live].ravel(), Gb[live].ravel()
     xi_star, m_star = _golden_max(lambda x: _margin_at(F, G, x), float(lo), float(hi))
     if margins[i] > m_star:
         xi_star, m_star = float(xis[i]), float(margins[i])

@@ -9,14 +9,18 @@ catches every exception, only `homog_core._compile_function` turns
 text into code, no statement evaluates two polynomials apart, no module
 but `homog_core` evaluates a polynomial alone, no command handler of
 `cli` returns an exit code, and only `SampledPair` turns GAP_FACTOR into
-a gap tolerance.
+a gap tolerance.  One fresh interpreter checks that no command imports
+`numpy.ma`.
 """
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "slemma"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "slemma"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -243,3 +247,26 @@ def test_only_the_sampled_pair_reads_the_gap_factor(tmp_path):
     assert gap_factor_uses(sample) == ["sample.py:1 <module>", "sample.py:4 h"]
     assert [item for path in sorted(SRC.glob("*.py")) for item in gap_factor_uses(path)
             if not re.fullmatch(r"image_analysis\.py:\d+ __init__", item)] == []
+
+
+NUMPY_MA_SCRIPT = """
+import sys
+from slemma.cli import COMMANDS, main
+switch, fixture, out = sys.argv[1:]
+runs = [[command, switch] for command in COMMANDS]
+runs += [["image", fixture], ["shs-check", fixture]]
+for k, argv in enumerate(runs):
+    main([*argv, "--out-dir", f"{out}/{k}"])
+print("numpy.ma imported:", "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.median, np.unique, np.isin and their kin import numpy.ma on first
+    # use, about 10-20 ms and 1 MB of a cold run that needs none of it
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_SCRIPT, str(ROOT / "problems" / "switch_sextic.json"),
+         str(ROOT / "tests" / "fixtures" / "quadratic3_spurious_gap.json"), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "numpy.ma imported: False"

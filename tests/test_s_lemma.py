@@ -226,15 +226,34 @@ EXTRA_XI = st.sampled_from([(), (None,), (0.37,), (2.5e6,), (-1.0, 4.0)])
 
 @st.composite
 def margin_rows(draw):
-    """(F, G) of up to 300 rows: continuous values, or values on a coarse
-    lattice (ties in F and in G), with exact repeats of rows."""
+    """(F, G) rows of one of two kinds, with G left as drawn or of one
+    sign.  Scattered rows: up to 300 continuous values, or values on a
+    coarse lattice (ties in F and in G), with exact repeats of rows.
+    Image-like rows: 2,000-5,000 points in order along a closed curve
+    around a drawn centre, an ellipse (convex) or a star with three to
+    seven lobes (not convex); on a lattice, F then runs equal across many
+    rows and across the edges of the scan's blocks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = draw(st.integers(1, 300))
-    F = rng.normal(draw(st.sampled_from([-1.0, 0.0, 1.0])), 1.0, m)
-    G = rng.normal(0.0, 1.0, m)
     if draw(st.booleans()):
-        F, G = np.round(4.0 * F) / 4.0, np.round(4.0 * G) / 4.0
-    repeat = rng.integers(0, m, draw(st.integers(0, m)))
+        m = draw(st.integers(1, 300))
+        F = rng.normal(draw(st.sampled_from([-1.0, 0.0, 1.0])), 1.0, m)
+        G = rng.normal(0.0, 1.0, m)
+        step = 4.0
+        repeat = rng.integers(0, m, draw(st.integers(0, m)))
+    else:
+        m = draw(st.integers(2000, 5000))
+        t = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False) + rng.random()
+        lobes, depth = draw(st.sampled_from([(0, 0.0), (3, 0.3), (5, 0.5), (7, 0.2)]))
+        r = 1.0 + depth * np.cos(lobes * t)
+        F = draw(st.sampled_from([-0.5, 0.0, 0.8, 3.0])) + r * np.cos(t)
+        G = draw(st.sampled_from([0.5, 1.0, 4.0])) * r * np.sin(t) + rng.normal(0.0, 0.5)
+        step = draw(st.sampled_from([64.0, 512.0]))
+        repeat = np.arange(0)
+    if draw(st.booleans()):
+        F, G = np.round(step * F) / step, np.round(step * G) / step
+    sign = draw(st.sampled_from([None, 1.0, -1.0]))
+    if sign is not None:
+        G = sign * np.abs(G)
     return np.concatenate([F, F[repeat]]), np.concatenate([G, G[repeat]])
 
 
@@ -242,6 +261,28 @@ def margin_rows(draw):
 @given(margin_rows(), EXTRA_XI, st.booleans())
 def test_margin_scan_matches_the_full_scan(FG, extra, allow_zero):
     _assert_same_scan(*FG, extra_candidates=extra, allow_zero=allow_zero)
+
+
+@pytest.mark.parametrize("name", ["switch_sextic", "switch_fractional"])
+@pytest.mark.parametrize("allow_zero", [False, True])
+def test_margin_scan_matches_the_full_scan_on_the_switch_pairs(name, allow_zero, problems_dir):
+    problem = load_problem(problems_dir / f"{name}.json")
+    pair = SampledPair.draw(*problem.pair(), problem.dilation, 65536)
+    _assert_same_scan(pair.F, pair.G, allow_zero=allow_zero)
+
+
+def test_golden_phase_reads_a_rising_block_at_the_top_of_the_bracket():
+    # One staircase of three 32-row blocks, shuffled: rows near
+    # (0, -1/0.99), a flat run from (1, 0) and rows near (2, 1/1.01).
+    # m(xi) is 1 on [0.99, 1.01] only, around the grid point 1, and the
+    # last block holds every minimum right of 1.01; its bound at the
+    # bracket's low end exceeds the flat run's 1, at its top end it does not.
+    k = np.arange(32)
+    F = np.concatenate([-(31 - k) * 1e-6, 1 + k * 1e-6, 2 + k * 1e-6])
+    G = np.concatenate([-1 / 0.99 - (31 - k) * 1e-9, k * 1e-9, 1 / 1.01 + k * 1e-9])
+    order = np.random.default_rng(0).permutation(len(F))
+    _assert_same_scan(F[order], G[order])
+    _assert_same_scan(F[order], G[order], allow_zero=True)
 
 
 @pytest.mark.parametrize("F, G", [
