@@ -156,10 +156,16 @@ def _common_degree(f: GeneralizedPolynomial, g: GeneralizedPolynomial, d: Dilati
     return kf
 
 
-def _circ_diff(a: float, b: float) -> float:
-    """Shortest angular distance between two directions, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _proportional(f: GeneralizedPolynomial, g: GeneralizedPolynomial) -> bool:
+    """Whether g = c*f: the same terms, and with c = g/f at f's largest
+    coefficient, every coefficient of g within 1e-12 * max|g coeff| of c
+    times f's."""
+    if f.terms.keys() != g.terms.keys():
+        return False
+    top = max(f.terms, key=lambda key: abs(f.terms[key]))
+    c = g.terms[top] / f.terms[top]
+    tol = 1e-12 * max(map(abs, g.terms.values()))
+    return all(abs(g.terms[key] - c * a) <= tol for key, a in f.terms.items())
 
 
 def _uncovered(dirs: np.ndarray, cover: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +226,9 @@ def _sample_splits(theta, F, G, ztol, gap_tol) -> list:
     in order of i, with None for the direction of a zero.
 
     Each direction is math.atan2 (np.arctan2 may round differently) and
-    each zero test math.hypot <= ztol; the pairs are compared in NumPy
-    with `_circ_diff`'s `abs`, `%` and `minimum`, which round alike in
-    NumPy and on Python floats."""
+    each zero test math.hypot <= ztol; the pairs are compared the shorter
+    way round with `abs`, `%` and `minimum`, which round alike in NumPy
+    and on Python floats."""
     m = len(theta)
     # memoryviews yield Python floats one at a time, without a list per sample
     Fv, Gv = memoryview(F), memoryview(G)
@@ -258,7 +264,7 @@ def _refine_directions(f, g, d, theta, F, G, ztol, gap_tol):
     math.atan2, and its zero test math.hypot(f, g) <= ztol once; a stack
     entry carries (theta, direction) for each end, with None for a zero.
     A segment splits when an end is a zero or its ends lie more than
-    `gap_tol` apart by `_circ_diff` (written out), so an end whose value
+    `gap_tol` apart the shorter way round, so an end whose value
     is NaN (not a zero, direction NaN) never splits a segment by itself.
     f and g at a midpoint come from `_midpoint_source`'s straight-line
     code, and through `__call__` where that code raises OverflowError, is
@@ -370,6 +376,9 @@ class SampledPair:
         The sector angle is phi = 2*pi minus the largest direction gap when
         that gap is confirmed (above 3x sample spacing, surviving adaptive
         refinement for n = 2, left open by `cover` for n >= 3), else 2*pi.
+        The image is a line through the origin exactly when g is a multiple
+        of f by their coefficients (`_proportional`) and two gaps are
+        confirmed, so f takes both signs.
         """
         k, n, count, seed = self.degree, self.d.n, self.count, self.seed
         F, G = self.F, self.G
@@ -424,16 +433,8 @@ class SampledPair:
             refinement_complete=complete,
             scatter=scatter,
         )
-        if len(confirmed) == 2:
-            # two narrow antipodal clusters are a line through the origin,
-            # which is convex: a violation the probe finds rules it out
-            (a1, b1), (a2, b2) = confirmed
-            arcs = (a2 - b1, TWO_PI - (b2 - a1))
-            centers = (b1 + arcs[0] / 2.0, b2 + arcs[1] / 2.0)
-            tol = 5.0 * TWO_PI / count
-            if (max(arcs) <= tol and abs(_circ_diff(*centers) - math.pi) <= tol
-                    and not self.convexity_probe(summary)):
-                summary.classification = ImageClass.LINE_THROUGH_ORIGIN
+        if len(confirmed) == 2 and _proportional(self.f, self.g):
+            summary.classification = ImageClass.LINE_THROUGH_ORIGIN
         return summary
 
     def zero_margin(self, threshold: float = 1e-9) -> ZeroMargin:

@@ -179,8 +179,7 @@ def _xi_grid() -> list:
 
 def _deciding_rows(F, G, xi_max):
     """The rows of (F, G) that can set min(F - xi*G) for 0 <= xi <= xi_max,
-    in their original order, or None where the margin scan must read
-    every row.
+    in order of F, or None where the margin scan must read every row.
 
     A row j with some other row k at F_k <= F_j and G_k >= G_j never sets
     it: IEEE rounding is monotone, so fl(F_k - fl(xi*G_k)) <= fl(F_j -
@@ -200,17 +199,15 @@ def _deciding_rows(F, G, xi_max):
             return None
     order = np.argsort(F)
     Gs = G[order]
-    keep = np.zeros(len(F), dtype=bool)
-    keep[order[:1]] = True
-    keep[order[1:][Gs[1:] > np.maximum.accumulate(Gs)[:-1]]] = True
-    return F[keep], G[keep]
+    order = order[np.append(True, Gs[1:] > np.maximum.accumulate(Gs)[:-1])]
+    return F[order], G[order]
 
 
 def _maximize_margin(F, G, extra_candidates=(), allow_zero=False):
     """Globally maximize m(xi) = min(F - xi*G) over the xi search space.
 
-    The rows that can set a minimum (`_deciding_rows`) are sorted by F
-    into blocks of MARGIN_BLOCK.  For xi >= 0, monotone rounding makes a
+    The rows that can set a minimum (`_deciding_rows`, in order of F) are
+    cut into blocks of MARGIN_BLOCK.  For xi >= 0, monotone rounding makes a
     block's bound fl(min F - fl(xi*max G)) at most every fl(F_j -
     fl(xi*G_j)) in it.  A grid xi reads the blocks whose bound is at most
     the least value of the blocks' first rows; the golden-section phase
@@ -233,9 +230,8 @@ def _maximize_margin(F, G, extra_candidates=(), allow_zero=False):
             blk = xis[s:s + 32]
             margins[s:s + 32] = np.min(F[None, :] - blk[:, None] * G[None, :], axis=1)
     else:
-        order = np.argsort(rows[0])
-        order = np.append(order, np.full(-len(order) % MARGIN_BLOCK, order[-1]))
-        Fb, Gb = (v[order].reshape(-1, MARGIN_BLOCK) for v in rows)
+        pad = -len(rows[0]) % MARGIN_BLOCK
+        Fb, Gb = (np.append(v, np.full(pad, v[-1])).reshape(-1, MARGIN_BLOCK) for v in rows)
         low, top, F0, G0 = Fb[:, 0], Gb.max(axis=1), Fb[:, :1], Gb[:, :1]
         with np.errstate(over="ignore"):  # a bound of -inf only keeps its block
             bound = low[:, None] - xis * top[:, None]

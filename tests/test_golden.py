@@ -31,7 +31,11 @@ plane, so `COVER_RUNS` run `image` on a pair of quadratic forms on R^3
 (`fixtures/quadratic3_spurious_gap.json`): its image is convex (Dines)
 and is the whole plane, though its sorted sample directions leave
 thousands of gaps above the tolerance, one of them wider than pi, which
-the cover closes.  No shipped problem mixes weights 1 and 2 either, so
+the cover closes.  No shipped pair has an image that is a line through
+the origin, so `LINE_RUNS` run `image` and `shs-check` on two pairs with
+g = -2f exactly (`fixtures/line_quartic.json`, n = 2, and
+`fixtures/line_quartic3.json`, n = 3), whose f takes both signs.  No
+shipped problem mixes weights 1 and 2 either, so
 `MIXED_RUNS` run `zeros`, `copositive` and `image` on a quartic pair
 with weights (1, 2) and l = 3 (`fixtures/mixed_quartic_l3.json`), where
 projecting each theta point scales a weight-1 and a weight-2 column
@@ -98,6 +102,11 @@ SPHERE_RUNS = (
 COVER_RUNS = (
     ("image", FIXTURES / "quadratic3_spurious_gap.json", (None, *IMAGE_SEEDS)),
 )
+# runs on pairs with g = -2f exactly, n = 2 and n = 3, whose image is a
+# line through the origin
+LINE_RUNS = tuple((command, FIXTURES / name, (None,))
+                  for name in ("line_quartic.json", "line_quartic3.json")
+                  for command in ("image", "shs-check"))
 # (command, format): runs on a (1, 2) dilation with l = 3
 MIXED = FIXTURES / "mixed_quartic_l3.json"
 MIXED_RUNS = (("zeros", "json"), ("copositive", "json"), ("image", "csv"))
@@ -149,7 +158,7 @@ def _runs():
     for command, name, fmt, flags in VECTOR_RUNS:
         yield f"{command} {name} {fmt} {' '.join(flags)}", [
             command, str(ROOT / "problems" / name), "--format", fmt, *flags]
-    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS + COVER_RUNS:
+    for command, problem, seeds in MARGIN_RUNS + SPHERE_RUNS + COVER_RUNS + LINE_RUNS:
         for seed in seeds:
             key = f"{command} {problem.name} json"
             argv = [command, str(problem), "--format", "json"]

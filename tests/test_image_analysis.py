@@ -16,6 +16,7 @@ from slemma import Dilation, GeneralizedPolynomial
 from slemma.homog_core import (
     DEFAULT_SEED,
     TWO_PI,
+    Parity,
     overflow_guard,
     sphere_samples,
     theta_grid,
@@ -29,10 +30,10 @@ from slemma.image_analysis import (
     REFINE_WIDTH_FLOOR,
     SampledPair,
     _axis_points,
-    _circ_diff,
     _common_zero_n2,
     _cover,
     _inside_gap,
+    _proportional,
     _refine_directions,
     _uncovered,
     mixing_curve,
@@ -122,12 +123,29 @@ def test_line_through_origin(d2):
     cube = GP.from_terms(1, [(1, (3,))])
     s = SampledPair.draw(cube, cube, d1).image()
     assert s.classification is ImageClass.LINE_THROUGH_ORIGIN
-    # a line is convex: the probe, which the classification reads, finds nothing
+    # the class is read off the coefficients (g = 2f); a line is convex,
+    # so the probe finds nothing either
     f = GP.from_terms(2, [(1, (2, 0)), (-1, (0, 2))])
     pair = SampledPair.draw(f, 2.0 * f, d2)
     s = pair.image()
     assert s.classification is ImageClass.LINE_THROUGH_ORIGIN
     assert pair.convexity_probe(s) == []
+    # with f > 0 off the origin, g = 2f is a ray: one direction, one gap
+    f = GP.from_terms(2, [(1, (4, 0)), (1, (0, 4))])
+    s = SampledPair.draw(f, 2.0 * f, d2).image()
+    assert len(s.gaps) == 1
+    assert s.classification is ImageClass.ANGULAR_SECTOR
+
+
+def test_proportional_reads_the_coefficients():
+    f = GP.from_terms(2, [(0.1, (4, 0)), (0.3, (2, 2)), (0.9, (0, 4))])
+    # 3 * 0.1 != 0.3 in float64: decimal multiples are within the tolerance
+    assert _proportional(f, GP.from_terms(2, [(0.3, (4, 0)), (0.9, (2, 2)), (2.7, (0, 4))]))
+    assert _proportional(f, -1e6 * f) and _proportional(-1e-6 * f, f)
+    assert not _proportional(f, GP.from_terms(2, [(0.3, (4, 0)), (0.9, (2, 2)), (2.6, (0, 4))]))
+    # a term of one that the other lacks, whichever of the two has it
+    extra = 2.0 * f + GP.from_terms(2, [(1e-3, (1, 3))])
+    assert not _proportional(f, extra) and not _proportional(extra, f)
 
 
 def test_full_plane_odd_pair(d2):
@@ -354,6 +372,7 @@ def test_mixing_curve_rejects_tiny_step_count(sextic_pair, d2):
 
 
 ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
 IMAGE_PROBLEMS = [ROOT / "problems" / f"{name}.json" for name in (
     "cubic_shared_zero", "sector_quartic_pi", "sector_quartic_wide",
     "sector_sextic_full", "sector_sextic_wide", "switch_fractional",
@@ -456,13 +475,17 @@ def test_probe_witnesses_are_image_values_whose_midpoints_lie_in_the_gap(path):
 
 def test_a_line_through_the_origin_carries_no_violations(tmp_path):
     # at 64 samples cubic_shared_zero's two lobes look like narrow
-    # antipodal clusters, yet midpoints of its image points leave the image
+    # antipodal clusters, yet midpoints of its image points leave the image;
+    # its g is no multiple of f, so at no sample count is it a line
     problem = load_problem(ROOT / "problems" / "cubic_shared_zero.json")
+    line = load_problem(FIXTURES / "line_quartic.json")
     for count in (16, 32, 48, 64, 96, 128):
         pair = SampledPair.draw(*problem.pair(), problem.dilation, count)
+        assert pair.image().classification is not ImageClass.LINE_THROUGH_ORIGIN, count
+        pair = SampledPair.draw(*line.pair(), line.dilation, count)
         summary = pair.image()
-        if summary.classification is ImageClass.LINE_THROUGH_ORIGIN:
-            assert pair.convexity_probe(summary) == [], count
+        assert summary.classification is ImageClass.LINE_THROUGH_ORIGIN, count
+        assert pair.convexity_probe(summary) == [], count
     assert main(["image", str(problem.path), "--samples", "64",
                  "--out-dir", str(tmp_path)]) == 0
     result = json.loads((tmp_path / "image_cubic_shared_zero.json").read_text())["result"]
@@ -508,6 +531,61 @@ def test_a_spurious_gap_beside_the_largest_is_not_read():
     assert want and all(v["gap"] == [a, b] for v in want)
     for gaps in ([spurious, (a, b)], [(a, b), spurious]):
         assert pair.convexity_probe(dataclasses.replace(summary, gaps=gaps)) == want
+
+
+def _homogeneous_pairs():
+    """The shipped problems and fixtures whose f and g are homogeneous."""
+    for path in sorted((ROOT / "problems").glob("*.json")) + sorted(FIXTURES.glob("*.json")):
+        problem = load_problem(path)
+        if {"f", "g"} <= problem.functions.keys() and all(
+                problem.function(name).homogeneity_degree(problem.dilation) is not None
+                for name in "fg"):
+            yield problem
+
+
+def test_image_and_the_shs_condition_never_call_the_probe(monkeypatch):
+    def probe(self, summary):
+        raise AssertionError("convexity_probe was called")
+
+    monkeypatch.setattr(SampledPair, "convexity_probe", probe)
+    classes = []
+    for problem in _homogeneous_pairs():
+        f, g = problem.pair()
+        pair = SampledPair.draw(f, g, problem.dilation)
+        classes.append(pair.image().classification)
+        if f.parity() is Parity.EVEN and g.parity() is Parity.EVEN:
+            pair.shs_condition()
+    assert classes.count(ImageClass.LINE_THROUGH_ORIGIN) == 2
+    assert len(classes) >= 16
+
+
+def _image_class(tmp_path, raw, samples=None):
+    """The class that `image` reports for the problem `raw`."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(raw))
+    argv = ["image", str(path), "--out-dir", str(tmp_path)]
+    if samples is not None:
+        argv += ["--samples", str(samples)]
+    assert main(argv) == 0
+    return json.loads((tmp_path / "image_pair.json").read_text())["result"]["classification"]
+
+
+@pytest.mark.parametrize("name, factor", [("f", 1e-6), ("g", 1e6)])
+def test_the_units_of_f_or_g_do_not_make_a_line(tmp_path, name, factor):
+    # scaled so, cubic_shared_zero's two lobes narrow to antipodal clusters
+    raw = json.loads((ROOT / "problems" / "cubic_shared_zero.json").read_text())
+    for term in raw["functions"][name]:
+        term["coeff"] *= factor
+    assert _image_class(tmp_path, raw) == "angular_sector"
+
+
+def test_a_pair_near_a_line_is_no_line_at_coarse_samples(tmp_path):
+    # g = -2f + 1e-9 x1^2 x2^2, against g = -2f exactly
+    raw = json.loads((FIXTURES / "line_quartic.json").read_text())
+    assert _image_class(tmp_path, raw, 64) == "line_through_origin"
+    (term,) = [t for t in raw["functions"]["g"] if [p["num"] for p in t["powers"]] == [2, 2]]
+    term["coeff"] += 1e-9
+    assert _image_class(tmp_path, raw, 64) == "angular_sector"
 
 
 # ------------------------------------------------ the probe's reference rule
@@ -723,6 +801,12 @@ def test_a_cover_takes_the_short_way_across_pi():
 
 
 # ------------------------------------------------------- direction refinement
+
+
+def _circ_diff(a: float, b: float) -> float:
+    """Shortest angular distance between two directions, in [0, pi]."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 def _reference_refine_directions(f, g, d, theta, F, G, ztol, gap_tol):
